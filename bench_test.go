@@ -6,7 +6,7 @@ package ssync
 // headline quantity of the corresponding figure so `go test -bench=.`
 // doubles as a regression harness for the reproduction.
 //
-// The full-scale regeneration lives in cmd/figures.
+// The full-scale regeneration is `ssync figures` (internal/cli/figures.go).
 
 import (
 	"testing"

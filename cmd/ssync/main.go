@@ -1,8 +1,8 @@
 // ssync is the unified CLI of the suite: `ssync run` executes any subset
 // of the registered experiments on the sharded harness with JSON, CSV or
-// table output, `ssync list` enumerates them, and every retired
-// single-purpose binary (lockbench, ccbench, mpbench, sshtbench, tmbench,
-// kvbench, figures, topology) remains available as a subcommand.
+// table output, `ssync list` enumerates them, and every formerly
+// single-purpose tool (lockbench, ccbench, mpbench, sshtbench, tmbench,
+// kvbench, figures, topology) is a subcommand.
 //
 // Usage:
 //

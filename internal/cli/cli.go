@@ -1,6 +1,7 @@
-// Package cli implements the ssync command-line tool and the legacy
-// single-purpose benchmark binaries as library functions, so the cmd/
-// directories are one-line wrappers and every invocation is unit-testable.
+// Package cli implements the ssync command-line tool: every subcommand,
+// including the formerly separate single-purpose benchmark binaries, is
+// a library function, so cmd/ssync is a one-line wrapper and every
+// invocation is unit-testable.
 package cli
 
 import (
@@ -23,14 +24,12 @@ type tool struct {
 }
 
 // tools lists every subcommand of ssync. The seven retired benchmark
-// binaries and topology keep working both as `ssync <name>` and as thin
-// cmd/ wrappers.
+// binaries and topology are reachable only as `ssync <name>`.
 var tools = []tool{
 	{"run", "run registered experiments on the sharded harness", RunMain},
 	{"list", "list the registered experiments", ListMain},
 	{"store", "sharded KVS: scenario workload over the wire protocol", StoreMain},
 	{"cluster", "multi-node store cluster: consistent-hash routed workload", ClusterMain},
-	{"bench", "pinned perf-trajectory sweep: emit or check BENCH_*.json references", BenchMain},
 	{"figures", "regenerate every table and figure of the paper", FiguresMain},
 	{"lockbench", "lock experiments: Figures 3-8", LockbenchMain},
 	{"ccbench", "cache-coherence latencies: Tables 2-3", CcbenchMain},

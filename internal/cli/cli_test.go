@@ -145,8 +145,17 @@ func TestList(t *testing.T) {
 }
 
 func TestDispatcher(t *testing.T) {
-	if _, _, code := runMain(t, "help"); code != 0 {
+	help, _, code := runMain(t, "help")
+	if code != 0 {
 		t.Error("help must succeed")
+	}
+	// The perf-trajectory subcommand is gone: benchmark/run.sh is the
+	// only instrument, so `ssync bench` is as unknown as any typo.
+	if strings.Contains(help, "\n  bench ") {
+		t.Errorf("help still lists the deleted bench command:\n%s", help)
+	}
+	if _, errOut, code := runMain(t, "bench"); code != 2 || !strings.Contains(errOut, "unknown command") {
+		t.Errorf("ssync bench: exit %d, stderr %q; want 2 with \"unknown command\"", code, errOut)
 	}
 	if _, errOut, code := runMain(t, "no-such-tool"); code != 2 || !strings.Contains(errOut, "unknown command") {
 		t.Error("unknown command must exit 2 with a message")
@@ -157,7 +166,8 @@ func TestDispatcher(t *testing.T) {
 }
 
 // TestLegacyToolsStillWork drives each retired binary's entry point
-// through the dispatcher on its cheapest configuration.
+// through the dispatcher, now its only route, on its cheapest
+// configuration.
 func TestLegacyToolsStillWork(t *testing.T) {
 	out, errOut, code := runMain(t, "topology", "-platform", "Tilera")
 	if code != 0 || !strings.Contains(out, "Tilera — 36 cores") {

@@ -3,10 +3,7 @@
 // (mean of repetitions, standard deviation as a sanity bound).
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Online accumulates mean and variance using Welford's algorithm.
 type Online struct {
@@ -68,9 +65,9 @@ func (o *Online) RelStddev() float64 {
 }
 
 // Round returns x rounded to the given number of decimal places.
-// Emitted statistics are rounded to a stable precision so committed
-// reference files (BENCH_*.json) diff cleanly instead of churning in
-// the 15th significant digit on every regeneration.
+// Emitted statistics are rounded to a stable precision so saved result
+// files diff cleanly instead of churning in the 15th significant digit
+// on every regeneration.
 func Round(x float64, places int) float64 {
 	p := math.Pow(10, float64(places))
 	r := math.Round(x*p) / p
@@ -78,37 +75,6 @@ func Round(x float64, places int) float64 {
 		return 0 // normalise -0
 	}
 	return r
-}
-
-// Median returns the middle value of the samples (mean of the two
-// middle values for even n, 0 for none). The input is not modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
-}
-
-// MAD returns the median absolute deviation from the median, the robust
-// spread estimate the benchmark regression gate derives its noise
-// tolerance from: unlike stddev it is not inflated by the occasional
-// scheduler-induced outlier repetition.
-func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Median(xs)
-	devs := make([]float64, len(xs))
-	for i, x := range xs {
-		devs[i] = math.Abs(x - m)
-	}
-	return Median(devs)
 }
 
 // Summary is a frozen snapshot of an accumulator, the shape experiment

@@ -40,35 +40,6 @@ func TestEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestMedianAndMAD(t *testing.T) {
-	if Median(nil) != 0 || MAD(nil) != 0 {
-		t.Error("empty slices must report 0")
-	}
-	if got := Median([]float64{5}); got != 5 {
-		t.Errorf("Median of one = %v", got)
-	}
-	// Odd length, unsorted input, input must stay unmodified.
-	xs := []float64{9, 1, 5}
-	if got := Median(xs); got != 5 {
-		t.Errorf("Median = %v, want 5", got)
-	}
-	if xs[0] != 9 {
-		t.Error("Median sorted its input in place")
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("even-length Median = %v, want 2.5", got)
-	}
-	// Deviations of {1,2,3,4,100} from median 3 are {2,1,0,1,97};
-	// their median is 1 — the outlier barely registers, which is the
-	// point of using MAD for the bench gate's noise bound.
-	if got := MAD([]float64{1, 2, 3, 4, 100}); got != 1 {
-		t.Errorf("MAD = %v, want 1", got)
-	}
-	if got := MAD([]float64{7, 7, 7}); got != 0 {
-		t.Errorf("MAD of constants = %v, want 0", got)
-	}
-}
-
 func TestRelStddev(t *testing.T) {
 	var o Online
 	o.Add(99)

@@ -371,3 +371,101 @@ func (c *corruptBatches) Write(p []byte) (int, error) {
 	}
 	return n, err
 }
+
+// TestPipelineSendsFewerFrames states what pipelining buys as a count,
+// not a speed: the same N ops cost the lock-step Client one request
+// frame (and one round trip) each, and an AsyncClient submitting
+// batches of 8 through a window of 16 at most ⌈N/8⌉ frames. Exact and
+// repeatable; throughput itself is measured only by benchmark/run.sh.
+func TestPipelineSendsFewerFrames(t *testing.T) {
+	const n, batch, window = 250, 8, 16
+	reqs := make([]Request, n)
+	for i := range reqs {
+		key := fmt.Sprintf("k%03d", i%50)
+		if i%5 == 0 {
+			reqs[i] = Request{Op: OpPut, Key: key, Value: []byte{byte(i)}}
+		} else {
+			reqs[i] = Request{Op: OpGet, Key: key}
+		}
+	}
+	// A fresh store each, so both clients see the same puts and gets.
+	dial := func() *frameCounter {
+		srv := NewServer(New(Options{Shards: 4, Buckets: 8, Lock: locks.TICKET}), 1)
+		return &frameCounter{Conn: srv.pipeConn()}
+	}
+
+	lockConn := dial()
+	lock := NewClient(lockConn)
+	defer lock.Close()
+	want := make([]Response, n)
+	for i, req := range reqs {
+		resp, err := lock.roundTrip(req)
+		if err != nil {
+			t.Fatalf("lock-step op %d: %v", i, err)
+		}
+		want[i] = resp
+	}
+	if lockConn.frames != n {
+		t.Fatalf("lock-step client sent %d request frames for %d ops, want one per op", lockConn.frames, n)
+	}
+
+	asyncConn := dial()
+	async := NewAsyncClient(asyncConn, window)
+	defer async.Close()
+	var futs []*Future
+	for lo := 0; lo < n; lo += batch {
+		futs = append(futs, async.BatchAsync(reqs[lo:min(lo+batch, n)]))
+	}
+	var got []Response
+	for i, f := range futs {
+		resps, err := f.WaitBatch()
+		if err != nil {
+			t.Fatalf("async batch %d: %v", i, err)
+		}
+		got = append(got, resps...)
+	}
+	// Every response has been read, so every request frame was written.
+	if limit := (n + batch - 1) / batch; asyncConn.frames == 0 || asyncConn.frames > limit {
+		t.Fatalf("async client sent %d request frames for %d ops in batches of %d, want 1..%d",
+			asyncConn.frames, n, batch, limit)
+	}
+	if len(got) != n {
+		t.Fatalf("async client returned %d responses, want %d", len(got), n)
+	}
+	for i := range want {
+		if got[i].Status != want[i].Status || !bytes.Equal(got[i].Value, want[i].Value) {
+			t.Fatalf("op %d: async %+v, lock-step %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// frameCounter counts the request frames written through it by walking
+// the 4-byte length prefixes of the byte stream; a frame may straddle
+// Write calls.
+type frameCounter struct {
+	net.Conn
+	frames int
+	hdr    [4]byte
+	nhdr   int // header bytes of the next frame seen so far
+	body   int // body bytes of the current frame still to come
+}
+
+func (c *frameCounter) Write(p []byte) (int, error) {
+	for q := p; len(q) > 0; {
+		if c.body > 0 {
+			skip := min(c.body, len(q))
+			c.body -= skip
+			q = q[skip:]
+			continue
+		}
+		c.hdr[c.nhdr] = q[0]
+		c.nhdr++
+		q = q[1:]
+		if c.nhdr == len(c.hdr) {
+			c.frames++
+			c.body = int(binary.BigEndian.Uint32(c.hdr[:]))
+			c.nhdr = 0
+		}
+	}
+	return c.Conn.Write(p)
+}
