@@ -289,3 +289,99 @@ func TestClusterOwnerAgreesWithClient(t *testing.T) {
 		}
 	}
 }
+
+// TestForeignBatchNotExecutedLocally sends batch frames whose point ops
+// all belong to the other node, on a fresh connection each (so the
+// filter has no warmed-up state to lean on): a non-ring-aware client,
+// or one on a stale ring, produces exactly these. The receiving node
+// must forward every sub-op and execute none — a put or delete applied
+// on a non-owner leaves phantom keys its local scans return and a later
+// arc move can resurrect. The forwarded responses look right either
+// way, so the check is on the receiving store itself.
+func TestForeignBatchNotExecutedLocally(t *testing.T) {
+	for _, eng := range store.Engines {
+		t.Run(string(eng), func(t *testing.T) {
+			c := newTestCluster(t, 2, store.Options{Engine: eng, Shards: 4})
+			var keys []string
+			var entries []store.Entry
+			for i := uint64(0); len(keys) < 8; i++ {
+				if k := workload.Key(i); c.Ring().Owner(k) == 1 {
+					keys = append(keys, k)
+					entries = append(entries, store.Entry{Key: k, Value: []byte("v-" + k)})
+				}
+			}
+			onNode0 := func(f func(cl *store.Client)) {
+				t.Helper()
+				cl := c.Server(0).PipeClient()
+				defer cl.Close()
+				f(cl)
+			}
+			h0, h1 := c.Store(0).NewHandle(0), c.Store(1).NewHandle(0)
+			assertUntouched := func(after string) {
+				t.Helper()
+				if n := h0.Len(); n != 0 {
+					t.Fatalf("after %s: node 0 holds %d keys it does not own", after, n)
+				}
+				var ops store.Counters
+				for _, sh := range h0.ShardStats() {
+					ops.Gets += sh.Gets
+					ops.Puts += sh.Puts
+					ops.Deletes += sh.Deletes
+				}
+				if ops.Total() != 0 {
+					t.Fatalf("after %s: node 0 executed foreign point ops: %+v", after, ops)
+				}
+			}
+
+			onNode0(func(cl *store.Client) {
+				created, err := cl.MPut(entries)
+				if err != nil || created != len(entries) {
+					t.Fatalf("MPut via node 0: created %d of %d, err %v", created, len(entries), err)
+				}
+			})
+			assertUntouched("a foreign MPut")
+			if n := h1.Len(); n != len(keys) {
+				t.Fatalf("node 1 holds %d keys, want %d", n, len(keys))
+			}
+			onNode0(func(cl *store.Client) {
+				if got, err := cl.Scan("", 0); err != nil || len(got) != 0 {
+					t.Fatalf("node 0's local scan returned %d entries (err %v), want none", len(got), err)
+				}
+			})
+
+			onNode0(func(cl *store.Client) {
+				vals, err := cl.MGet(keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range vals {
+					if !bytes.Equal(v, entries[i].Value) {
+						t.Fatalf("MGet via node 0: key %q = %q, want %q", keys[i], v, entries[i].Value)
+					}
+				}
+			})
+			assertUntouched("a foreign MGet")
+
+			onNode0(func(cl *store.Client) {
+				resps, err := cl.ExecBatch([]store.Request{
+					{Op: store.OpDelete, Key: keys[0]},
+					{Op: store.OpPut, Key: keys[1], Value: []byte("again")},
+					{Op: store.OpGet, Key: keys[0]},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resps[0].Status != store.StatusOK || resps[1].Created || resps[2].Status != store.StatusNotFound {
+					t.Fatalf("mixed foreign batch answered %+v", resps)
+				}
+			})
+			assertUntouched("a foreign mixed batch")
+			if _, ok := h1.Get(keys[0]); ok {
+				t.Fatal("the forwarded delete did not reach node 1")
+			}
+			if v, _ := h1.Get(keys[1]); string(v) != "again" {
+				t.Fatalf("the forwarded put did not reach node 1: %q", v)
+			}
+		})
+	}
+}

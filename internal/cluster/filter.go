@@ -3,6 +3,7 @@ package cluster
 import (
 	"sync"
 
+	"ssync/internal/hashkit"
 	"ssync/internal/store"
 )
 
@@ -48,33 +49,36 @@ type migTracker struct {
 	dirty map[string]struct{}
 }
 
-func (t *migTracker) record(op byte, key string) {
+// record notes a write under key. The key is frame bytes; it becomes a
+// string only if it lands in a moving arc and has to be remembered.
+func (t *migTracker) record(op byte, key []byte) {
 	if op != store.OpPut && op != store.OpDelete {
 		return
 	}
-	if !store.ArcsContain(t.arcs, store.KeyPos(key)) {
+	if !store.ArcsContain(t.arcs, store.KeyPosBytes(key)) {
 		return
 	}
 	t.mu.Lock()
-	t.dirty[key] = struct{}{}
+	t.dirty[string(key)] = struct{}{}
 	t.mu.Unlock()
 }
 
 // Route implements store.Router for one point op.
-func (f *nodeFilter) Route(h *store.Handle, req store.Request, hops int) store.Response {
+func (f *nodeFilter) Route(h *store.Handle, req store.RequestView, hops int, out []byte) ([]byte, error) {
 	f.mu.RLock()
 	// The ring must be loaded under the lock: the commit step flips it
 	// while holding mu exclusively, so an op that sees the old ring has
 	// executed (and been dirty-tracked) before the flip, and an op that
-	// sees the new one executes after the delta shipped.
-	owner := f.c.ring.Load().Owner(req.Key)
+	// sees the new one executes after the delta shipped. The owner is
+	// decided from the frame bytes; nothing is copied to execute here.
+	owner := f.c.ring.Load().OwnerHash(hashkit.FNV1aBytes(req.Key))
 	if owner == f.n.id {
-		resp := h.Exec(req)
+		out, err := h.ExecView(req, out)
 		if f.mig != nil {
 			f.mig.record(req.Op, req.Key)
 		}
 		f.mu.RUnlock()
-		return resp
+		return out, err
 	}
 	f.mu.RUnlock()
 	// Never forward while holding mu: a commit locking several source
@@ -83,71 +87,69 @@ func (f *nodeFilter) Route(h *store.Handle, req store.Request, hops int) store.R
 	// forward lands, the receiving filter re-checks and takes one more
 	// hop — bounded by the cap below, since there is at most one
 	// migration in flight.
-	if hops >= store.MaxForwardHops {
-		return store.Response{Status: store.StatusError, Msg: store.ErrHopLimit.Error()}
+	resp := store.Response{Status: store.StatusError, Msg: store.ErrHopLimit.Error()}
+	if hops < store.MaxForwardHops {
+		// The forward leaves this connection's goroutine: the one place a
+		// routed op is copied out of its frame.
+		resp = awaitForward(f.meshConn(owner).ForwardAsync(req.Owned(), hops+1))
 	}
-	return f.forward(owner, req, hops+1)
+	return store.AppendResponse(out, req.Op, resp)
 }
 
+// batchSplit is RouteBatch's index bookkeeping: which sub-ops execute
+// here, which are forwarded, and to whom. It is pooled so that a frame
+// this node wholly owns allocates nothing in the filter.
+type batchSplit struct {
+	local, remote, owners []int
+}
+
+var batchSplitPool = sync.Pool{New: func() any { return new(batchSplit) }}
+
 // RouteBatch implements store.Router for a batch's sub-ops: the local
-// subset executes as one engine visit under the filter lock, the rest
-// forward individually (submitted together, awaited together) after it
-// is released.
-func (f *nodeFilter) RouteBatch(h *store.Handle, reqs []store.Request) []store.Response {
-	resps := make([]store.Response, len(reqs))
-	owners := make([]int, len(reqs))
-	var local, remote []int
+// subset executes as one ExecViewsOnly under the filter lock, straight
+// out of the frame; the rest are copied out and forwarded individually
+// (submitted together, awaited together) after it is released. Scans
+// always read the local store. A frame with no local sub-op executes
+// nothing here — this node must never apply a write it does not own.
+func (f *nodeFilter) RouteBatch(h *store.Handle, reqs []store.RequestView) []store.Response {
+	sc := batchSplitPool.Get().(*batchSplit)
+	local, remote, owners := sc.local[:0], sc.remote[:0], sc.owners[:0]
 	f.mu.RLock()
 	ring := f.c.ring.Load()
 	for i, r := range reqs {
-		switch r.Op {
-		case store.OpGet, store.OpPut, store.OpDelete:
-			owners[i] = ring.Owner(r.Key)
-			if owners[i] == f.n.id {
-				local = append(local, i)
-			} else {
-				remote = append(remote, i)
+		if r.Op >= store.OpGet && r.Op <= store.OpDelete {
+			if owner := ring.OwnerHash(hashkit.FNV1aBytes(r.Key)); owner != f.n.id {
+				remote, owners = append(remote, i), append(owners, owner)
+				continue
 			}
-		case store.OpScan:
-			local = append(local, i) // scans always read the local store
-		default:
-			resps[i] = store.Response{Status: store.StatusError, Msg: store.ErrBadOp.Error()}
 		}
+		local = append(local, i)
 	}
-	if len(local) > 0 {
-		sub := reqs
-		if len(local) != len(reqs) {
-			sub = subRequests(reqs, local)
-		}
-		for j, resp := range h.ExecBatch(sub) {
-			resps[local[j]] = resp
-		}
-		if f.mig != nil {
-			for _, i := range local {
-				f.mig.record(reqs[i].Op, reqs[i].Key)
-			}
+	resps := h.ExecViewsOnly(reqs, local)
+	if f.mig != nil {
+		for _, i := range local {
+			f.mig.record(reqs[i].Op, reqs[i].Key)
 		}
 	}
 	f.mu.RUnlock()
 	if len(remote) > 0 {
 		futs := make([]*store.Future, len(remote))
 		for j, i := range remote {
-			futs[j] = f.meshConn(owners[i]).ForwardAsync(reqs[i], 1)
+			futs[j] = f.meshConn(owners[j]).ForwardAsync(reqs[i].Owned(), 1)
 		}
 		for j, i := range remote {
-			resp, err := futs[j].Wait()
-			if err != nil {
-				resp = store.Response{Status: store.StatusError, Msg: err.Error()}
-			}
-			resps[i] = resp
+			resps[i] = awaitForward(futs[j])
 		}
 	}
+	sc.local, sc.remote, sc.owners = local, remote, owners
+	batchSplitPool.Put(sc)
 	return resps
 }
 
-// forward ships req to node to and blocks for the response.
-func (f *nodeFilter) forward(to int, req store.Request, hops int) store.Response {
-	resp, err := f.meshConn(to).ForwardAsync(req, hops).Wait()
+// awaitForward awaits one forwarded op; a transport failure becomes the
+// op's error response.
+func awaitForward(fut *store.Future) store.Response {
+	resp, err := fut.Wait()
 	if err != nil {
 		return store.Response{Status: store.StatusError, Msg: err.Error()}
 	}

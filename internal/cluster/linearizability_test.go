@@ -193,10 +193,123 @@ func runRoutedAsyncLinearClient(t *testing.T, cl *Client, client, nKeys, ops, de
 	}
 }
 
+// clusterBatchFrameOps is the sub-op count of the batch client's frames,
+// and clusterMaxPerKey how many ops it keeps in flight on one key —
+// inside a frame and across frames — so per-key overlap, which the
+// checker's cost is exponential in, is bounded by construction.
+const (
+	clusterBatchFrameOps = 4
+	clusterMaxPerKey     = 2
+)
+
+// runRoutedBatchLinearClient drives ops operations as mixed OpBatch
+// frames of clusterBatchFrameOps sub-ops, depth sub-ops in flight. A
+// frame goes, unsplit, to the node that owns its first key: that node's
+// filter must execute what it owns straight out of the frame and copy
+// out and forward the rest, so the view path's local subset and its
+// forward branch both run on every frame (and under a live resize, when
+// tick paces one). Every sub-op is recorded with its frame's interval.
+func runRoutedBatchLinearClient(t *testing.T, cl *Client, client, nKeys, ops, depth int, hists []*linearize.History, tick func()) {
+	type pendingFrame struct {
+		ops []linearize.Op
+		ks  []int
+		fut *store.Future
+	}
+	rng := xrand.New(uint64(client)*0xD1342543DE82EF95 + 37)
+	seq := uint64(0)
+	var window []pendingFrame
+	inflight := make([]int, nKeys)
+	settleOldest := func() bool {
+		f := window[0]
+		window = window[1:]
+		resps, err := f.fut.WaitBatch()
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		for j, op := range f.ops {
+			k, resp := f.ks[j], resps[j]
+			inflight[k]--
+			op.Ret = hists[k].Now()
+			if resp.Status == store.StatusError {
+				t.Errorf("batch client %d key %d: sub-op failed: %s", client, k, resp.Msg)
+				return false
+			}
+			switch op.Kind {
+			case linearize.Get:
+				op.Found = resp.Status == store.StatusOK
+				if op.Found {
+					op.Val = clusterDecodeArg(t, fmt.Sprintf("batch client %d key %d", client, k), resp.Value)
+				}
+			case linearize.Put:
+				op.Found = resp.Created
+			case linearize.Delete:
+				op.Found = resp.Status == store.StatusOK
+			}
+			hists[k].Add(op)
+			if tick != nil {
+				tick()
+			}
+		}
+		return true
+	}
+	for done := 0; done < ops; done += clusterBatchFrameOps {
+		f := pendingFrame{}
+		reqs := make([]store.Request, 0, clusterBatchFrameOps)
+		inFrame := make([]int, nKeys)
+		for len(reqs) < clusterBatchFrameOps {
+			kind, draw := clusterMixedOp(rng)
+			k := int(draw % uint64(nKeys))
+			if inFrame[k] == clusterMaxPerKey {
+				continue // redraw: the cap holds inside a frame too
+			}
+			inFrame[k]++
+			req := store.Request{Key: workload.Key(uint64(k))}
+			op := linearize.Op{Client: client, Kind: kind}
+			switch kind {
+			case linearize.Get:
+				req.Op = store.OpGet
+			case linearize.Put:
+				seq++
+				op.Arg = uint64(client)<<32 | seq
+				req.Op, req.Value = store.OpPut, clusterArgValue(op.Arg)
+			case linearize.Delete:
+				req.Op = store.OpDelete
+			}
+			reqs, f.ops, f.ks = append(reqs, req), append(f.ops, op), append(f.ks, k)
+		}
+		fits := func() bool {
+			for k, n := range inFrame {
+				if inflight[k]+n > clusterMaxPerKey {
+					return false
+				}
+			}
+			return len(window) < depth/clusterBatchFrameOps
+		}
+		for !fits() {
+			if !settleOldest() {
+				return
+			}
+		}
+		for j, k := range f.ks {
+			inflight[k]++
+			f.ops[j].Call = hists[k].Now()
+		}
+		f.fut = cl.Node(cl.Owner(reqs[0].Key)).BatchAsync(reqs)
+		window = append(window, f)
+	}
+	for len(window) > 0 {
+		if !settleOldest() {
+			return
+		}
+	}
+}
+
 // TestClusterLinearizable is the 3-node × engine × client-kind matrix:
 // every shard engine serves a 3-node cluster, driven by lock-step
-// routed clients and by async routed clients at depth 16, and every
-// per-key history must linearize.
+// routed clients, by async routed clients at depth 16 and by clients
+// sending unsplit batch frames the nodes must split themselves, and
+// every per-key history must linearize.
 func TestClusterLinearizable(t *testing.T) {
 	// Routed async histories overlap more than single-store ones (a
 	// settle can trail ops routed to other nodes), so keep the per-key
@@ -212,7 +325,7 @@ func TestClusterLinearizable(t *testing.T) {
 		ops = 100
 	}
 	for _, eng := range store.Engines {
-		for _, kind := range []string{"lockstep", "async"} {
+		for _, kind := range []string{"lockstep", "async", "batch"} {
 			eng, kind := eng, kind
 			t.Run(string(eng)+"/"+kind, func(t *testing.T) {
 				t.Parallel()
@@ -237,6 +350,10 @@ func TestClusterLinearizable(t *testing.T) {
 							cl := c.Dial(depth)
 							defer cl.Close()
 							runRoutedAsyncLinearClient(t, cl, cli, nKeys, ops, depth, hists, nil)
+						case "batch":
+							cl := c.Dial(depth)
+							defer cl.Close()
+							runRoutedBatchLinearClient(t, cl, cli, nKeys, ops, depth, hists, nil)
 						}
 					}()
 				}

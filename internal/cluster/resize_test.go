@@ -263,8 +263,8 @@ func TestRemoveNodeErrors(t *testing.T) {
 
 // TestClusterLinearizableAcrossMigration is the headline: per-key
 // histories recorded while the cluster grows AND shrinks under load
-// must linearize, for every shard engine, for lock-step and deep-async
-// routed clients alike. The resizes are paced by a shared op counter so
+// must linearize, for every shard engine, for lock-step, deep-async and
+// batch-frame clients alike. The resizes are paced by a shared op counter so
 // both migrations overlap live traffic. Run with -race; CI's migration
 // leg does.
 func TestClusterLinearizableAcrossMigration(t *testing.T) {
@@ -278,7 +278,7 @@ func TestClusterLinearizableAcrossMigration(t *testing.T) {
 		ops = 120
 	}
 	for _, eng := range store.Engines {
-		for _, kind := range []string{"lockstep", "async"} {
+		for _, kind := range []string{"lockstep", "async", "batch"} {
 			eng, kind := eng, kind
 			t.Run(string(eng)+"/"+kind, func(t *testing.T) {
 				t.Parallel()
@@ -329,6 +329,10 @@ func TestClusterLinearizableAcrossMigration(t *testing.T) {
 							cl := c.Dial(depth)
 							defer cl.Close()
 							runRoutedAsyncLinearClient(t, cl, cli, nKeys, ops, depth, hists, tick)
+						case "batch":
+							cl := c.Dial(depth)
+							defer cl.Close()
+							runRoutedBatchLinearClient(t, cl, cli, nKeys, ops, depth, hists, tick)
 						}
 					}()
 				}

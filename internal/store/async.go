@@ -154,8 +154,7 @@ func (f *Future) releaseBody() {
 	if f.bufp == nil {
 		return
 	}
-	*f.bufp = f.body[:0]
-	framePool.Put(f.bufp)
+	putBuf(&framePool, f.bufp, f.body)
 	f.bufp, f.body = nil, nil
 }
 
@@ -471,10 +470,7 @@ func (c *AsyncClient) readLoop() {
 	// variable-length data out of the frame before the future resolves.
 	scratchp := framePool.Get().(*[]byte)
 	scratch := *scratchp
-	defer func() {
-		*scratchp = scratch[:0]
-		framePool.Put(scratchp)
-	}()
+	defer func() { putBuf(&framePool, scratchp, scratch) }()
 	for {
 		body, err := ReadFrame(c.br, scratch)
 		if err != nil {

@@ -55,10 +55,8 @@ func NewClient(conn io.ReadWriteCloser) *Client {
 // buffers; only the first Close releases them.
 func (c *Client) Close() error {
 	if c.ebufp != nil {
-		*c.ebufp = c.ebuf[:0]
-		clientScratch.Put(c.ebufp)
-		*c.rbufp = c.rbuf[:0]
-		clientScratch.Put(c.rbufp)
+		putBuf(&clientScratch, c.ebufp, c.ebuf)
+		putBuf(&clientScratch, c.rbufp, c.rbuf)
 		c.ebufp, c.rbufp = nil, nil
 		c.ebuf, c.rbuf = nil, nil
 	}

@@ -68,9 +68,12 @@ type shardAccess interface {
 	get(shard int, hash uint64, key lookupKey, dst []byte) ([]byte, bool)
 	put(shard int, hash uint64, key lookupKey, value []byte) bool
 	del(shard int, hash uint64, key lookupKey) bool
-	// execGroup executes the point ops reqs[i] for i in idxs — all
-	// mapping to shard — in one engine visit, writing resps[i].
-	execGroup(shard int, reqs []Request, hashes []uint64, idxs []int, resps []Response)
+	// execGroup executes the point ops ops.at(i) for i in idxs — all
+	// mapping to shard — in one engine visit, writing resps[i]. Keys and
+	// put payloads may alias a frame like any lookupKey; hit values go
+	// where execPointOps puts them (*arena, or an allocation each when
+	// arena is nil).
+	execGroup(shard int, ops *batchOps, idxs []int, resps []Response, arena *[]byte)
 	// scanShard appends copies of the shard's entries matching prefix.
 	scanShard(shard int, prefix string, out []Entry) []Entry
 	// exportShard walks the shard's buckets from index from, appending

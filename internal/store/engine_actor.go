@@ -50,24 +50,25 @@ const (
 	actStats
 )
 
-// actorMsg is one mailbox message. For actGroup the slices are shared
-// with the sender, which is safe: the channel send/receive pair orders
-// the owner's writes to resps before the sender's read of them. The
-// same happens-before pair is what makes the zero-copy fields sound:
-// key and value may alias the sender's frame buffer (the sender blocks
+// actorMsg is one mailbox message. For actGroup the slices and the
+// arena are shared with the sender, which is safe: the channel
+// send/receive pair orders the owner's writes to resps and *arena
+// before the sender's read of them. The same happens-before pair is
+// what makes the zero-copy fields sound: keys and values (a group's
+// ops included) may alias the sender's frame buffer (the sender blocks
 // until the reply, so the buffer cannot be reused mid-handle), and the
 // owner appends a get's value into the sender-owned dst.
 type actorMsg struct {
-	kind   actorKind
-	hash   uint64
-	key    lookupKey
-	value  []byte
-	dst    []byte // actGet: value destination, owned by the sender
-	reqs   []Request
-	hashes []uint64
-	idxs   []int
-	resps  []Response
-	out    []Entry
+	kind  actorKind
+	hash  uint64
+	key   lookupKey
+	value []byte
+	dst   []byte // actGet: value destination, owned by the sender
+	ops   *batchOps
+	idxs  []int
+	resps []Response
+	arena *[]byte // actGroup: hit-value destination (see execPointOps)
+	out   []Entry
 	// actExport parameters; pred runs on the owner goroutine, which is
 	// safe because it only reads hashes it is handed.
 	pred     func(uint64) bool
@@ -153,8 +154,7 @@ func (e *actorEngine) handle(tbl *shardTable, m actorMsg) {
 	case actDel:
 		r.ok = tbl.del(m.hash, m.key)
 	case actGroup:
-		get, put, del := tableOps(tbl)
-		execPointOps(m.reqs, m.hashes, m.idxs, m.resps, get, put, del)
+		execPointOps(m.ops, m.idxs, m.resps, m.arena, tbl.get, tbl.put, tbl.del)
 	case actScan:
 		r.out = tbl.scan(m.key.s, m.out)
 	case actExport:
@@ -240,8 +240,8 @@ func (a *actorAccess) del(shard int, hash uint64, key lookupKey) bool {
 // execGroup ships the whole group as one message — one mailbox round
 // trip per touched shard per batch, the message-passing analogue of the
 // locked engine's one-acquisition-per-shard batch rule.
-func (a *actorAccess) execGroup(shard int, reqs []Request, hashes []uint64, idxs []int, resps []Response) {
-	a.call(shard, actorMsg{kind: actGroup, reqs: reqs, hashes: hashes, idxs: idxs, resps: resps})
+func (a *actorAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []Response, arena *[]byte) {
+	a.call(shard, actorMsg{kind: actGroup, ops: ops, idxs: idxs, resps: resps, arena: arena})
 }
 
 func (a *actorAccess) scanShard(shard int, prefix string, out []Entry) []Entry {

@@ -71,11 +71,11 @@ func (a *lockedAccess) del(shard int, hash uint64, key lookupKey) bool {
 
 // execGroup acquires the shard lock exactly once for the whole group —
 // the batch path's lock amortization.
-func (a *lockedAccess) execGroup(shard int, reqs []Request, hashes []uint64, idxs []int, resps []Response) {
+func (a *lockedAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []Response, arena *[]byte) {
 	a.lock(shard)
 	defer a.unlock(shard)
-	get, put, del := tableOps(&a.e.shards[shard])
-	execPointOps(reqs, hashes, idxs, resps, get, put, del)
+	tbl := &a.e.shards[shard]
+	execPointOps(ops, idxs, resps, arena, tbl.get, tbl.put, tbl.del)
 }
 
 func (a *lockedAccess) scanShard(shard int, prefix string, out []Entry) []Entry {

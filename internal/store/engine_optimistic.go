@@ -248,42 +248,31 @@ func (e *optimisticEngine) publish(sh *optShard, slot *atomic.Pointer[oBucket], 
 	sh.version.Add(1)
 }
 
-// getOwned reads while the caller holds the shard write lock (no
-// concurrent publish possible, so no validation loop).
-func (a *optAccess) getOwned(sh *optShard, hash uint64, key lookupKey) ([]byte, bool) {
-	a.count(sh).gets.Add(1)
-	b := a.e.bucketOf(sh, hash).Load()
-	if i := b.find(hash, key); i >= 0 {
-		return append([]byte(nil), b.vals[i]...), true
-	}
-	return nil, false
-}
-
 // execGroup keeps the paradigm's promise at the batch layer: a group
 // with no writes (an MGet) runs entirely lock-free on versioned reads;
 // a group with writes takes the shard write lock once and executes the
 // whole group under it.
-func (a *optAccess) execGroup(shard int, reqs []Request, hashes []uint64, idxs []int, resps []Response) {
+func (a *optAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []Response, arena *[]byte) {
 	hasWrite := false
 	for _, i := range idxs {
-		if reqs[i].Op != OpGet {
+		if op, _, _ := ops.at(i); op != OpGet {
 			hasWrite = true
 			break
 		}
 	}
-	sh := &a.e.shards[shard]
+	// Published buckets are immutable, so the same lock-free get serves
+	// under the write lock too (no publish can race it there).
+	get := func(hash uint64, key lookupKey, dst []byte) ([]byte, bool) { return a.get(shard, hash, key, dst) }
 	if !hasWrite {
-		execPointOps(reqs, hashes, idxs, resps,
-			func(hash uint64, key string) ([]byte, bool) { return a.get(shard, hash, keyOf(key), nil) },
-			nil, nil)
+		execPointOps(ops, idxs, resps, arena, get, nil, nil)
 		return
 	}
+	sh := &a.e.shards[shard]
 	a.lock(shard)
 	defer a.unlock(shard)
-	execPointOps(reqs, hashes, idxs, resps,
-		func(hash uint64, key string) ([]byte, bool) { return a.getOwned(sh, hash, keyOf(key)) },
-		func(hash uint64, key string, value []byte) bool { return a.putLocked(sh, hash, keyOf(key), value) },
-		func(hash uint64, key string) bool { return a.delLocked(sh, hash, keyOf(key)) })
+	execPointOps(ops, idxs, resps, arena, get,
+		func(hash uint64, key lookupKey, value []byte) bool { return a.putLocked(sh, hash, key, value) },
+		func(hash uint64, key lookupKey) bool { return a.delLocked(sh, hash, key) })
 }
 
 // scanShard takes a seqlock snapshot of the whole shard: read every

@@ -163,6 +163,15 @@ func TestLinearizableStore(t *testing.T) {
 	}
 }
 
+// maxPerKey is how many ops one pipelined client keeps in flight on one
+// key. The Wing–Gong search is exponential in how many ops overlap on a
+// key, and with a free-running window that overlap is a tail of the
+// schedule (a client's whole window can land on one key), not a
+// constant: about one run in 150 exhausted the checker's budget. Capping
+// it per client caps it per key at nClients × maxPerKey by construction,
+// while the window stays full across keys.
+const maxPerKey = 2
+
 // runAsyncLinearClient drives ops operations through a multiplexed
 // async client with a real in-flight window, stamping invocation at
 // submission and response at Wait — exactly the interval in which the
@@ -176,7 +185,11 @@ func runAsyncLinearClient(t *testing.T, cl *AsyncClient, client, nKeys, ops, dep
 	rng := xrand.New(uint64(client)*0x2545F4914F6CDD1D + 77)
 	seq := uint64(0)
 	window := make([]pendingOp, 0, depth)
-	settle := func(p pendingOp) bool {
+	inflight := make([]int, nKeys)
+	settleOldest := func() bool {
+		p := window[0]
+		window = append(window[:0], window[1:]...)
+		inflight[p.k]--
 		h := hists[p.k]
 		resp, err := p.fut.Wait()
 		p.op.Ret = h.Now()
@@ -202,6 +215,11 @@ func runAsyncLinearClient(t *testing.T, cl *AsyncClient, client, nKeys, ops, dep
 		kind, draw := mixedOp(rng)
 		k := int(draw % uint64(nKeys))
 		key := workload.Key(uint64(k))
+		for len(window) == depth || inflight[k] == maxPerKey {
+			if !settleOldest() {
+				return
+			}
+		}
 		p := pendingOp{op: linearize.Op{Client: client, Kind: kind}, k: k}
 		p.op.Call = hists[k].Now()
 		switch kind {
@@ -214,17 +232,114 @@ func runAsyncLinearClient(t *testing.T, cl *AsyncClient, client, nKeys, ops, dep
 		case linearize.Delete:
 			p.fut = cl.DeleteAsync(key)
 		}
-		if len(window) == depth {
-			oldest := window[0]
-			window = append(window[:0], window[1:]...)
-			if !settle(oldest) {
+		inflight[k]++
+		window = append(window, p)
+	}
+	for len(window) > 0 {
+		if !settleOldest() {
+			return
+		}
+	}
+}
+
+// batchFrameOps is the sub-op count of the batch client's frames.
+const batchFrameOps = 4
+
+// runBatchLinearClient drives ops operations as mixed OpBatch frames of
+// batchFrameOps sub-ops through BatchAsync, depth sub-ops in flight.
+// Every sub-op is recorded on its key's history with its frame's
+// interval: stamped before the frame is submitted and after WaitBatch
+// returns. Sub-ops of one frame on one key are therefore concurrent to
+// the checker, which is what a batch promises (a performance unit, not
+// a transaction). maxPerKey holds across frames and inside one.
+func runBatchLinearClient(t *testing.T, cl *AsyncClient, client, nKeys, ops, depth int, hists []*linearize.History) {
+	type pendingFrame struct {
+		ops []linearize.Op
+		ks  []int
+		fut *Future
+	}
+	rng := xrand.New(uint64(client)*0xD1342543DE82EF95 + 5)
+	seq := uint64(0)
+	var window []pendingFrame
+	inflight := make([]int, nKeys)
+	settleOldest := func() bool {
+		f := window[0]
+		window = window[1:]
+		resps, err := f.fut.WaitBatch()
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		for j, op := range f.ops {
+			k, resp := f.ks[j], resps[j]
+			inflight[k]--
+			op.Ret = hists[k].Now()
+			if resp.Status == StatusError {
+				t.Errorf("batch client %d key %d: sub-op failed: %s", client, k, resp.Msg)
+				return false
+			}
+			switch op.Kind {
+			case linearize.Get:
+				op.Found = resp.Status == StatusOK
+				if op.Found {
+					op.Val = decodeArg(t, fmt.Sprintf("batch client %d key %d", client, k), resp.Value)
+				}
+			case linearize.Put:
+				op.Found = resp.Created
+			case linearize.Delete:
+				op.Found = resp.Status == StatusOK
+			}
+			hists[k].Add(op)
+		}
+		return true
+	}
+	for done := 0; done < ops; done += batchFrameOps {
+		f := pendingFrame{}
+		reqs := make([]Request, 0, batchFrameOps)
+		inFrame := make([]int, nKeys)
+		for len(reqs) < batchFrameOps {
+			kind, draw := mixedOp(rng)
+			k := int(draw % uint64(nKeys))
+			if inFrame[k] == maxPerKey {
+				continue // redraw: the cap holds inside a frame too
+			}
+			inFrame[k]++
+			req := Request{Key: workload.Key(uint64(k))}
+			op := linearize.Op{Client: client, Kind: kind}
+			switch kind {
+			case linearize.Get:
+				req.Op = OpGet
+			case linearize.Put:
+				seq++
+				op.Arg = uint64(client)<<32 | seq
+				req.Op, req.Value = OpPut, argValue(op.Arg)
+			case linearize.Delete:
+				req.Op = OpDelete
+			}
+			reqs, f.ops, f.ks = append(reqs, req), append(f.ops, op), append(f.ks, k)
+		}
+		fits := func() bool {
+			for k, n := range inFrame {
+				if inflight[k]+n > maxPerKey {
+					return false
+				}
+			}
+			return len(window) < depth/batchFrameOps
+		}
+		for !fits() {
+			if !settleOldest() {
 				return
 			}
 		}
-		window = append(window, p)
+		for j, k := range f.ks {
+			inflight[k]++
+			f.ops[j].Call = hists[k].Now()
+		}
+		f.fut = cl.BatchAsync(reqs)
+		window = append(window, f)
 	}
-	for _, p := range window {
-		if !settle(p) {
+	for len(window) > 0 {
+		if !settleOldest() {
 			return
 		}
 	}
@@ -233,8 +348,9 @@ func runAsyncLinearClient(t *testing.T, cl *AsyncClient, client, nKeys, ops, dep
 // TestLinearizableEngineMatrix is the full engine × connection-kind
 // cross-product: every shard engine (locked, actor, optimistic) drives
 // the same mixed history through direct in-process handles, lock-step
-// wire clients, and the multiplexed async client at depth 16 — and
-// every cell must be linearizable per key. This is the paper's paradigm
+// wire clients, the multiplexed async client at depth 16, and the same
+// client sending mixed batch frames (the zero-copy batch serve path) —
+// and every cell must be linearizable per key. This is the paper's paradigm
 // comparison held to a correctness standard, not just a throughput one.
 // Run with -race; CI's engine-matrix leg does.
 func TestLinearizableEngineMatrix(t *testing.T) {
@@ -245,13 +361,13 @@ func TestLinearizableEngineMatrix(t *testing.T) {
 	)
 	// The placement axis doubles the parallel cell count, and the Wing–
 	// Gong checker's node budget is exponential in op overlap — sized so
-	// every cell decides even with all 18 running at once under -race on
+	// every cell decides even with all 24 running at once under -race on
 	// a small host.
 	ops := 200
 	if testing.Short() {
 		ops = 80
 	}
-	kinds := []string{"direct", "lockstep", "async"}
+	kinds := []string{"direct", "lockstep", "async", "batch"}
 	// Placement axis: every cell must stay linearizable when shards are
 	// compact-placed over a multi-domain machine model — the reordered
 	// batch visits, pinned actor owners and pinned server connections
@@ -291,6 +407,10 @@ func TestLinearizableEngineMatrix(t *testing.T) {
 								cl := srv.PipeAsyncClient(depth)
 								defer cl.Close()
 								runAsyncLinearClient(t, cl, c, nKeys, ops, depth, hists)
+							case "batch":
+								cl := srv.PipeAsyncClient(depth)
+								defer cl.Close()
+								runBatchLinearClient(t, cl, c, nKeys, ops, depth, hists)
 							}
 						}()
 					}

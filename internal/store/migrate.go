@@ -14,6 +14,9 @@ import "ssync/internal/hashkit"
 // position migration arcs select.
 func KeyPos(key string) uint64 { return hashkit.Mix64(hashKey(key)) }
 
+// KeyPosBytes is KeyPos for a key still in its request frame.
+func KeyPosBytes(key []byte) uint64 { return hashkit.Mix64(hashkit.FNV1aBytes(key)) }
+
 // ArcsContain reports whether any arc contains ring position pos.
 func ArcsContain(arcs []Arc, pos uint64) bool {
 	for _, a := range arcs {
@@ -157,26 +160,4 @@ func (h *Handle) PurgeRange(arcs []Arc) int {
 		}
 	}
 	return n
-}
-
-// Exec executes one point request and shapes its response — the single
-// per-op unit shared by the wire server and a cluster Router. Scans are
-// not point ops; they take the server's chunked path.
-func (h *Handle) Exec(req Request) Response {
-	switch req.Op {
-	case OpGet:
-		if v, ok := h.Get(req.Key); ok {
-			return Response{Status: StatusOK, Value: v}
-		}
-		return Response{Status: StatusNotFound}
-	case OpPut:
-		return Response{Status: StatusOK, Created: h.Put(req.Key, req.Value)}
-	case OpDelete:
-		if h.Delete(req.Key) {
-			return Response{Status: StatusOK}
-		}
-		return Response{Status: StatusNotFound}
-	default:
-		return Response{Status: StatusError, Msg: ErrBadOp.Error()}
-	}
 }

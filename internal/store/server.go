@@ -15,9 +15,31 @@ import (
 // response encode). A buffer's ownership rule is strict: it belongs to
 // exactly one connection between Get and Put, and nothing a request
 // handler produces may alias it past the response write — engines copy
-// on insert, parse paths copy out, and the owning Request exists for
-// anything (routing, migration) that must outlive the frame.
+// on insert, parse paths copy out, and RequestView.Owned exists for
+// anything (forwarding, migration) that must outlive the frame.
 var connScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBuf is the largest buffer a frame pool (or a handle's value
+// arena) keeps. A buffer grows to the largest frame it ever carried —
+// MaxFrame is 4 MiB — and without a cap one such frame pins that much
+// on every buffer it passed through for as long as the pool lives.
+const maxPooledBuf = 64 << 10
+
+// recycle is the keep-or-drop decision for a reusable buffer: emptied
+// if it is worth keeping, nil if it outgrew maxPooledBuf.
+func recycle(buf []byte) []byte {
+	if cap(buf) > maxPooledBuf {
+		return nil
+	}
+	return buf[:0]
+}
+
+// putBuf hands buf back to pool through its handle bp, subject to
+// recycle.
+func putBuf(pool *sync.Pool, bp *[]byte, buf []byte) {
+	*bp = recycle(buf)
+	pool.Put(bp)
+}
 
 // Server serves the wire protocol over byte streams. One goroutine per
 // connection owns a Handle, so every lock token stays goroutine-local;
@@ -37,12 +59,22 @@ type Server struct {
 // clients and always read the local store, and migration streaming must
 // reach the local store even (especially) when the ring says the keys
 // belong elsewhere.
+//
+// A Router is handed views: keys and values alias the connection's
+// request frame and die at its next ReadFrame. Executing locally
+// (Handle.ExecView, Handle.ExecViewsOnly) needs no copy; whatever leaves
+// the connection's goroutine or outlives the call takes
+// RequestView.Owned first.
 type Router interface {
 	// Route executes one point op that has taken hops forwarding hops so
-	// far (0 for a freshly arrived op).
-	Route(h *Handle, req Request, hops int) Response
-	// RouteBatch executes a batch's sub-ops, routing each.
-	RouteBatch(h *Handle, reqs []Request) []Response
+	// far (0 for a freshly arrived op) and appends its encoded response
+	// to out.
+	Route(h *Handle, req RequestView, hops int, out []byte) ([]byte, error)
+	// RouteBatch executes a batch's sub-ops, routing each; resps[i]
+	// answers reqs[i]. The result is encoded before the connection reads
+	// its next frame, so it may be (and for the local subset is) the
+	// handle's own ExecViewsOnly result.
+	RouteBatch(h *Handle, reqs []RequestView) []Response
 }
 
 // SetRouter installs r on the server. It must be called before any
@@ -108,11 +140,10 @@ func (sv *Server) ServeConn(conn io.ReadWriter) error {
 	outp := connScratch.Get().(*[]byte)
 	in, out := *inp, *outp
 	defer func() {
-		*inp = in[:0]
-		connScratch.Put(inp)
-		*outp = out[:0]
-		connScratch.Put(outp)
+		putBuf(&connScratch, inp, in)
+		putBuf(&connScratch, outp, out)
 	}()
+	var views []RequestView // batch sub-requests, reused across frames
 	for {
 		body, err := ReadFrame(br, in)
 		if err != nil {
@@ -136,15 +167,20 @@ func (sv *Server) ServeConn(conn io.ReadWriter) error {
 		}
 
 		if len(inner) > 0 && (inner[0] == OpBatch || inner[0] == OpMGet || inner[0] == OpMPut) {
-			b, err := ParseBatchRequest(inner)
+			// The batch executes straight out of the frame: views alias
+			// body, hit values land in the handle's arena, and both are
+			// dead once the response below is encoded.
+			views, err = ParseBatchRequestView(inner, views)
 			if err != nil {
 				return sv.reject(bw, out, err) // out keeps the echoed tag
 			}
-			resps := h.ExecBatch
+			var resps []Response
 			if sv.router != nil {
-				resps = func(reqs []Request) []Response { return sv.router.RouteBatch(h, reqs) }
+				resps = sv.router.RouteBatch(h, views)
+			} else {
+				resps = h.ExecViews(views)
 			}
-			out = appendBatchBounded(out, b.Reqs, resps(b.Reqs))
+			out = appendBatchBounded(out, views, resps)
 		} else if len(inner) > 0 && inner[0] >= OpMigExport && inner[0] <= OpForward {
 			mreq, err := ParseMigrateRequest(inner)
 			if err != nil {
@@ -160,17 +196,9 @@ func (sv *Server) ServeConn(conn io.ReadWriter) error {
 				return sv.reject(bw, out, err) // out keeps the echoed tag
 			}
 			if sv.router != nil && view.Op >= OpGet && view.Op <= OpDelete {
-				// Routing may carry the op beyond this frame's lifetime
-				// (forwarding to another node), so it gets an owning
-				// Request — the same copies ParseRequest would have made.
-				req := Request{Op: view.Op, Key: string(view.Key)}
-				if view.Op == OpPut {
-					req.Value = append([]byte(nil), view.Value...)
-				}
-				resp := sv.router.Route(h, req, 0)
-				out, err = AppendResponse(out, req.Op, resp)
+				out, err = sv.router.Route(h, view, 0, out)
 			} else {
-				out, err = sv.executeView(h, view, out)
+				out, err = h.ExecView(view, out)
 			}
 			if err != nil {
 				return err
@@ -206,7 +234,7 @@ func (sv *Server) reject(bw *bufio.Writer, out []byte, err error) error {
 // and a sub-response that would overflow the remaining budget is replaced
 // by a (small) StatusError — so one over-full multi-get degrades its tail
 // instead of killing the connection.
-func appendBatchBounded(dst []byte, reqs []Request, resps []Response) []byte {
+func appendBatchBounded(dst []byte, reqs []RequestView, resps []Response) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(resps)))
 	n := len(resps)
 	for i := range resps {
@@ -254,14 +282,14 @@ func (sv *Server) pipeConn() net.Conn {
 	return clientEnd
 }
 
-// executeView runs one zero-copy scalar request against the handle,
+// ExecView runs one zero-copy scalar request against the handle,
 // encoding the response directly onto out (which already carries the
 // echoed tag; its length is the overhead a trimmed scan must respect).
 // For get/put/delete nothing on this path allocates in steady state:
 // the key stays a frame-aliasing byte slice all the way into the
 // engine, and a get's value is appended by the engine straight into
 // the response buffer behind a status byte and length placeholder.
-func (sv *Server) executeView(h *Handle, req RequestView, out []byte) ([]byte, error) {
+func (h *Handle) ExecView(req RequestView, out []byte) ([]byte, error) {
 	switch req.Op {
 	case OpGet:
 		mark := len(out)
@@ -322,13 +350,12 @@ func (sv *Server) executeMigrate(h *Handle, mreq MigrateRequest, out []byte) ([]
 		applied := h.ApplyMigration(mreq.Puts, mreq.Dels)
 		return AppendMigrateResponse(out, mreq.Op, MigrateResponse{Status: StatusOK, Applied: uint32(applied)})
 	case OpForward:
-		var resp Response
+		in := mreq.Inner
+		view := RequestView{Op: in.Op, Key: []byte(in.Key), Value: in.Value}
 		if sv.router != nil {
-			resp = sv.router.Route(h, mreq.Inner, int(mreq.Hops))
-		} else {
-			resp = h.Exec(mreq.Inner)
+			return sv.router.Route(h, view, int(mreq.Hops), out)
 		}
-		return AppendResponse(out, mreq.Inner.Op, resp)
+		return h.ExecView(view, out)
 	}
 	return out, ErrBadOp
 }

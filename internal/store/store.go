@@ -380,17 +380,53 @@ type Entry struct {
 	Value []byte
 }
 
+// batchOps is a batch's sub-requests as the engines read them: owning
+// Requests or RequestViews aliasing a frame — exactly one of the two is
+// set — plus the point ops' key hashes. Sub-request i is lowered to the
+// lookupKey form when it is read, not copied into a third
+// representation first, and both batch surfaces go through it, so every
+// engine has exactly one group path.
+type batchOps struct {
+	reqs   []Request
+	views  []RequestView
+	hashes []uint64
+}
+
+// at returns sub-request i's opcode, key and put payload; key and
+// payload alias the frame when the batch is views.
+func (b *batchOps) at(i int) (op byte, key lookupKey, value []byte) {
+	if b.views != nil {
+		v := &b.views[i]
+		return v.Op, keyBytes(v.Key), v.Value
+	}
+	r := &b.reqs[i]
+	return r.Op, keyOf(r.Key), r.Value
+}
+
+// scan returns scan sub-request i's prefix and limit.
+func (b *batchOps) scan(i int) (prefix string, limit int) {
+	if b.views != nil {
+		return string(b.views[i].Key), scanLimit(b.views[i].Limit)
+	}
+	return b.reqs[i].Key, scanLimit(b.reqs[i].Limit)
+}
+
 // Handle is a per-goroutine accessor carrying the engine's per-goroutine
 // state (lock tokens, mailbox reply channel). Handles must not be shared
 // between goroutines.
 type Handle struct {
 	s   *Store
 	acc shardAccess
-	// ExecBatch grouping scratch, reused across batches: a handle serves
-	// one connection, and batch bookkeeping should not out-allocate the
-	// work being measured.
+	// Batch scratch, reused across batches: a handle serves one
+	// connection, and batch bookkeeping should not out-allocate the work
+	// being measured.
 	groups [][]int
-	hashes []uint64
+	batch  batchOps // the batch in execution; hashes is reused
+	scans  []int
+	// ExecViews' results: resps[i].Value aliases arena, and both are
+	// rewritten by the handle's next ExecViews.
+	resps []Response
+	arena []byte
 }
 
 // NewHandle creates an accessor; node is the NUMA hint for hierarchical
@@ -468,9 +504,52 @@ func (h *Handle) Delete(key string) bool {
 // writes (optimistic). Scans still walk all shards one at a time,
 // outside the grouped execution. resps[i] is the response to reqs[i]; a
 // batch is a performance unit, not a transaction — sub-ops linearize
-// individually, and ops for one shard apply in batch order.
+// individually, and ops for one shard apply in batch order. The
+// responses are the caller's: one slice, and one allocation per hit.
 func (h *Handle) ExecBatch(reqs []Request) []Response {
 	resps := make([]Response, len(reqs))
+	h.batch.reqs, h.batch.views = reqs, nil
+	h.execOps(nil, false, resps, nil)
+	return resps
+}
+
+// ExecViews is ExecBatch straight out of a request frame: keys and put
+// payloads stay frame bytes all the way into the engines, and hit
+// values land in the handle's arena instead of an allocation each, so
+// a steady-state batch of point ops allocates nothing. The responses —
+// the slice and every Value in it — belong to the handle and are valid
+// until its next ExecViews or ExecViewsOnly; encode them before reading
+// the next frame.
+func (h *Handle) ExecViews(reqs []RequestView) []Response {
+	return h.execViews(reqs, nil, false)
+}
+
+// ExecViewsOnly is ExecViews for the sub-requests listed in idxs and no
+// others (a Router's local subset; an empty list executes nothing). The
+// unlisted slots come back zero for the caller to fill.
+func (h *Handle) ExecViewsOnly(reqs []RequestView, idxs []int) []Response {
+	return h.execViews(reqs, idxs, true)
+}
+
+func (h *Handle) execViews(reqs []RequestView, idxs []int, subset bool) []Response {
+	if cap(h.resps) < len(reqs) {
+		h.resps = make([]Response, len(reqs))
+	}
+	resps := h.resps[:len(reqs)]
+	clear(resps)
+	h.arena = recycle(h.arena)
+	h.batch.reqs, h.batch.views = nil, reqs
+	h.execOps(idxs, subset, resps, &h.arena)
+	return resps
+}
+
+// execOps is the one batch execution path: group h.batch's point ops —
+// those listed in idxs when subset is set, all of them otherwise — per
+// shard, run every touched shard's group in one engine visit, then the
+// scans. subset is a flag of its own so that an empty (or nil) idxs
+// can only ever mean "nothing".
+func (h *Handle) execOps(idxs []int, subset bool, resps []Response, arena *[]byte) {
+	ops := &h.batch
 	if h.groups == nil {
 		h.groups = make([][]int, h.s.opt.Shards)
 	}
@@ -478,19 +557,27 @@ func (h *Handle) ExecBatch(reqs []Request) []Response {
 	for i := range groups {
 		groups[i] = groups[i][:0]
 	}
-	if cap(h.hashes) < len(reqs) {
-		h.hashes = make([]uint64, len(reqs))
+	if cap(ops.hashes) < len(resps) {
+		ops.hashes = make([]uint64, len(resps))
 	}
-	hashes := h.hashes[:len(reqs)]
-	scans := false
-	for i, r := range reqs {
-		switch r.Op {
+	ops.hashes = ops.hashes[:len(resps)]
+	scans := h.scans[:0]
+	n := len(resps)
+	if subset {
+		n = len(idxs)
+	}
+	for j := 0; j < n; j++ {
+		i := j
+		if subset {
+			i = idxs[j]
+		}
+		switch op, key, _ := ops.at(i); op {
 		case OpGet, OpPut, OpDelete:
-			hashes[i] = hashKey(r.Key)
-			sh := h.s.shardOf(hashes[i])
+			ops.hashes[i] = key.hash()
+			sh := h.s.shardOf(ops.hashes[i])
 			groups[sh] = append(groups[sh], i)
 		case OpScan:
-			scans = true
+			scans = append(scans, i)
 		default:
 			resps[i] = Response{Status: StatusError, Msg: ErrBadOp.Error()}
 		}
@@ -501,65 +588,59 @@ func (h *Handle) ExecBatch(reqs []Request) []Response {
 	// lines across domains. Responses land by request index, so the
 	// visit order never changes results, only locality.
 	for _, sh := range h.s.visit {
-		idxs := groups[sh]
-		if len(idxs) == 0 {
-			continue
-		}
-		h.acc.execGroup(sh, reqs, hashes, idxs, resps)
-	}
-	if scans {
-		for i, r := range reqs {
-			if r.Op == OpScan {
-				resps[i] = Response{Status: StatusOK, Entries: h.Scan(r.Key, scanLimit(r.Limit))}
-			}
+		if idxs := groups[sh]; len(idxs) > 0 {
+			h.acc.execGroup(sh, ops, idxs, resps, arena)
 		}
 	}
-	return resps
-}
-
-// tableOps adapts a shardTable to execPointOps' string-keyed accessors
-// (batch sub-requests are owning Requests, so their keys are already
-// strings; the zero-copy seam is the scalar path's concern).
-func tableOps(sh *shardTable) (
-	get func(hash uint64, key string) ([]byte, bool),
-	put func(hash uint64, key string, value []byte) bool,
-	del func(hash uint64, key string) bool) {
-	get = func(hash uint64, key string) ([]byte, bool) {
-		v, ok := sh.get(hash, keyOf(key), nil)
-		if !ok {
-			return nil, false
-		}
-		return v, true
+	for _, i := range scans {
+		resps[i] = Response{Status: StatusOK, Entries: h.Scan(ops.scan(i))}
 	}
-	put = func(hash uint64, key string, value []byte) bool { return sh.put(hash, keyOf(key), value) }
-	del = func(hash uint64, key string) bool { return sh.del(hash, keyOf(key)) }
-	return get, put, del
+	h.scans = scans
+	ops.reqs, ops.views = nil, nil // the caller's slices are not ours to keep alive
 }
 
 // execPointOps runs a point-op group through the given accessors and
 // fills in the responses — the response-shaping shared by every engine.
-func execPointOps(reqs []Request, hashes []uint64, idxs []int, resps []Response,
-	get func(hash uint64, key string) ([]byte, bool),
-	put func(hash uint64, key string, value []byte) bool,
-	del func(hash uint64, key string) bool) {
+// A hit's value is appended to *arena and the response aliases it: the
+// caller owns the arena and decides when those values die. With a nil
+// arena every hit gets an allocation of its own, which is what makes a
+// Response owning.
+func execPointOps(ops *batchOps, idxs []int, resps []Response, arena *[]byte,
+	get func(hash uint64, key lookupKey, dst []byte) ([]byte, bool),
+	put func(hash uint64, key lookupKey, value []byte) bool,
+	del func(hash uint64, key lookupKey) bool) {
+	var buf []byte
+	if arena != nil {
+		buf = *arena
+	}
 	for _, i := range idxs {
-		r := reqs[i]
-		switch r.Op {
+		op, key, value := ops.at(i)
+		hash := ops.hashes[i]
+		switch op {
 		case OpGet:
-			if v, ok := get(hashes[i], r.Key); ok {
-				resps[i] = Response{Status: StatusOK, Value: v}
-			} else {
+			ext, ok := get(hash, key, buf)
+			if !ok {
 				resps[i] = Response{Status: StatusNotFound}
+				continue
+			}
+			// Capacity-clipped, so nothing appended later can grow into
+			// the next hit's bytes.
+			resps[i] = Response{Status: StatusOK, Value: ext[len(buf):len(ext):len(ext)]}
+			if arena != nil {
+				buf = ext
 			}
 		case OpPut:
-			resps[i] = Response{Status: StatusOK, Created: put(hashes[i], r.Key, r.Value)}
+			resps[i] = Response{Status: StatusOK, Created: put(hash, key, value)}
 		case OpDelete:
-			if del(hashes[i], r.Key) {
+			if del(hash, key) {
 				resps[i] = Response{Status: StatusOK}
 			} else {
 				resps[i] = Response{Status: StatusNotFound}
 			}
 		}
+	}
+	if arena != nil {
+		*arena = buf
 	}
 }
 

@@ -184,15 +184,26 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 
 // RequestView is a zero-copy decoded scalar request: Key and Value
 // alias the frame body they were parsed from, so a view is only valid
-// until that buffer is reused or returned to a pool. It is the server
-// hot path's decode shape — the owning Request (string key, copied
-// value) exists for everything that must outlive the frame: batch
-// sub-requests, router forwarding, migration payloads.
+// until that buffer is reused or returned to a pool — on a server
+// connection, until its next ReadFrame. It is the server hot path's
+// decode shape, scalar frames and batch sub-requests alike; the owning
+// Request (string key, copied value) exists for everything that must
+// outlive the frame: router forwarding, migration payloads.
 type RequestView struct {
 	Op    byte
 	Key   []byte // aliases the frame; the scan prefix for OpScan
 	Value []byte // aliases the frame; OpPut only
 	Limit uint32 // OpScan only; 0 = unlimited
+}
+
+// Owned returns the owning copy of v — the one copy-out a view is
+// allowed, taken by whatever must outlive the frame.
+func (v RequestView) Owned() Request {
+	req := Request{Op: v.Op, Key: string(v.Key), Limit: v.Limit}
+	if v.Op == OpPut {
+		req.Value = append([]byte(nil), v.Value...)
+	}
+	return req
 }
 
 // ParseRequestView decodes one request body without copying key or
@@ -240,14 +251,7 @@ func (p *parser) requestView() RequestView {
 }
 
 // request is requestView plus the copies that make the result owning.
-func (p *parser) request() Request {
-	v := p.requestView()
-	req := Request{Op: v.Op, Key: string(v.Key), Limit: v.Limit}
-	if v.Op == OpPut {
-		req.Value = append([]byte(nil), v.Value...)
-	}
-	return req
-}
+func (p *parser) request() Request { return p.requestView().Owned() }
 
 // AppendResponse encodes resp for a request with opcode op.
 func AppendResponse(dst []byte, op byte, resp Response) ([]byte, error) {

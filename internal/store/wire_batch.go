@@ -161,47 +161,83 @@ func appendKey(dst []byte, key string) ([]byte, error) {
 	return append(dst, key...), nil
 }
 
-// ParseBatchRequest decodes one batch request body (OpBatch, OpMGet or
-// OpMPut), rejecting nested batches, truncation and trailing garbage.
-func ParseBatchRequest(body []byte) (Batch, error) {
-	p := parser{buf: body}
-	var b Batch
-	b.Op = p.u8()
-	switch b.Op {
-	case OpBatch, OpMGet, OpMPut:
+// batchHeader decodes a batch request's top-level opcode and sub-op
+// count. fit is the count capped by what the remaining bytes could
+// possibly hold — what a decoder presizes by, so a three-byte frame
+// claiming MaxBatchOps sub-ops buys no memory.
+func (p *parser) batchHeader() (op byte, n, fit int) {
+	op = p.u8()
+	minSub := 1
+	switch op {
+	case OpBatch:
+		minSub = 3 // opcode, key length
+	case OpMGet:
+		minSub = 2 // key length
+	case OpMPut:
+		minSub = 6 // key length, value length
 	default:
 		if p.err == nil {
 			p.err = ErrBadOp
 		}
 	}
-	n := int(p.u16())
+	n = int(p.u16())
 	if p.err == nil && n > MaxBatchOps {
 		p.err = ErrBatchTooLarge
 	}
+	if p.err != nil {
+		return op, 0, 0
+	}
+	return op, n, min(n, (len(p.buf)-p.off)/minSub)
+}
+
+// batchSub decodes one sub-request of a batch whose top-level opcode is
+// top, aliasing the parsed buffer. Batches never nest: requestView
+// accepts the four scalar opcodes and nothing else.
+func (p *parser) batchSub(top byte) RequestView {
+	switch top {
+	case OpMGet:
+		return RequestView{Op: OpGet, Key: p.bytes16()}
+	case OpMPut:
+		return RequestView{Op: OpPut, Key: p.bytes16(), Value: p.bytes32(MaxValueLen)}
+	}
+	return p.requestView()
+}
+
+// ParseBatchRequest decodes one batch request body (OpBatch, OpMGet or
+// OpMPut) into owning sub-requests, rejecting nested batches,
+// truncation and trailing garbage.
+func ParseBatchRequest(body []byte) (Batch, error) {
+	p := parser{buf: body}
+	op, n, fit := p.batchHeader()
+	b := Batch{Op: op}
+	if fit > 0 {
+		b.Reqs = make([]Request, 0, fit)
+	}
 	for i := 0; i < n && p.err == nil; i++ {
-		var r Request
-		switch b.Op {
-		case OpBatch:
-			r = p.request()
-			switch r.Op {
-			case OpGet, OpPut, OpDelete, OpScan:
-			default:
-				if p.err == nil {
-					p.err = ErrBatchOp
-				}
-			}
-		case OpMGet:
-			r = Request{Op: OpGet, Key: string(p.bytes16())}
-		case OpMPut:
-			r = Request{Op: OpPut, Key: string(p.bytes16())}
-			r.Value = append([]byte(nil), p.bytes32(MaxValueLen)...)
-		}
-		b.Reqs = append(b.Reqs, r)
+		b.Reqs = append(b.Reqs, p.batchSub(op).Owned())
 	}
 	if err := p.finish(); err != nil {
 		return Batch{}, err
 	}
 	return b, nil
+}
+
+// ParseBatchRequestView is ParseBatchRequest without the copies: it
+// appends the sub-requests to dst[:0] as views aliasing body, with
+// exactly the owning parser's validation and errors (they share the
+// decoder). The server's batch path parses every frame into one reused
+// slice this way.
+func ParseBatchRequestView(body []byte, dst []RequestView) ([]RequestView, error) {
+	p := parser{buf: body}
+	op, n, _ := p.batchHeader()
+	dst = dst[:0]
+	for i := 0; i < n && p.err == nil; i++ {
+		dst = append(dst, p.batchSub(op))
+	}
+	if err := p.finish(); err != nil {
+		return dst[:0], err
+	}
+	return dst, nil
 }
 
 // AppendBatchResponse encodes the sub-responses of a batch whose
@@ -231,7 +267,12 @@ func ParseBatchResponse(ops []byte, body []byte) ([]Response, error) {
 	if p.err == nil && (n != len(ops) || n > MaxBatchOps) {
 		p.err = ErrBatchCount
 	}
+	// One slice for the whole batch, capped by the bytes actually there:
+	// every sub-response is at least its status byte.
 	var resps []Response
+	if fit := min(n, len(body)-p.off); p.err == nil && fit > 0 {
+		resps = make([]Response, 0, fit)
+	}
 	for i := 0; i < n && p.err == nil; i++ {
 		resps = append(resps, p.response(ops[i]))
 	}

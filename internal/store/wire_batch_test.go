@@ -131,20 +131,23 @@ func TestTagRoundTrip(t *testing.T) {
 	}
 }
 
+// batchRequestSeeds is the seed corpus the two batch-request fuzzers
+// (owning, and view-against-owning) share.
+var batchRequestSeeds = [][]byte{
+	{OpBatch, 0, 2, OpGet, 0, 1, 'k', OpPut, 0, 1, 'p', 0, 0, 0, 1, 'v'},
+	{OpMGet, 0, 2, 0, 1, 'a', 0, 1, 'b'},
+	{OpMPut, 0, 1, 0, 1, 'k', 0, 0, 0, 2, 'v', 'w'},
+	{OpBatch, 0, 0},
+	{OpMGet, 0xFF, 0xFF},
+	{OpTagged, 0, 0, 0, 1, OpGet, 0, 1, 'k'},
+	{},
+}
+
 // FuzzParseBatchRequest mirrors the scalar wire fuzzers (CI runs it):
 // arbitrary bytes must never panic, and anything that parses must
 // re-encode byte-identically and re-parse to the same batch.
 func FuzzParseBatchRequest(f *testing.F) {
-	seed := [][]byte{
-		{OpBatch, 0, 2, OpGet, 0, 1, 'k', OpPut, 0, 1, 'p', 0, 0, 0, 1, 'v'},
-		{OpMGet, 0, 2, 0, 1, 'a', 0, 1, 'b'},
-		{OpMPut, 0, 1, 0, 1, 'k', 0, 0, 0, 2, 'v', 'w'},
-		{OpBatch, 0, 0},
-		{OpMGet, 0xFF, 0xFF},
-		{OpTagged, 0, 0, 0, 1, OpGet, 0, 1, 'k'},
-		{},
-	}
-	for _, s := range seed {
+	for _, s := range batchRequestSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
