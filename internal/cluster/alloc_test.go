@@ -85,3 +85,61 @@ func TestRoutedServeAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestIssueAllocs holds the routed transport to store's TestIssueAllocs
+// gate: Driver.Issue(ops).Wait() through a cluster.Client over one node
+// and over three, at the benchmark's group shapes (one op; 4, 8 and 16
+// ops with every fourth a put; 4 ops with a scan), may allocate no more
+// than the hand-written routing client did. The split is deterministic
+// — the ring hashes the same keys to the same owners every run — so the
+// counts are exact: over three nodes the groups go out as 2, 3 and 3
+// frames, and the scan as one more per member.
+func TestIssueAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	shapes := []struct {
+		name string
+		n    int
+		scan bool
+	}{{"1", 1, false}, {"4", 4, false}, {"8", 8, false}, {"16", 16, false}, {"4+scan", 4, true}}
+	for _, kind := range []struct {
+		nodes int
+		want  [5]float64 // per shape
+	}{
+		{1, [5]float64{4, 12, 15, 21, 38}},
+		{3, [5]float64{4, 18, 27, 33, 65}},
+	} {
+		c := newTestCluster(t, kind.nodes, store.Options{})
+		cl := c.Dial(8)
+		defer cl.Close()
+		keys := make([]string, 16)
+		for i := range keys {
+			keys[i] = workload.Key(uint64(i))
+			if _, err := cl.Put(keys[i], make([]byte, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, shape := range shapes {
+			ops := make([]workload.Op, shape.n)
+			for j := range ops {
+				ops[j] = workload.Op{Kind: workload.KindGet, Key: keys[j]}
+				if j%4 == 3 {
+					ops[j] = workload.Op{Kind: workload.KindPut, Key: keys[j], Value: make([]byte, 64)}
+				}
+			}
+			if shape.scan {
+				ops[1] = workload.Op{Kind: workload.KindScan, Key: keys[0][:len(keys[0])-1], Limit: 4}
+			}
+			issue := func() {
+				if _, err := (store.Driver{C: cl}).Issue(ops).Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			issue() // one warm-up group so steady-state buffers exist
+			if got := testing.AllocsPerRun(100, issue); got > kind.want[i] {
+				t.Errorf("%d nodes, group of %s: %.0f allocs per Issue+Wait, want <= %.0f", kind.nodes, shape.name, got, kind.want[i])
+			}
+		}
+	}
+}

@@ -145,8 +145,7 @@ func (c *Cluster) Server(i int) *store.Server { return c.node(i).server }
 func (c *Cluster) Dial(window int) *Client {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cl := &Client{cluster: c, window: window}
-	cl.topo.Store(c.topologyFor(c.ring.Load(), nil, window))
+	cl := newClient(c, window, c.topologyFor(c.ring.Load(), nil, window))
 	c.clients[cl] = struct{}{}
 	return cl
 }
@@ -170,7 +169,7 @@ func (c *Cluster) topologyFor(ring *Ring, prev *topology, window int) *topology 
 			conns[id] = c.node(id).server.PipeAsyncClient(window)
 		}
 	}
-	return &topology{ring: ring, conns: conns}
+	return newTopology(ring, conns)
 }
 
 // updateClients swings every registered client onto ring. Runs under

@@ -207,40 +207,6 @@ func TestClusterScanMerge(t *testing.T) {
 	}
 }
 
-// TestClusterMGetMPut: the multi-ops split per node and reassemble in
-// caller order.
-func TestClusterMGetMPut(t *testing.T) {
-	c := newTestCluster(t, 3, store.Options{Shards: 2})
-	cl := c.Dial(0)
-	defer cl.Close()
-
-	var entries []store.Entry
-	for i := uint64(0); i < 150; i++ {
-		entries = append(entries, store.Entry{Key: workload.Key(i), Value: []byte(workload.Key(i))})
-	}
-	created, err := cl.MPut(entries)
-	if err != nil || created != len(entries) {
-		t.Fatalf("mput created %d of %d, err=%v", created, len(entries), err)
-	}
-	keys := make([]string, 0, 160)
-	for i := uint64(0); i < 160; i++ { // the last 10 are absent
-		keys = append(keys, workload.Key(i))
-	}
-	vals, err := cl.MGet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if i < 150 {
-			if !bytes.Equal(vals[i], []byte(k)) {
-				t.Fatalf("mget[%d] = %q, want %q", i, vals[i], k)
-			}
-		} else if vals[i] != nil {
-			t.Fatalf("mget[%d] = %q for absent key", i, vals[i])
-		}
-	}
-}
-
 // TestClusterWorkloadDriver: the scenario engine drives a routed cluster
 // conn through store.Driver — batched, pipelined, every engine — and the
 // counted ops survive the split/reassembly.

@@ -282,3 +282,68 @@ func BenchmarkWirePointOps(b *testing.B) {
 		s.Close()
 	}
 }
+
+// issueShapes are the benchmark's group shapes — one op, groups of 4, 8
+// and 16, and a group of 4 carrying a scan — as deterministic op groups
+// over preloaded keys: every get hits, every fourth op is a put.
+var issueShapes = []struct {
+	name string
+	n    int
+	scan bool
+}{{"1", 1, false}, {"4", 4, false}, {"8", 8, false}, {"16", 16, false}, {"4+scan", 4, true}}
+
+func issueOps(keys []string, n int, scan bool) []workload.Op {
+	ops := make([]workload.Op, n)
+	for i := range ops {
+		ops[i] = workload.Op{Kind: workload.KindGet, Key: keys[i]}
+		if i%4 == 3 {
+			ops[i] = workload.Op{Kind: workload.KindPut, Key: keys[i], Value: make([]byte, 64)}
+		}
+	}
+	if scan {
+		ops[1] = workload.Op{Kind: workload.KindScan, Key: keys[0][:len(keys[0])-1], Limit: 4}
+	}
+	return ops
+}
+
+// TestIssueAllocs is the client half's allocation gate, beside the
+// server half's TestBatchServeAllocs: Driver.Issue(ops).Wait() on each
+// single-store connection kind, at the benchmark's group shapes, may
+// allocate no more than it did before the kinds shared one core (the
+// counts below were measured on the four hand-written clients). What is
+// counted: the one Pending, the request slice and sub-opcodes of a
+// group, the response slice, a value per hit, and on the windowed
+// transport the flight-with-future and its channel. cluster's
+// TestIssueAllocs holds the routed transport to the same.
+func TestIssueAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	s := New(Options{})
+	defer s.Close()
+	keys := allocKeys(s.NewHandle(0), 16, 64)
+	srv := NewServer(s, 1)
+	for _, kind := range []struct {
+		name string
+		conn BatchConn
+		want [5]float64 // per issueShapes
+	}{
+		{"in-process", s.NewLocalConn(0), [5]float64{2, 6, 9, 15, 23}},
+		{"lock-step", srv.PipeClient(), [5]float64{2, 7, 10, 16, 28}},
+		{"windowed", srv.PipeAsyncClient(8), [5]float64{4, 9, 12, 18, 30}},
+	} {
+		defer kind.conn.Close()
+		for i, shape := range issueShapes {
+			ops := issueOps(keys, shape.n, shape.scan)
+			issue := func() {
+				if _, err := (Driver{C: kind.conn}).Issue(ops).Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			issue() // one warm-up group so steady-state buffers exist
+			if got := testing.AllocsPerRun(100, issue); got > kind.want[i] {
+				t.Errorf("%s, group of %s: %.0f allocs per Issue+Wait, want <= %.0f", kind.name, shape.name, got, kind.want[i])
+			}
+		}
+	}
+}

@@ -21,10 +21,12 @@ import (
 //
 // The in-flight window is the client-side pacing knob: submissions past
 // the window block until responses drain, so a slow server applies
-// backpressure instead of growing an unbounded queue. The blocking
-// Conn surface (Get/Put/Delete/Scan) is preserved as thin wrappers that
-// submit and immediately wait.
+// backpressure instead of growing an unbounded queue. It is the windowed
+// transport of the client Core: Start puts a group on the wire as one
+// frame and returns at once, so the blocking surface and Issue the Core
+// adds are submit-then-wait and submit-now-wait-later over the same path.
 type AsyncClient struct {
+	Core
 	conn io.ReadWriteCloser
 	bw   *bufio.Writer // owned by writeLoop
 	br   *bufio.Reader // owned by readLoop
@@ -65,6 +67,7 @@ func NewAsyncClient(conn io.ReadWriteCloser, window int) *AsyncClient {
 		done:    make(chan struct{}),
 		drained: make(chan struct{}),
 	}
+	c.Core = NewCore(c.Start)
 	c.wg.Add(2)
 	go c.writeLoop()
 	go c.readLoop()
@@ -75,9 +78,6 @@ func NewAsyncClient(conn io.ReadWriteCloser, window int) *AsyncClient {
 	}()
 	return c
 }
-
-// Window returns the configured in-flight window.
-func (c *AsyncClient) Window() int { return cap(c.pend) }
 
 // Err returns the error that shut the client down, or nil while it is
 // healthy.
@@ -124,9 +124,8 @@ func (c *AsyncClient) drainPending() {
 	}
 }
 
-// Future is one in-flight operation. Wait blocks until the response
-// frame arrives (or the client dies) — the thin blocking wrappers are
-// just submit-then-Wait.
+// Future is one in-flight request frame. Wait blocks until the response
+// frame arrives (or the client dies).
 type Future struct {
 	op    byte   // scalar opcode, or the batch top-level opcode
 	subs  []byte // sub-opcodes when the request is a batch, else nil
@@ -136,8 +135,8 @@ type Future struct {
 	ready chan struct{}
 	once  sync.Once
 
-	resp  Response   // scalar result
-	batch []Response // batch result
+	resp  [1]Response // scalar result
+	batch []Response  // batch result
 	err   error
 }
 
@@ -165,9 +164,15 @@ func (f *Future) fail(err error) {
 	})
 }
 
+// complete resolves f with its response: a batch's sub-responses, or a
+// scalar request's one — which WaitBatch hands out as a batch of one, so
+// whoever gathers frames of both kinds reads them the same way.
 func (f *Future) complete(resp Response, batch []Response) {
 	f.once.Do(func() {
-		f.resp, f.batch = resp, batch
+		f.resp[0], f.batch = resp, batch
+		if f.subs == nil {
+			f.batch = f.resp[:]
+		}
 		close(f.ready)
 	})
 }
@@ -176,17 +181,19 @@ func (f *Future) complete(resp Response, batch []Response) {
 // client, a StatusError response surfaces as an error.
 func (f *Future) Wait() (Response, error) {
 	<-f.ready
-	if f.err != nil {
-		return Response{}, f.err
+	err := f.err
+	if err == nil {
+		err = serverErr(f.resp[0].Status, f.resp[0].Msg)
 	}
-	if f.resp.Status == StatusError {
-		return Response{}, fmt.Errorf("store: server error: %s", f.resp.Msg)
+	if err != nil {
+		return Response{}, err
 	}
-	return f.resp, nil
+	return f.resp[0], nil
 }
 
 // WaitBatch blocks until the batch's sub-responses arrive. Sub-ops that
-// fail individually come back as StatusError responses, not an error.
+// fail individually come back as StatusError responses, not an error;
+// neither does a scalar request's lone response, whatever its status.
 func (f *Future) WaitBatch() ([]Response, error) {
 	<-f.ready
 	if f.err != nil {
@@ -195,11 +202,19 @@ func (f *Future) WaitBatch() ([]Response, error) {
 	return f.batch, nil
 }
 
-// submit encodes a tagged frame for the request and hands it to the
-// writer. Encoding happens on the caller's goroutine, so concurrent
+// opAt is the opcode of the request response j answers.
+func (f *Future) opAt(j int) byte {
+	if f.subs != nil {
+		return f.subs[j]
+	}
+	return f.op
+}
+
+// submit encodes a tagged frame for the request into f and hands it to
+// the writer. Encoding happens on the caller's goroutine, so concurrent
 // submitters don't serialize on the writer for it.
-func (c *AsyncClient) submit(op byte, subs []byte, enc func(dst []byte) ([]byte, error)) *Future {
-	f := &Future{op: op, subs: subs, ready: make(chan struct{})}
+func (c *AsyncClient) submit(f *Future, op byte, subs []byte, enc func(dst []byte) ([]byte, error)) *Future {
+	f.op, f.subs, f.ready = op, subs, make(chan struct{})
 	f.tag = c.tags.Add(1)
 	bufp := framePool.Get().(*[]byte)
 	body, err := enc(AppendTaggedRequest((*bufp)[:0], f.tag))
@@ -234,36 +249,55 @@ func (c *AsyncClient) closedErr() error {
 	return ErrClientClosed
 }
 
+func (c *AsyncClient) submitScalar(f *Future, req Request) *Future {
+	return c.submit(f, req.Op, nil, func(dst []byte) ([]byte, error) { return AppendRequest(dst, req) })
+}
+
+func (c *AsyncClient) submitBatch(f *Future, b Batch) *Future {
+	return c.submit(f, b.Op, b.SubOps(), func(dst []byte) ([]byte, error) { return AppendBatchRequest(dst, b) })
+}
+
+// asyncFlight is a windowed group's whole in-flight state in one heap
+// object: the flight, its one frame and that frame's future.
+type asyncFlight struct {
+	Flight
+	frame [1]Frame
+	fut   Future
+}
+
+// Start is the windowed transport: the group goes out as one tagged
+// frame and the reply is the flight carrying its future.
+func (c *AsyncClient) Start(req Request, b Batch) Reply {
+	fl := new(asyncFlight)
+	if b.Op != 0 {
+		c.submitBatch(&fl.fut, b)
+	} else {
+		c.submitScalar(&fl.fut, req)
+	}
+	fl.frame[0].Fut = &fl.fut
+	fl.Frames = fl.frame[:]
+	return Reply{Flight: &fl.Flight}
+}
+
 // GetAsync submits a get; the future's response is StatusOK with the
 // value, or StatusNotFound.
 func (c *AsyncClient) GetAsync(key string) *Future {
-	return c.submit(OpGet, nil, func(dst []byte) ([]byte, error) {
-		return AppendRequest(dst, Request{Op: OpGet, Key: key})
-	})
+	return c.submitScalar(new(Future), Request{Op: OpGet, Key: key})
 }
 
 // PutAsync submits a put.
 func (c *AsyncClient) PutAsync(key string, value []byte) *Future {
-	return c.submit(OpPut, nil, func(dst []byte) ([]byte, error) {
-		return AppendRequest(dst, Request{Op: OpPut, Key: key, Value: value})
-	})
+	return c.submitScalar(new(Future), Request{Op: OpPut, Key: key, Value: value})
 }
 
 // DeleteAsync submits a delete.
 func (c *AsyncClient) DeleteAsync(key string) *Future {
-	return c.submit(OpDelete, nil, func(dst []byte) ([]byte, error) {
-		return AppendRequest(dst, Request{Op: OpDelete, Key: key})
-	})
+	return c.submitScalar(new(Future), Request{Op: OpDelete, Key: key})
 }
 
 // ScanAsync submits a prefix scan.
 func (c *AsyncClient) ScanAsync(prefix string, limit int) *Future {
-	if limit < 0 {
-		limit = 0
-	}
-	return c.submit(OpScan, nil, func(dst []byte) ([]byte, error) {
-		return AppendRequest(dst, Request{Op: OpScan, Key: prefix, Limit: uint32(limit)})
-	})
+	return c.submitScalar(new(Future), scanRequest(prefix, limit))
 }
 
 // ForwardAsync submits a point op wrapped in an OpForward frame: the
@@ -272,128 +306,26 @@ func (c *AsyncClient) ScanAsync(prefix string, limit int) *Future {
 // scalar response — this is the transport a cluster node uses to pass
 // an op it no longer owns to the node that does.
 func (c *AsyncClient) ForwardAsync(req Request, hops int) *Future {
-	return c.submit(req.Op, nil, func(dst []byte) ([]byte, error) {
+	return c.submit(new(Future), req.Op, nil, func(dst []byte) ([]byte, error) {
 		return AppendMigrateRequest(dst, MigrateRequest{Op: OpForward, Hops: byte(hops), Inner: req})
 	})
 }
 
-// BatchAsync submits a mixed batch of scalar sub-requests as one frame;
-// resolve it with WaitBatch.
+// FrameAsync submits b as one batch frame, whichever of the three batch
+// encodings b.Op names; resolve it with WaitBatch. The frame is the
+// contract: no chunking, an over-size batch fails with ErrFrameTooLarge.
+func (c *AsyncClient) FrameAsync(b Batch) *Future { return c.submitBatch(new(Future), b) }
+
+// BatchAsync submits a mixed batch of scalar sub-requests as one frame.
 func (c *AsyncClient) BatchAsync(reqs []Request) *Future {
-	return c.submitBatch(Batch{Op: OpBatch, Reqs: reqs})
+	return c.FrameAsync(Batch{Op: OpBatch, Reqs: reqs})
 }
 
-// MGetAsync submits a compact multi-get; resolve it with WaitBatch.
-func (c *AsyncClient) MGetAsync(keys []string) *Future {
-	return c.submitBatch(MGetBatch(keys))
-}
+// MGetAsync submits a compact multi-get as one frame.
+func (c *AsyncClient) MGetAsync(keys []string) *Future { return c.FrameAsync(MGetBatch(keys)) }
 
-// MPutAsync submits a compact multi-put; resolve it with WaitBatch.
-func (c *AsyncClient) MPutAsync(entries []Entry) *Future {
-	return c.submitBatch(MPutBatch(entries))
-}
-
-func (c *AsyncClient) submitBatch(b Batch) *Future {
-	return c.submit(b.Op, b.SubOps(), func(dst []byte) ([]byte, error) {
-		return AppendBatchRequest(dst, b)
-	})
-}
-
-// Blocking Conn surface: the lock-step client API preserved as thin
-// wrappers over submit-then-Wait, so an AsyncClient drops into every
-// call site a Client fits (workload drivers, tests, the CLI).
-
-// Get fetches the value under key.
-func (c *AsyncClient) Get(key string) ([]byte, bool, error) {
-	resp, err := c.GetAsync(key).Wait()
-	if err != nil {
-		return nil, false, err
-	}
-	return resp.Value, resp.Status == StatusOK, nil
-}
-
-// Put stores value under key; it reports whether the key was newly
-// inserted.
-func (c *AsyncClient) Put(key string, value []byte) (bool, error) {
-	resp, err := c.PutAsync(key, value).Wait()
-	if err != nil {
-		return false, err
-	}
-	return resp.Created, nil
-}
-
-// Delete removes key; it reports whether the key was present.
-func (c *AsyncClient) Delete(key string) (bool, error) {
-	resp, err := c.DeleteAsync(key).Wait()
-	if err != nil {
-		return false, err
-	}
-	return resp.Status == StatusOK, nil
-}
-
-// Scan returns up to limit entries with the given key prefix.
-func (c *AsyncClient) Scan(prefix string, limit int) ([]Entry, error) {
-	resp, err := c.ScanAsync(prefix, limit).Wait()
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, nil
-}
-
-// ExecBatch executes a mixed batch in one frame, blocking for the
-// sub-responses.
-func (c *AsyncClient) ExecBatch(reqs []Request) ([]Response, error) {
-	return c.BatchAsync(reqs).WaitBatch()
-}
-
-// MGet fetches many keys, chunked under the frame and count bounds like
-// Client.MGet — the chunks go out pipelined.
-func (c *AsyncClient) MGet(keys []string) ([][]byte, error) {
-	chunks := mgetChunks(keys)
-	futs := make([]*Future, len(chunks))
-	for i, chunk := range chunks {
-		futs[i] = c.MGetAsync(chunk)
-	}
-	vals := make([][]byte, 0, len(keys))
-	for i, f := range futs {
-		resps, err := f.WaitBatch()
-		if err != nil {
-			return nil, err
-		}
-		vs, err := mgetValues(resps, chunks[i], c.Get)
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, vs...)
-	}
-	return vals, nil
-}
-
-// MPut stores many entries, chunked under the frame bound like
-// Client.MPut — the chunks go out pipelined, so the extra frames still
-// overlap.
-func (c *AsyncClient) MPut(entries []Entry) (int, error) {
-	chunks := mputChunks(entries)
-	futs := make([]*Future, len(chunks))
-	for i, chunk := range chunks {
-		futs[i] = c.MPutAsync(chunk)
-	}
-	created := 0
-	for _, f := range futs {
-		resps, err := f.WaitBatch()
-		if err != nil {
-			return created, err
-		}
-		n, err := mputCreated(resps)
-		created += n
-		if err != nil {
-			return created, err
-		}
-	}
-	return created, nil
-}
-
-var _ BatchConn = (*AsyncClient)(nil)
+// MPutAsync submits a compact multi-put as one frame.
+func (c *AsyncClient) MPutAsync(entries []Entry) *Future { return c.FrameAsync(MPutBatch(entries)) }
 
 // writeLoop drains submissions, acquires window slots, and writes
 // frames, flushing once per burst: after a blocking receive it keeps
@@ -503,7 +435,7 @@ func (c *AsyncClient) readLoop() {
 				// not a batch body: recover the server's message rather
 				// than reporting it as stream corruption.
 				if r, perr := ParseResponse(0, body[4:]); perr == nil && r.Status == StatusError {
-					err = fmt.Errorf("store: server error: %s", r.Msg)
+					err = serverErr(r.Status, r.Msg)
 				}
 				c.fatal(err)
 				f.fail(c.Err())

@@ -1,0 +1,59 @@
+package store
+
+import (
+	"errors"
+	"testing"
+	"unsafe"
+
+	"ssync/internal/workload"
+)
+
+// TestIssueErrorCountsAnswered pins the one rule workload.Pending.Wait
+// states for a failed group, on whatever transport: the Outcome counts
+// the ops answered before the error and never the one that failed. The
+// four clients this core replaced disagreed (Ops: 1 for a failed scalar
+// op, a zero Outcome for a failed batch, a partial total when routed).
+func TestIssueErrorCountsAnswered(t *testing.T) {
+	ok := Response{Status: StatusOK, Value: []byte("v")}
+	refused := Response{Status: StatusError, Msg: "refused"}
+	broken := errors.New("transport broke")
+	gets := []workload.Op{{Kind: workload.KindGet, Key: "a"}, {Kind: workload.KindGet, Key: "b"},
+		{Kind: workload.KindGet, Key: "c"}, {Kind: workload.KindGet, Key: "d"}}
+
+	s := New(Options{})
+	defer s.Close()
+	closed := NewServer(s, 1).PipeAsyncClient(4)
+	closed.Close()
+
+	for _, tc := range []struct {
+		name  string
+		start func(Request, Batch) Reply
+		ops   []workload.Op
+		want  workload.Outcome
+	}{
+		{"one op refused", func(Request, Batch) Reply { return Reply{Resp: refused} }, gets[:1], workload.Outcome{}},
+		{"one op, transport error", func(Request, Batch) Reply { return Reply{Err: broken} }, gets[:1], workload.Outcome{}},
+		{"group, transport error", func(Request, Batch) Reply { return Reply{Err: broken} }, gets, workload.Outcome{}},
+		{"group, third op refused", func(Request, Batch) Reply {
+			return Reply{Resps: []Response{ok, {Status: StatusNotFound}, refused, ok}}
+		}, gets, workload.Outcome{Ops: 2, Hits: 1, Misses: 1}},
+		{"one op in flight on a closed connection", closed.Start, gets[:1], workload.Outcome{}},
+		{"group in flight on a closed connection", closed.Start, gets, workload.Outcome{}},
+	} {
+		core := NewCore(tc.start)
+		out, err := core.Issue(tc.ops).Wait()
+		if err == nil || out != tc.want {
+			t.Errorf("%s: Wait = %+v, %v; want %+v and an error", tc.name, out, err, tc.want)
+		}
+	}
+}
+
+// TestPendingSize keeps the one Pending in the 64-byte size class: it is
+// the whole heap cost of a group resolved at start, and on
+// wire-point-lockstep (one op per group) half of alloc_bytes_per_op,
+// which the benchmark bounds at 2 %.
+func TestPendingSize(t *testing.T) {
+	if size := unsafe.Sizeof(pending{}); size > 64 {
+		t.Fatalf("pending is %d bytes, want <= 64: it carries a tally, an error and one pointer, nothing else", size)
+	}
+}

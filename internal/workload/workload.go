@@ -63,7 +63,10 @@ func (o *Outcome) Add(p Outcome) {
 }
 
 // Pending is one in-flight op group; Wait blocks until its responses
-// arrive and reports the group's outcome.
+// arrive and reports the group's outcome. When Wait returns an error the
+// Outcome counts the ops answered before it and never the op that
+// failed: zero if the group's frame never came back, the leading ops if
+// a later one was refused.
 type Pending interface {
 	Wait() (Outcome, error)
 }
