@@ -212,33 +212,38 @@ func (c *Client) Start(req store.Request, b store.Batch) store.Reply {
 			whole = len(idxs) == n
 		}
 	}
-	fl := &store.Flight{Frames: make([]store.Frame, 0, nframes), Merge: t.merge}
+	// The frames are sized up front and filled where they lie: each holds
+	// its future, which its connection's reader resolves in place.
+	fl := &store.Flight{Frames: make([]store.Frame, nframes), Merge: t.merge}
 	var order []int         // the group's positions, frame by frame
 	var sub []store.Request // the point requests, in that order
 	if !whole {
 		order, sub = make([]int, 0, n), make([]store.Request, 0, n-len(rs.scans))
 	}
+	k := 0 // the next frame to fill
 	for node, idxs := range rs.groups {
 		switch {
 		case len(idxs) == 0:
+			continue
 		case whole:
-			fl.Frames = append(fl.Frames, store.Frame{Fut: t.conns[node].FrameAsync(b)})
+			t.conns[node].Submit(&fl.Frames[k].Fut, store.Request{}, b)
 		default:
 			lo := len(order)
 			for _, i := range idxs {
 				order, sub = append(order, i), append(sub, b.Reqs[i])
 			}
-			fut := t.conns[node].FrameAsync(store.Batch{Op: b.Op, Reqs: sub[lo:]})
-			fl.Frames = append(fl.Frames, store.Frame{Fut: fut, At: order[lo:]})
+			fl.Frames[k].At = order[lo:]
+			t.conns[node].Submit(&fl.Frames[k].Fut, store.Request{}, store.Batch{Op: b.Op, Reqs: sub[lo:]})
 		}
+		k++
 	}
 	for _, i := range rs.scans {
 		order = append(order, i)
-		fr := store.Frame{At: order[len(order)-1:], Fan: len(members), Limit: int(b.Reqs[i].Limit)}
+		fr := &fl.Frames[k]
+		fr.At, fr.Fan, fr.Limit = order[len(order)-1:], len(members), int(b.Reqs[i].Limit)
 		for _, node := range members {
-			fr.Fut = t.conns[node].ScanAsync(b.Reqs[i].Key, fr.Limit)
-			fl.Frames = append(fl.Frames, fr)
-			fr.Fan = 0
+			t.conns[node].Submit(&fl.Frames[k].Fut, b.Reqs[i], store.Batch{})
+			k++
 		}
 	}
 	return store.Reply{Flight: fl}

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"ssync/internal/locks"
@@ -17,15 +19,53 @@ func newTestCluster(t *testing.T, nodes int, opt store.Options) *Cluster {
 	return c
 }
 
-// TestRoutedClientNoBufferAliasing extends store's buffer-aliasing
-// audit to the routing client: its batch path hands out index groups
-// from a sync.Pool and fans sub-batches through per-node async
-// connections whose frame buffers are themselves pooled. Values decoded
-// from routed responses (scalar, batch and scan) must stay intact while
-// later routed calls churn every one of those pools.
+// keeper is store's audit helper again (test files do not cross package
+// lines): it holds what a client returned beside a deep copy taken on the
+// spot, and check reports whatever later frames changed underneath.
+type keeper struct {
+	kept []struct {
+		what      string
+		got, snap []store.Response
+	}
+}
+
+func (k *keeper) keep(what string, got ...store.Response) {
+	snap := make([]store.Response, len(got))
+	for i, r := range got {
+		snap[i] = store.Response{Status: r.Status, Created: r.Created, Value: bytes.Clone(r.Value), Msg: strings.Clone(r.Msg)}
+		for _, e := range r.Entries {
+			snap[i].Entries = append(snap[i].Entries, store.Entry{Key: strings.Clone(e.Key), Value: bytes.Clone(e.Value)})
+		}
+	}
+	k.kept = append(k.kept, struct {
+		what      string
+		got, snap []store.Response
+	}{what, got, snap})
+}
+
+func (k *keeper) check(t *testing.T) {
+	t.Helper()
+	for _, r := range k.kept {
+		if !reflect.DeepEqual(r.got, r.snap) {
+			t.Errorf("%s: retained result changed under later frames", r.what)
+		}
+	}
+}
+
+// TestRoutedClientNoBufferAliasing extends store's frame-lifetime audit
+// to the routing client: its batch path hands out index groups from a
+// sync.Pool and fans sub-batches through per-node async connections
+// whose request and response frames are themselves pooled, each response
+// frame owned by a future inside the flight until the Core has copied
+// out of it. Everything the blocking seven and GetAsync(...).Wait()
+// return — values, scan entries, the messages of a batch answer too
+// large for its frames — must stay intact while more than a thousand
+// later frames, eight groups in flight at a time, churn every one of
+// those pools.
 func TestRoutedClientNoBufferAliasing(t *testing.T) {
+	const window = 8
 	c := newTestCluster(t, 3, store.Options{Shards: 4, Lock: locks.TICKET})
-	cl := c.Dial(0)
+	cl := c.Dial(window)
 	defer cl.Close()
 
 	big := make([]byte, 96<<10)
@@ -40,34 +80,45 @@ func TestRoutedClientNoBufferAliasing(t *testing.T) {
 		}
 	}
 
-	var retained [][]byte
+	var k keeper
 	for round := 0; round < 6; round++ {
 		// Routed batch: pooled route groups + per-node batch frames.
-		reqs := make([]store.Request, 0, len(bigKeys)+1)
-		for _, k := range bigKeys {
-			reqs = append(reqs, store.Request{Op: store.OpGet, Key: k})
+		reqs := make([]store.Request, 0, len(bigKeys)+2)
+		for _, key := range bigKeys {
+			reqs = append(reqs, store.Request{Op: store.OpGet, Key: key})
 		}
 		small := fmt.Sprintf("alias-small-%02d", round)
-		reqs = append(reqs, store.Request{Op: store.OpPut, Key: small, Value: bytes.Repeat([]byte{byte(round + 1)}, 256)})
+		reqs = append(reqs, store.Request{Op: store.OpPut, Key: small, Value: bytes.Repeat([]byte{byte(round + 1)}, 256)},
+			store.Request{Op: store.OpScan, Key: "alias-small-"})
 		resps, err := cl.ExecBatch(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range bigKeys {
-			if resps[i].Status != store.StatusOK {
-				t.Fatalf("round %d: routed get %d status %d", round, i, resps[i].Status)
+			if resps[i].Status != store.StatusOK || !bytes.Equal(resps[i].Value, big) {
+				t.Fatalf("round %d: routed get %d status %d, %d bytes", round, i, resps[i].Status, len(resps[i].Value))
 			}
-			retained = append(retained, resps[i].Value)
 		}
-		// Routed scalar get and MGet churn the pools between rounds.
-		if v, found, err := cl.Get(small); err != nil || !found || v[0] != byte(round+1) {
+		k.keep("ExecBatch", resps...)
+		// Routed scalar get, async get, MGet and a fanned-out scan, whose
+		// entries share backing blobs (the bulk-copy decode).
+		v, found, err := cl.Get(small)
+		if err != nil || !found || v[0] != byte(round+1) {
 			t.Fatalf("round %d: routed Get(%s) = %v, %v", round, small, found, err)
 		}
-		if _, err := cl.MGet(bigKeys); err != nil {
+		k.keep("Get", store.Response{Value: v})
+		resp, err := cl.GetAsync(bigKeys[round]).Wait()
+		if err != nil || !bytes.Equal(resp.Value, big) {
+			t.Fatalf("round %d: GetAsync = status %d, %v", round, resp.Status, err)
+		}
+		k.keep("GetAsync.Wait", resp)
+		vals, err := cl.MGet(append([]string{small, "alias-absent"}, bigKeys...))
+		if err != nil {
 			t.Fatal(err)
 		}
-		// A scan response's entries share backing blobs (the bulk-copy
-		// parse); mutating nothing, they must match the stored values.
+		for _, v := range vals {
+			k.keep("MGet", store.Response{Value: v})
+		}
 		entries, err := cl.Scan("alias-big-", 0)
 		if err != nil || len(entries) != len(bigKeys) {
 			t.Fatalf("round %d: scan = %d entries, %v", round, len(entries), err)
@@ -77,12 +128,48 @@ func TestRoutedClientNoBufferAliasing(t *testing.T) {
 				t.Fatalf("round %d: scan entry %q corrupted", round, e.Key)
 			}
 		}
+		k.keep("Scan", store.Response{Entries: entries})
 	}
-	for i, v := range retained {
-		if !bytes.Equal(v, big) {
-			t.Fatalf("retained routed value %d corrupted by pooled-buffer reuse", i)
+	// 48 × 96 KiB from whichever node owns one key overflow its response
+	// frame: the tail comes back as StatusError messages, kept as well.
+	gets := make([]store.Request, 48)
+	for i := range gets {
+		gets[i] = store.Request{Op: store.OpGet, Key: bigKeys[0]}
+	}
+	resps, err := cl.ExecBatch(gets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := resps[len(resps)-1]; last.Status != store.StatusError || last.Msg != store.MsgBatchOverflow {
+		t.Fatalf("the tail of a 4.5 MiB batch answer = status %d %q, want it degraded", last.Status, last.Msg)
+	}
+	k.keep("ExecBatch past one frame", resps...)
+
+	// Later frames at full window: eight groups in flight at a time, each
+	// split over the three nodes, a scan fanned out in every fourth.
+	ops := make([]workload.Op, 0, 8)
+	for i := 0; i < 6; i++ {
+		ops = append(ops, workload.Op{Kind: workload.KindGet, Key: fmt.Sprintf("alias-small-%02d", i)},
+			workload.Op{Kind: workload.KindPut, Key: fmt.Sprintf("alias-small-%02d", i), Value: bytes.Repeat([]byte{byte(0xF0 + i)}, 200+i)})
+	}
+	withScan := append(append([]workload.Op(nil), ops...), workload.Op{Kind: workload.KindScan, Key: "alias-small-"})
+	pend := make([]workload.Pending, window)
+	for frames := 0; frames < 1000; {
+		for i := range pend {
+			group := ops
+			if i%4 == 3 {
+				group = withScan
+			}
+			pend[i] = store.Driver{C: cl}.Issue(group)
+			frames++ // at least: a group goes out as one frame per owning node
+		}
+		for _, p := range pend {
+			if _, err := p.Wait(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	k.check(t)
 }
 
 // TestClusterPointOps: routed puts land on exactly the ring owner's

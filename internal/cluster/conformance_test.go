@@ -110,7 +110,12 @@ var conformanceScript = []step{
 	{name: "execbatch mixed, same key in order", via: "execbatch", reqs: []store.Request{
 		get(workload.Key(3)), put("d", "4"), del(workload.Key(5)), scan("key-0000000", 10), get(workload.Key(5)),
 	}},
+	// An empty group is still a batch: one batch frame with no sub-ops (none
+	// at all when routed), decoded as a batch and answered with nothing.
 	{name: "execbatch empty", via: "execbatch"},
+	{name: "mget empty", via: "mget"},
+	{name: "mput empty", via: "mput"},
+	{name: "issue empty", via: "issue"},
 	{name: "issue one get", via: "issue", reqs: []store.Request{get(workload.Key(7))}},
 	{name: "issue one miss", via: "issue", reqs: []store.Request{get(workload.Key(5))}},
 	{name: "issue one put", via: "issue", reqs: []store.Request{put("e", "5")}},

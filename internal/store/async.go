@@ -124,29 +124,50 @@ func (c *AsyncClient) drainPending() {
 	}
 }
 
-// Future is one in-flight request frame. Wait blocks until the response
-// frame arrives (or the client dies).
+// Future is one in-flight request frame. It owns the encoded request
+// until the writer has sent it and, from the moment the reader hands it
+// over, the response frame: the reader only checks the frame's length and
+// tag, and the goroutine that waits decodes it — as views aliasing the
+// frame for the Core, copied out for a caller of Wait or WaitBatch — and
+// returns the buffer to its pool. A future is awaited once, by one
+// goroutine, and must not be copied or moved once submitted.
 type Future struct {
-	op    byte   // scalar opcode, or the batch top-level opcode
-	subs  []byte // sub-opcodes when the request is a batch, else nil
+	c     *AsyncClient
+	op    byte      // scalar opcode, or the batch's top-level opcode
+	batch bool      // the frame is a batch: count × sub-responses come back
+	reqs  []Request // a batch's sub-requests; sub-response j decodes with reqs[j].Op
 	tag   uint32
-	body  []byte  // encoded tagged frame body
+	body  []byte  // encoded tagged request frame body
 	bufp  *[]byte // pooled backing buffer for body
-	ready chan struct{}
-	once  sync.Once
 
-	resp  [1]Response // scalar result
-	batch []Response  // batch result
+	// done is released exactly once, by whoever resolves the future: the
+	// reader with the response frame, or fail with err. Embedded, so
+	// nothing is allocated per frame to wait on.
+	done  sync.WaitGroup
+	resp  []byte  // tagged response frame body
+	respp *[]byte // pooled backing buffer for resp
 	err   error
 }
 
-// framePool recycles request frame buffers: a body is dead the moment
-// WriteFrame copies it into the connection's write buffer, so pooling
-// removes one per-op allocation from exactly the hot path the
-// multiplexed client exists to speed up.
+// Future misuse errors.
+var (
+	// ErrBatchFuture is what Wait returns on the future of a batch frame
+	// (BatchAsync, MGetAsync, MPutAsync, FrameAsync): a batch has no one
+	// response; resolve it with WaitBatch.
+	ErrBatchFuture = errors.New("store: Wait on a batch future; use WaitBatch")
+	// errFutureAwaited is what a second Wait or WaitBatch returns: the
+	// first one decoded the response out of the frame and released it.
+	errFutureAwaited = errors.New("store: future already awaited")
+)
+
+// framePool recycles frame buffers, request and response alike: a request
+// body is dead the moment WriteFrame copies it into the connection's
+// write buffer and a response frame the moment its future has been
+// awaited, so pooling removes two per-frame allocations from exactly the
+// hot path the multiplexed client exists to speed up.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// releaseBody returns f's frame buffer to the pool. Ownership is
+// releaseBody returns f's request frame buffer to the pool. Ownership is
 // unambiguous: the goroutine that failed to hand f over releases it, or
 // the writer does after the write attempt.
 func (f *Future) releaseBody() {
@@ -157,64 +178,90 @@ func (f *Future) releaseBody() {
 	f.bufp, f.body = nil, nil
 }
 
+// fail resolves f with err instead of a response frame.
 func (f *Future) fail(err error) {
-	f.once.Do(func() {
-		f.err = err
-		close(f.ready)
-	})
+	f.err = err
+	f.done.Done()
 }
 
-// complete resolves f with its response: a batch's sub-responses, or a
-// scalar request's one — which WaitBatch hands out as a batch of one, so
-// whoever gathers frames of both kinds reads them the same way.
-func (f *Future) complete(resp Response, batch []Response) {
-	f.once.Do(func() {
-		f.resp[0], f.batch = resp, batch
-		if f.subs == nil {
-			f.batch = f.resp[:]
-		}
-		close(f.ready)
-	})
-}
-
-// Wait blocks until the scalar response arrives. Like the lock-step
-// client, a StatusError response surfaces as an error.
-func (f *Future) Wait() (Response, error) {
-	<-f.ready
-	err := f.err
-	if err == nil {
-		err = serverErr(f.resp[0].Status, f.resp[0].Msg)
-	}
-	if err != nil {
-		return Response{}, err
-	}
-	return f.resp[0], nil
-}
-
-// WaitBatch blocks until the batch's sub-responses arrive. Sub-ops that
-// fail individually come back as StatusError responses, not an error;
-// neither does a scalar request's lone response, whatever its status.
-func (f *Future) WaitBatch() ([]Response, error) {
-	<-f.ready
+// await blocks until f is resolved and decodes its response frame into
+// dst[:0]: a batch's sub-responses, or a scalar request's one as a batch
+// of one, so whoever gathers frames of both kinds reads them the same
+// way. The views alias the frame until release. A frame that does not
+// decode is stream corruption and kills the connection from here.
+func (f *Future) await(dst []ResponseView) ([]ResponseView, error) {
+	f.done.Wait()
 	if f.err != nil {
 		return nil, f.err
 	}
-	return f.batch, nil
-}
-
-// opAt is the opcode of the request response j answers.
-func (f *Future) opAt(j int) byte {
-	if f.subs != nil {
-		return f.subs[j]
+	views, err := replyViews(f.batch, f.op, f.reqs, f.resp[4:], dst)
+	if err != nil {
+		f.c.fatal(err)
+		f.release()
+		f.err = err
+		return nil, err
 	}
-	return f.op
+	return views, nil
 }
 
-// submit encodes a tagged frame for the request into f and hands it to
-// the writer. Encoding happens on the caller's goroutine, so concurrent
-// submitters don't serialize on the writer for it.
-func (c *AsyncClient) submit(f *Future, op byte, subs []byte, enc func(dst []byte) ([]byte, error)) *Future {
-	f.op, f.subs, f.ready = op, subs, make(chan struct{})
+// release returns the awaited response frame to the pool — the single
+// release point of the buffer the reader handed over; whatever was
+// decoded from it is dead.
+func (f *Future) release() {
+	if f.respp == nil {
+		return
+	}
+	putBuf(&framePool, f.respp, f.resp)
+	f.respp, f.resp = nil, nil
+	f.err = errFutureAwaited
+}
+
+// Wait blocks until the scalar response arrives and returns it, copied
+// out of the frame: the caller's to keep. Like the lock-step client, a
+// StatusError response surfaces as an error. On the future of a batch
+// frame it returns ErrBatchFuture at once.
+func (f *Future) Wait() (Response, error) {
+	if f.batch {
+		return Response{}, ErrBatchFuture
+	}
+	var one [1]ResponseView
+	views, err := f.await(one[:0])
+	if err != nil {
+		return Response{}, err
+	}
+	defer f.release()
+	if err := views[0].err(); err != nil {
+		return Response{}, err
+	}
+	return views[0].Owned(), nil
+}
+
+// WaitBatch blocks until the batch's sub-responses arrive and returns
+// them, copied out of the frame: the caller's to keep. Sub-ops that fail
+// individually come back as StatusError responses, not an error; neither
+// does a scalar request's lone response, whatever its status, which
+// comes back as a batch of one (Wait, on the other hand, refuses a batch
+// future with ErrBatchFuture).
+func (f *Future) WaitBatch() ([]Response, error) {
+	vp := viewPool.Get().(*[]ResponseView)
+	defer viewPool.Put(vp)
+	views, err := f.await((*vp)[:0])
+	if err != nil {
+		return nil, err
+	}
+	resps := ownedBatch(views)
+	f.release()
+	*vp = views[:0]
+	return resps, nil
+}
+
+// submit encodes a tagged frame for the request into f — a zero Future
+// at its final address — and hands it to the writer. Encoding happens on
+// the caller's goroutine, so concurrent submitters don't serialize on
+// the writer for it.
+func (c *AsyncClient) submit(f *Future, op byte, batch bool, reqs []Request, enc func(dst []byte) ([]byte, error)) *Future {
+	f.c, f.op, f.batch, f.reqs = c, op, batch, reqs
+	f.done.Add(1)
 	f.tag = c.tags.Add(1)
 	bufp := framePool.Get().(*[]byte)
 	body, err := enc(AppendTaggedRequest((*bufp)[:0], f.tag))
@@ -249,32 +296,31 @@ func (c *AsyncClient) closedErr() error {
 	return ErrClientClosed
 }
 
-func (c *AsyncClient) submitScalar(f *Future, req Request) *Future {
-	return c.submit(f, req.Op, nil, func(dst []byte) ([]byte, error) { return AppendRequest(dst, req) })
-}
-
-func (c *AsyncClient) submitBatch(f *Future, b Batch) *Future {
-	return c.submit(f, b.Op, b.SubOps(), func(dst []byte) ([]byte, error) { return AppendBatchRequest(dst, b) })
+// Submit begins one request group as one tagged frame — req as a scalar
+// frame, or with b.Op set b as a batch frame in the encoding it names —
+// resolving f, which must be a zero Future at the address it will be
+// awaited at (a Flight's frame, or new(Future)). A batch's requests are
+// read again when the response is decoded: they stay unchanged until
+// then. It returns f.
+func (c *AsyncClient) Submit(f *Future, req Request, b Batch) *Future {
+	if b.Op != 0 {
+		return c.submit(f, b.Op, true, b.Reqs, func(dst []byte) ([]byte, error) { return AppendBatchRequest(dst, b) })
+	}
+	return c.submit(f, req.Op, false, nil, func(dst []byte) ([]byte, error) { return AppendRequest(dst, req) })
 }
 
 // asyncFlight is a windowed group's whole in-flight state in one heap
-// object: the flight, its one frame and that frame's future.
+// object: the flight and its one frame, future included.
 type asyncFlight struct {
 	Flight
 	frame [1]Frame
-	fut   Future
 }
 
 // Start is the windowed transport: the group goes out as one tagged
 // frame and the reply is the flight carrying its future.
 func (c *AsyncClient) Start(req Request, b Batch) Reply {
 	fl := new(asyncFlight)
-	if b.Op != 0 {
-		c.submitBatch(&fl.fut, b)
-	} else {
-		c.submitScalar(&fl.fut, req)
-	}
-	fl.frame[0].Fut = &fl.fut
+	c.Submit(&fl.frame[0].Fut, req, b)
 	fl.Frames = fl.frame[:]
 	return Reply{Flight: &fl.Flight}
 }
@@ -282,22 +328,22 @@ func (c *AsyncClient) Start(req Request, b Batch) Reply {
 // GetAsync submits a get; the future's response is StatusOK with the
 // value, or StatusNotFound.
 func (c *AsyncClient) GetAsync(key string) *Future {
-	return c.submitScalar(new(Future), Request{Op: OpGet, Key: key})
+	return c.Submit(new(Future), Request{Op: OpGet, Key: key}, Batch{})
 }
 
 // PutAsync submits a put.
 func (c *AsyncClient) PutAsync(key string, value []byte) *Future {
-	return c.submitScalar(new(Future), Request{Op: OpPut, Key: key, Value: value})
+	return c.Submit(new(Future), Request{Op: OpPut, Key: key, Value: value}, Batch{})
 }
 
 // DeleteAsync submits a delete.
 func (c *AsyncClient) DeleteAsync(key string) *Future {
-	return c.submitScalar(new(Future), Request{Op: OpDelete, Key: key})
+	return c.Submit(new(Future), Request{Op: OpDelete, Key: key}, Batch{})
 }
 
 // ScanAsync submits a prefix scan.
 func (c *AsyncClient) ScanAsync(prefix string, limit int) *Future {
-	return c.submitScalar(new(Future), scanRequest(prefix, limit))
+	return c.Submit(new(Future), scanRequest(prefix, limit), Batch{})
 }
 
 // ForwardAsync submits a point op wrapped in an OpForward frame: the
@@ -306,7 +352,7 @@ func (c *AsyncClient) ScanAsync(prefix string, limit int) *Future {
 // scalar response — this is the transport a cluster node uses to pass
 // an op it no longer owns to the node that does.
 func (c *AsyncClient) ForwardAsync(req Request, hops int) *Future {
-	return c.submit(new(Future), req.Op, nil, func(dst []byte) ([]byte, error) {
+	return c.submit(new(Future), req.Op, false, nil, func(dst []byte) ([]byte, error) {
 		return AppendMigrateRequest(dst, MigrateRequest{Op: OpForward, Hops: byte(hops), Inner: req})
 	})
 }
@@ -314,9 +360,10 @@ func (c *AsyncClient) ForwardAsync(req Request, hops int) *Future {
 // FrameAsync submits b as one batch frame, whichever of the three batch
 // encodings b.Op names; resolve it with WaitBatch. The frame is the
 // contract: no chunking, an over-size batch fails with ErrFrameTooLarge.
-func (c *AsyncClient) FrameAsync(b Batch) *Future { return c.submitBatch(new(Future), b) }
+func (c *AsyncClient) FrameAsync(b Batch) *Future { return c.Submit(new(Future), Request{}, b) }
 
 // BatchAsync submits a mixed batch of scalar sub-requests as one frame.
+// reqs must stay unchanged until the future has been awaited.
 func (c *AsyncClient) BatchAsync(reqs []Request) *Future {
 	return c.FrameAsync(Batch{Op: OpBatch, Reqs: reqs})
 }
@@ -393,63 +440,47 @@ func (c *AsyncClient) writeOne(f *Future) bool {
 	return true
 }
 
-// readLoop reads response frames, matches them FIFO against the window,
-// and verifies the echoed tag of every response.
+// readLoop reads response frames, matches each to its future and hands
+// the frame over, buffer and all: decoding is the waiter's.
 func (c *AsyncClient) readLoop() {
 	defer c.wg.Done()
-	// The frame-read scratch is pooled across clients; releasing it when
-	// the loop exits is safe because every parse path below copies all
-	// variable-length data out of the frame before the future resolves.
-	scratchp := framePool.Get().(*[]byte)
-	scratch := *scratchp
-	defer func() { putBuf(&framePool, scratchp, scratch) }()
 	for {
-		body, err := ReadFrame(c.br, scratch)
+		bufp := framePool.Get().(*[]byte)
+		body, err := ReadFrame(c.br, *bufp)
 		if err != nil {
+			putBuf(&framePool, bufp, *bufp)
 			c.fatal(err)
 			return
 		}
-		scratch = body[:0] // parse paths copy all variable-length data
-		var f *Future
-		select {
-		case f = <-c.pend:
-		default:
-			c.fatal(errors.New("store: response with no request in flight"))
-			return
-		}
-		if len(body) < 4 {
-			c.fatal(ErrTruncated)
-			f.fail(c.Err())
-			return
-		}
-		tag := binary.BigEndian.Uint32(body[:4])
-		if tag != f.tag {
-			c.fatal(fmt.Errorf("store: response tag %d for request tag %d", tag, f.tag))
-			f.fail(c.Err())
-			return
-		}
-		if f.subs != nil {
-			resps, err := ParseBatchResponse(f.subs, body[4:])
-			if err != nil {
-				// A reject of a tagged batch carries a scalar error body,
-				// not a batch body: recover the server's message rather
-				// than reporting it as stream corruption.
-				if r, perr := ParseResponse(0, body[4:]); perr == nil && r.Status == StatusError {
-					err = serverErr(r.Status, r.Msg)
-				}
-				c.fatal(err)
+		f, err := c.match(body)
+		if err != nil {
+			putBuf(&framePool, bufp, body)
+			c.fatal(err)
+			if f != nil {
 				f.fail(c.Err())
-				return
 			}
-			f.complete(Response{}, resps)
-		} else {
-			resp, err := ParseResponse(f.op, body[4:])
-			if err != nil {
-				c.fatal(err)
-				f.fail(c.Err())
-				return
-			}
-			f.complete(resp, nil)
+			return
 		}
+		//ssync:ignore poolaudit the Future owns its response frame from here; release, run by its one waiter, is the single release point
+		f.resp, f.respp = body, bufp
+		f.done.Done()
 	}
+}
+
+// match pops the future a response frame answers — FIFO, the server
+// answers in arrival order — and verifies the tag the frame echoes.
+func (c *AsyncClient) match(body []byte) (*Future, error) {
+	var f *Future
+	select {
+	case f = <-c.pend:
+	default:
+		return nil, errors.New("store: response with no request in flight")
+	}
+	if len(body) < 4 {
+		return f, ErrTruncated
+	}
+	if tag := binary.BigEndian.Uint32(body[:4]); tag != f.tag {
+		return f, fmt.Errorf("store: response tag %d for request tag %d", tag, f.tag)
+	}
+	return f, nil
 }

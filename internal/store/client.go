@@ -22,21 +22,21 @@ type Client struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	// Encode and frame-read scratch are deliberately distinct buffers:
-	// sharing one backing array would let a response body alias the next
-	// request's encode buffer (and vice versa), which is only safe while
-	// every parse path copies out of the frame — an invariant too easy to
-	// break at a distance. TestClientNoBufferAliasing pins this down.
+	// the views Start returns alias rbuf until the next Start, and that
+	// Start encodes its request into ebuf before it reads anything.
+	// TestClientNoBufferAliasing pins this down.
 	//
 	// Both come from clientScratch and go back at Close. Returning them
-	// is safe because every decode copies out of rbuf before the call
-	// returns (the same invariant), so no caller-visible value aliases a
-	// pooled buffer.
+	// is safe because the Core copies out of the views whatever its
+	// caller keeps before it returns, so no caller-visible value aliases
+	// a pooled buffer.
 	ebuf []byte // request encode scratch
 	rbuf []byte // response frame-read scratch
 	// Pool handles for ebuf/rbuf; nil once Close returned them, which
 	// makes a double Close (or a misbehaving post-Close call) unable to
 	// hand the same backing array out twice.
 	ebufp, rbufp *[]byte
+	views        []ResponseView // the last reply's views over rbuf, reused
 }
 
 // clientScratch pools lock-step clients' encode and read buffers, so a
@@ -46,7 +46,7 @@ var clientScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // NewClient wraps an established connection.
 //
-//ssync:ignore poolaudit the Client owns ebuf/rbuf until Close, the single release point; every decode copies out first
+//ssync:ignore poolaudit the Client owns ebuf/rbuf until Close, the single release point; the Core copies out of the views first
 func NewClient(conn io.ReadWriteCloser) *Client {
 	ep := clientScratch.Get().(*[]byte)
 	rp := clientScratch.Get().(*[]byte)
@@ -71,19 +71,20 @@ func (c *Client) Close() error {
 }
 
 // Start is the lock-step transport: one request frame out, one response
-// frame in, decoded (every parse path copies out of rbuf) before it
-// returns.
+// frame in, decoded on the caller's goroutine into views over rbuf —
+// valid until the next Start.
 func (c *Client) Start(req Request, b Batch) Reply {
-	var rep Reply
 	var rbody []byte
+	var err error
 	if b.Op != 0 {
-		if rbody, rep.Err = c.exchange(AppendBatchRequest(c.ebuf[:0], b)); rep.Err == nil {
-			rep.Resps, rep.Err = ParseBatchResponse(b.SubOps(), rbody)
-		}
-	} else if rbody, rep.Err = c.exchange(AppendRequest(c.ebuf[:0], req)); rep.Err == nil {
-		rep.Resp, rep.Err = ParseResponse(req.Op, rbody)
+		rbody, err = c.exchange(AppendBatchRequest(c.ebuf[:0], b))
+	} else {
+		rbody, err = c.exchange(AppendRequest(c.ebuf[:0], req))
 	}
-	return rep
+	if err == nil {
+		c.views, err = replyViews(b.Op != 0, req.Op, b.Reqs, rbody, c.views)
+	}
+	return Reply{Views: c.views, Err: err}
 }
 
 // exchange takes a request just encoded onto ebuf (or the encoder's
@@ -186,7 +187,9 @@ func (c *Client) MigApply(puts []Entry, dels []string) (int, error) {
 // single-goroutine.
 type LocalConn struct {
 	Core
-	h *Handle
+	h     *Handle
+	views []ResponseView // the last reply, reused
+	val   []byte         // a single get's value, reused
 }
 
 // NewLocalConn creates an in-process connection; node is the NUMA hint.
@@ -197,30 +200,46 @@ func (s *Store) NewLocalConn(node int) *LocalConn {
 }
 
 // Start is the in-process transport: the group runs on the handle before
-// it returns — a batch through Handle.ExecBatch, so direct connections
-// amortize shard locking exactly like the wire path.
+// it returns — a batch as one grouped execution on the handle's reused
+// response slice and arena, exactly as ExecViews serves a frame, so
+// direct connections amortize shard locking like the wire path and
+// allocate as little. The views alias that storage: valid until the next
+// Start.
 func (c *LocalConn) Start(req Request, b Batch) Reply {
 	if b.Op != 0 {
-		return Reply{Resps: c.h.ExecBatch(b.Reqs)}
+		resps := c.h.execReqs(b.Reqs)
+		if cap(c.views) < len(resps) {
+			c.views = make([]ResponseView, len(resps))
+		}
+		c.views = c.views[:len(resps)]
+		for i := range resps {
+			r := &resps[i]
+			c.views[i] = ResponseView{Status: r.Status, Created: r.Created, Value: r.Value,
+				Msg: []byte(r.Msg), Scanned: len(r.Entries), Entries: r.Entries}
+		}
+		return Reply{Views: c.views}
 	}
-	resp := Response{Status: StatusNotFound}
+	v := ResponseView{Status: StatusNotFound}
 	var ok bool
 	switch req.Op {
 	case OpGet:
-		resp.Value, ok = c.h.Get(req.Key)
+		c.val, ok = c.h.GetAppend(req.Key, recycle(c.val))
+		v.Value = c.val
 	case OpPut:
-		resp.Created, ok = c.h.Put(req.Key, req.Value), true
+		v.Created, ok = c.h.Put(req.Key, req.Value), true
 	case OpDelete:
 		ok = c.h.Delete(req.Key)
 	case OpScan:
-		resp.Entries, ok = c.h.Scan(req.Key, scanLimit(req.Limit)), true
+		v.Entries, ok = c.h.Scan(req.Key, scanLimit(req.Limit)), true
+		v.Scanned = len(v.Entries)
 	default:
 		return Reply{Err: ErrBadOp}
 	}
 	if ok {
-		resp.Status = StatusOK
+		v.Status = StatusOK
 	}
-	return Reply{Resp: resp}
+	c.views = append(c.views[:0], v)
+	return Reply{Views: c.views}
 }
 
 // Close is a no-op.

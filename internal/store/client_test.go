@@ -5,119 +5,263 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ssync/internal/locks"
 )
 
-// TestClientNoBufferAliasing is the regression test for the encode/read
-// scratch split in Client: with one shared buffer, a large Get response
-// landed in the same backing array the next Put request was encoded
-// into, so correctness silently depended on every parse path copying
-// out of the frame. The test interleaves large Get responses with Put
-// encodes and holds onto every returned value across later round trips
-// — any aliasing shows up as retained slices changing underneath us.
-func TestClientNoBufferAliasing(t *testing.T) {
-	s := New(Options{Shards: 2, Buckets: 8, Lock: locks.TICKET})
-	c := NewServer(s, 1).PipeClient()
-	defer c.Close()
+// keeper holds on to what a client returned together with a deep copy
+// taken on the spot, so that whatever a later frame overwrites — a value,
+// a scan entry or a message still aliasing a read buffer, a pooled frame
+// or an arena — shows when check compares the two at the end.
+type keeper struct{ kept []keptResult }
 
-	big := make([]byte, 128<<10)
-	for i := range big {
-		big[i] = byte(i * 7)
-	}
-	if _, err := c.Put("big", big); err != nil {
-		t.Fatal(err)
-	}
+type keptResult struct {
+	what      string
+	got, snap any
+}
 
-	var retained [][]byte
-	for i := 0; i < 8; i++ {
-		// A large response fills the read scratch...
-		v, found, err := c.Get("big")
-		if err != nil || !found {
-			t.Fatalf("Get(big) #%d: %v, %v", i, found, err)
-		}
-		retained = append(retained, v)
-		// ...then a Put encode reuses whatever scratch the client holds.
-		small := fmt.Sprintf("small-%02d", i)
-		if _, err := c.Put(small, bytes.Repeat([]byte{byte(i + 1)}, 512)); err != nil {
-			t.Fatal(err)
-		}
-		// And a small response follows a big one, shrinking the frame.
-		sv, found, err := c.Get(small)
-		if err != nil || !found || len(sv) != 512 || sv[0] != byte(i+1) {
-			t.Fatalf("Get(%s) = %d bytes, %v, %v", small, len(sv), found, err)
-		}
-		retained = append(retained, sv)
-	}
-	// Every value returned along the way must still be intact.
-	for i, v := range retained {
-		if i%2 == 0 {
-			if !bytes.Equal(v, big) {
-				t.Fatalf("retained big value %d corrupted by later round trips", i)
-			}
-		} else if len(v) != 512 || v[0] != byte(i/2+1) {
-			t.Fatalf("retained small value %d corrupted: % x...", i, v[:8])
+func (k *keeper) keep(what string, got any) {
+	k.kept = append(k.kept, keptResult{what, got, deepCopy(got)})
+}
+
+func (k *keeper) check(t *testing.T) {
+	t.Helper()
+	for _, r := range k.kept {
+		if !reflect.DeepEqual(r.got, r.snap) {
+			t.Errorf("%s: retained result changed under later frames", r.what)
 		}
 	}
 }
 
-// TestAsyncClientNoBufferAliasing extends the aliasing audit to the
-// multiplexed client, whose buffers churn through sync.Pools: request
-// bodies return to framePool the moment the writer copies them out, and
-// the read loop's frame scratch is recycled across clients. A future's
-// decoded value must survive all of that — including the client being
-// closed (scratch returned to the pool) while values are still
-// retained, and a second client immediately reusing the pooled buffers.
-func TestAsyncClientNoBufferAliasing(t *testing.T) {
-	s := New(Options{Shards: 2, Buckets: 8, Lock: locks.TICKET})
-	srv := NewServer(s, 1)
-	c := srv.PipeAsyncClient(8)
+func deepCopy(v any) any {
+	switch v := v.(type) {
+	case []byte:
+		return bytes.Clone(v)
+	case [][]byte:
+		out := make([][]byte, len(v))
+		for i := range v {
+			out[i] = bytes.Clone(v[i])
+		}
+		return out
+	case []Entry:
+		if v == nil {
+			return v
+		}
+		out := make([]Entry, len(v))
+		for i, e := range v {
+			out[i] = Entry{Key: strings.Clone(e.Key), Value: bytes.Clone(e.Value)}
+		}
+		return out
+	case Response:
+		v.Value, v.Msg = bytes.Clone(v.Value), strings.Clone(v.Msg)
+		v.Entries = deepCopy(v.Entries).([]Entry)
+		return v
+	case []Response:
+		out := make([]Response, len(v))
+		for i := range v {
+			out[i] = deepCopy(v[i]).(Response)
+		}
+		return out
+	}
+	panic(fmt.Sprintf("deepCopy: %T", v))
+}
 
+// aliasBig is the audits' large value: big enough to grow every read
+// buffer, and 40 of them in one batch overflow a response frame.
+func aliasBig() []byte {
 	big := make([]byte, 128<<10)
 	for i := range big {
 		big[i] = byte(i * 7)
 	}
+	return big
+}
+
+// keepBlockingSeven runs every blocking method of conn once, over a big
+// value and round's small keys, and keeps all they return: values,
+// multi-get values, batch responses with their scan entries, and the
+// MsgBatchOverflow messages of a batch answer too large for one frame.
+func keepBlockingSeven(t *testing.T, k *keeper, conn BatchConn, round int) {
+	t.Helper()
+	small := fmt.Sprintf("alias-small-%02d", round)
+	fill := bytes.Repeat([]byte{byte(round + 1)}, 512)
+	if _, err := conn.Put(small, fill); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.MPut([]Entry{{Key: small + "-m", Value: fill[:100]}}); err != nil {
+		t.Fatal(err)
+	}
+	// A large response fills the read scratch, then a small one follows
+	// it, shrinking the frame.
+	for _, key := range []string{"big", small} {
+		v, found, err := conn.Get(key)
+		if err != nil || !found {
+			t.Fatalf("Get(%s): %v, %v", key, found, err)
+		}
+		k.keep("Get "+key, v)
+	}
+	if v, _, _ := conn.Get(small); !bytes.Equal(v, fill) {
+		t.Fatalf("Get(%s) = %d bytes starting % x", small, len(v), v[:min(len(v), 4)])
+	}
+	vals, err := conn.MGet([]string{"big", small, "alias-absent", "big"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.keep("MGet", vals)
+	entries, err := conn.Scan("alias-small-", 0)
+	if err != nil || len(entries) < 2 {
+		t.Fatalf("Scan = %d entries, %v", len(entries), err)
+	}
+	k.keep("Scan", entries)
+	resps, err := conn.ExecBatch([]Request{{Op: OpGet, Key: "big"}, {Op: OpScan, Key: "alias-small-"},
+		{Op: OpGet, Key: small}, {Op: OpDelete, Key: small + "-m"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.keep("ExecBatch", resps)
+	if round > 0 {
+		return
+	}
+	// 40 × 128 KiB do not fit one response frame: the server degrades the
+	// tail to StatusError sub-responses, whose messages are kept too.
+	gets := make([]Request, 40)
+	for i := range gets {
+		gets[i] = Request{Op: OpGet, Key: "big"}
+	}
+	resps, err = conn.ExecBatch(gets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := resps[len(resps)-1]; last.Status != StatusError || last.Msg != MsgBatchOverflow {
+		t.Fatalf("the tail of a 5 MiB batch answer = status %d %q, want it degraded", last.Status, last.Msg)
+	}
+	k.keep("ExecBatch past one frame", resps)
+}
+
+// TestClientNoBufferAliasing is the frame-lifetime audit of the
+// lock-step client, whose views alias one read scratch that the next
+// frame overwrites, and whose request encodes reuse a second one: every
+// value, entry and message the blocking seven return is the caller's to
+// keep. The test interleaves large and small responses with Put encodes,
+// holds onto everything returned across more than a thousand later
+// frames, and compares at the end — any aliasing shows up as a retained
+// result changing underneath us.
+func TestClientNoBufferAliasing(t *testing.T) {
+	s := New(Options{Shards: 2, Buckets: 8, Lock: locks.TICKET})
+	c := NewServer(s, 1).PipeClient()
+	defer c.Close()
+	if _, err := c.Put("big", aliasBig()); err != nil {
+		t.Fatal(err)
+	}
+	var k keeper
+	for round := 0; round < 8; round++ {
+		keepBlockingSeven(t, &k, c, round)
+	}
+	// Later frames of every shape stomp over the scratch buffers.
+	for i := 0; i < 1000; i++ {
+		key := fmt.Sprintf("alias-small-%02d", i%8)
+		var err error
+		switch i % 4 {
+		case 0:
+			_, err = c.Put(key, bytes.Repeat([]byte{byte(i)}, 300+i%300))
+		case 1:
+			_, _, err = c.Get(key)
+		case 2:
+			_, err = c.MGet([]string{key, "big", key})
+		default:
+			_, err = c.Scan("alias-small-", 3)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.check(t)
+}
+
+// TestAsyncClientNoBufferAliasing extends the audit to the multiplexed
+// client, whose buffers churn through sync.Pools: request bodies return
+// to framePool the moment the writer copies them out, and every response
+// frame is handed to its future and goes back to the pool when that
+// future has been awaited. What the blocking seven, GetAsync(...).Wait()
+// and WaitBatch() return must survive all of that — more than a thousand
+// later frames at full window, the client being closed while results are
+// still retained, and a second client immediately reusing the pooled
+// buffers.
+func TestAsyncClientNoBufferAliasing(t *testing.T) {
+	const window = 8
+	s := New(Options{Shards: 2, Buckets: 8, Lock: locks.TICKET})
+	srv := NewServer(s, 1)
+	c := srv.PipeAsyncClient(window)
+	big := aliasBig()
 	if _, err := c.Put("big", big); err != nil {
 		t.Fatal(err)
 	}
 
-	var retained [][]byte
-	for i := 0; i < 8; i++ {
-		// A window of big gets and small puts in flight together: the
-		// read scratch refills while earlier futures' values are held.
-		gets := []*Future{c.GetAsync("big"), c.GetAsync("big")}
-		small := fmt.Sprintf("async-small-%02d", i)
-		if _, err := c.Put(small, bytes.Repeat([]byte{byte(i + 1)}, 512)); err != nil {
-			t.Fatal(err)
-		}
-		sf := c.GetAsync(small)
-		for _, f := range gets {
+	var k keeper
+	for round := 0; round < 8; round++ {
+		keepBlockingSeven(t, &k, c, round)
+		// A window of big gets, a scan and a batch in flight together:
+		// frames are handed over and recycled while earlier futures'
+		// results are held.
+		small := fmt.Sprintf("alias-small-%02d", round)
+		scalars := []*Future{c.GetAsync("big"), c.GetAsync(small), c.ScanAsync("alias-small-", 0), c.GetAsync("big")}
+		batches := []*Future{c.MGetAsync([]string{"big", small}), c.ScanAsync("alias-small-", 2),
+			c.BatchAsync([]Request{{Op: OpGet, Key: small}, {Op: OpScan, Key: "alias-small-"}})}
+		for i, f := range scalars {
 			resp, err := f.Wait()
 			if err != nil || resp.Status != StatusOK {
-				t.Fatalf("async Get(big) #%d: %+v, %v", i, resp, err)
+				t.Fatalf("round %d: async scalar %d: %+v, %v", round, i, resp.Status, err)
 			}
-			retained = append(retained, resp.Value)
+			k.keep("Wait", resp)
 		}
-		resp, err := sf.Wait()
-		if err != nil || len(resp.Value) != 512 || resp.Value[0] != byte(i+1) {
-			t.Fatalf("async Get(%s) = %d bytes, %v", small, len(resp.Value), err)
+		for i, f := range batches {
+			resps, err := f.WaitBatch()
+			if err != nil {
+				t.Fatalf("round %d: async batch %d: %v", round, i, err)
+			}
+			k.keep("WaitBatch", resps)
 		}
 	}
+	churnWindow(t, c, window, 1000)
 	// Close returns the client's pooled scratch; a second client then
 	// stomps over whatever buffers the pool hands back out.
 	c.Close()
-	c2 := srv.PipeAsyncClient(8)
+	c2 := srv.PipeAsyncClient(window)
 	defer c2.Close()
 	for i := 0; i < 4; i++ {
 		if _, _, err := c2.Get("big"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, v := range retained {
-		if !bytes.Equal(v, big) {
-			t.Fatalf("retained async value %d corrupted by pooled-buffer reuse", i)
+	churnWindow(t, c2, window, 200)
+	k.check(t)
+}
+
+// churnWindow pushes at least frames more frames of mixed shapes through
+// c, window at a time, so pooled buffers of every size change hands.
+func churnWindow(t *testing.T, c *AsyncClient, window, frames int) {
+	t.Helper()
+	futs := make([]*Future, window)
+	for sent := 0; sent < frames; sent += window {
+		for i := range futs {
+			key := fmt.Sprintf("alias-small-%02d", (sent+i)%8)
+			switch i % 4 {
+			case 0:
+				futs[i] = c.PutAsync(key, bytes.Repeat([]byte{byte(sent + i)}, 300+(sent+i)%300))
+			case 1:
+				futs[i] = c.GetAsync(key)
+			case 2:
+				futs[i] = c.MGetAsync([]string{key, "big", key})
+			default:
+				futs[i] = c.ScanAsync("alias-small-", 3)
+			}
+		}
+		for _, f := range futs {
+			if _, err := f.WaitBatch(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

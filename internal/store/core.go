@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sync"
 
 	"ssync/internal/workload"
 )
@@ -9,25 +10,34 @@ import (
 // One client core, four transports. A connection kind is a transport:
 // one function, Start, that begins a request group — a single Request
 // (a scalar frame) or a Batch (one batch frame) — and returns a Reply
-// holding either the finished responses or the Flight still carrying
+// holding either the group's responses or the Flight still carrying
 // them. The in-process LocalConn and the lock-step Client resolve a
 // group before Start returns; the windowed AsyncClient puts one frame in
 // flight; the routed cluster.Client splits a group per ring owner over
 // windowed connections. Everything above Start is written once, here:
 // the blocking surface with its chunking and overflow refetch, Issue,
 // the outcome tally and the server-error wrap.
+//
+// Every transport hands the Core views (ResponseView), never owning
+// responses: they alias the transport's read buffer, the handle's arena
+// or the response frame a Future owns. The Core is the one place a
+// response is copied out — once per frame for the blocking surface,
+// whose results are the caller's to keep, and not at all for Issue,
+// whose tally reads statuses and counts off the views.
 
 // Reply is what Start returns: the group's responses when the transport
 // resolved it at start, else the Flight to gather them from.
 type Reply struct {
-	Resp   Response   // a single Request's response
-	Resps  []Response // a Batch's sub-responses, in request order
+	// Views answers the group's requests in order (one view for a single
+	// Request). It aliases the transport's own buffers: valid until that
+	// transport's next Start.
+	Views  []ResponseView
 	Err    error
 	Flight *Flight
 }
 
 // Flight is a started group still on the wire: the frames it went out
-// as, each with the future its responses arrive on.
+// as, each holding the future its responses arrive on.
 type Flight struct {
 	Frames []Frame
 	// Merge folds a fanned-out scan's per-member shares (in frame order)
@@ -40,9 +50,12 @@ type Flight struct {
 	reqs []Request
 }
 
-// Frame is one request frame of a Flight.
+// Frame is one request frame of a Flight. It holds its Future, which the
+// connection's reader resolves in place: a Frame is filled where it
+// lies (AsyncClient.Submit into &frame.Fut) and never copied or moved
+// afterwards.
 type Frame struct {
-	Fut *Future
+	Fut Future
 	// At[j] is the group position the frame's response j answers; nil
 	// when the frame is the whole group, in order.
 	At []int
@@ -52,72 +65,113 @@ type Frame struct {
 	Fan, Limit int
 }
 
-func (fr Frame) at(j int) int {
-	if fr.At == nil {
-		return j
-	}
-	return fr.At[j]
-}
+// viewPool recycles the slices gather decodes frames into. A flight is
+// awaited on whatever goroutine calls Wait, so the scratch cannot live
+// on the connection; a decoded view never outlives the yield it is
+// handed to, so it need not live on the flight either.
+var viewPool = sync.Pool{New: func() any { return new([]ResponseView) }}
 
-// gather waits for the flight's frames in order and yields every
-// response with its group position, its request's opcode and its scan
-// entry count, stopping at the first error. With countOnly a fanned-out
-// scan yields the entry count its merge would have, without merging.
-func (fl *Flight) gather(countOnly bool, yield func(at int, op byte, r Response, scanned int) error) error {
+// gather waits for the flight's frames in order, decodes each response
+// frame — on this, the waiter's, goroutine — and yields its views with
+// the frame they answer, stopping at the first error. The views alias
+// the frame the future owns, which goes back to its pool when yield
+// returns. A fanned-out scan is yielded as one merged view under its
+// first frame; with countOnly it carries only the entry count the merge
+// would have, without merging.
+func (fl *Flight) gather(countOnly bool, yield func(fr *Frame, views []ResponseView) error) error {
+	vp := viewPool.Get().(*[]ResponseView)
+	defer viewPool.Put(vp)
 	for i := 0; i < len(fl.Frames); i++ {
-		fr := fl.Frames[i]
+		fr := &fl.Frames[i]
 		if fr.Fan > 0 {
-			r, n, err := fl.fanIn(fl.Frames[i:i+fr.Fan], countOnly)
-			if err == nil {
-				err = yield(fr.at(0), OpScan, r, n)
+			merged, err := fl.fanIn(fl.Frames[i:i+fr.Fan], countOnly, (*vp)[:0])
+			if err != nil {
+				return err
 			}
+			*vp = append((*vp)[:0], merged)
+			err = yield(fr, *vp)
+			(*vp)[0] = ResponseView{} // the pool must not pin a merged scan
 			if err != nil {
 				return err
 			}
 			i += fr.Fan - 1
 			continue
 		}
-		resps, err := fr.Fut.WaitBatch()
+		views, err := fr.Fut.await((*vp)[:0])
 		if err != nil {
 			return err
 		}
-		for j, r := range resps {
-			if err := yield(fr.at(j), fr.Fut.opAt(j), r, len(r.Entries)); err != nil {
-				return err
-			}
+		*vp = views
+		err = yield(fr, views)
+		fr.Fut.release()
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// fanIn folds one fanned-out scan: the merged response, or with
-// countOnly just min(sum of shares, limit) — what the merge would
+// fanIn folds one fanned-out scan into a view: the merged entries, or
+// with countOnly just min(sum of shares, limit) — what the merge would
 // return unless a resize's copy window holds a moving key twice; a
 // statistic, not an answer.
-func (fl *Flight) fanIn(frames []Frame, countOnly bool) (Response, int, error) {
+func (fl *Flight) fanIn(frames []Frame, countOnly bool, scratch []ResponseView) (ResponseView, error) {
 	var shares [][]Entry
 	if !countOnly {
 		shares = make([][]Entry, 0, len(frames))
 	}
 	n, limit := 0, frames[0].Limit
-	for _, fr := range frames {
-		r, err := fr.Fut.Wait()
+	for i := range frames {
+		f := &frames[i].Fut
+		views, err := f.await(scratch)
 		if err != nil {
-			return Response{}, 0, err
+			return ResponseView{}, err
 		}
-		n += len(r.Entries)
-		if !countOnly {
-			shares = append(shares, r.Entries)
+		share := &views[0]
+		if err = share.err(); err == nil {
+			n += share.Scanned
+			if !countOnly {
+				shares = append(shares, share.entries())
+			}
+		}
+		f.release()
+		if err != nil {
+			return ResponseView{}, err
 		}
 	}
 	if countOnly {
 		if limit > 0 && n > limit {
 			n = limit
 		}
-		return Response{Status: StatusOK}, n, nil
+		return ResponseView{Status: StatusOK, Scanned: n}, nil
 	}
 	entries := fl.Merge(shares, limit)
-	return Response{Status: StatusOK, Entries: entries}, len(entries), nil
+	return ResponseView{Status: StatusOK, Scanned: len(entries), Entries: entries}, nil
+}
+
+// replyViews decodes one response frame body into dst[:0] — the one
+// decode every wire transport runs: a batch's sub-responses against the
+// requests it was sent with, or a single request's one response.
+func replyViews(batch bool, op byte, reqs []Request, body []byte, dst []ResponseView) ([]ResponseView, error) {
+	if !batch {
+		dst = append(dst[:0], ResponseView{})
+		p := parser{buf: body}
+		p.responseView(op, &dst[0])
+		if err := p.finish(); err != nil {
+			return dst[:0], err
+		}
+		return dst, nil
+	}
+	views, err := batchResponseViews(subOps{reqs: reqs}, body, dst)
+	if err != nil {
+		// A reject of a batch carries a scalar error body, not a batch
+		// body: recover the server's message rather than reporting it as
+		// stream corruption.
+		if v, perr := ParseResponseView(0, body); perr == nil && v.Status == StatusError {
+			err = v.err()
+		}
+	}
+	return views, err
 }
 
 // Core is the client surface every connection kind shares, written over
@@ -142,34 +196,63 @@ func serverErr(status byte, msg string) error {
 	return fmt.Errorf("store: server error: %s", msg)
 }
 
-// roundTrip runs one request to completion; a StatusError response
-// surfaces as an error.
-func (c *Core) roundTrip(req Request) (Response, error) {
-	rep := c.start(req, Batch{})
-	if rep.Flight != nil {
-		rep.Err = rep.Flight.gather(false, func(_ int, _ byte, r Response, _ int) error {
-			rep.Resp = r
-			return nil
-		})
+func (v *ResponseView) err() error {
+	if v.Status != StatusError {
+		return nil
 	}
-	if rep.Err != nil {
-		return Response{}, rep.Err
-	}
-	return c.settle(nil, 0, rep.Resp)
+	return serverErr(v.Status, string(v.Msg))
 }
 
-// finish awaits a started batch: resps[i] answers b.Reqs[i].
-func finish(rep Reply, b Batch) ([]Response, error) {
-	fl := rep.Flight
-	if fl == nil {
-		return rep.Resps, rep.Err
+// roundTrip runs one request to completion and returns its response,
+// copied out; a StatusError response surfaces as an error.
+func (c *Core) roundTrip(req Request) (resp Response, err error) {
+	own := func(_ *Frame, views []ResponseView) error {
+		if err := views[0].err(); err != nil {
+			return err
+		}
+		resp = views[0].Owned()
+		return nil
 	}
-	if len(fl.Frames) == 1 && fl.Frames[0].At == nil && fl.Frames[0].Fan == 0 {
-		return fl.Frames[0].Fut.WaitBatch() // one frame carried the whole group
+	rep := c.start(req, Batch{})
+	switch {
+	case rep.Flight != nil:
+		err = rep.Flight.gather(false, own)
+	case rep.Err != nil:
+		err = rep.Err
+	default:
+		err = own(nil, rep.Views)
 	}
-	resps := make([]Response, len(b.Reqs))
-	if err := fl.gather(false, func(at int, _ byte, r Response, _ int) error {
-		resps[at] = r
+	return resp, err
+}
+
+// started is one batch begun for the blocking surface: the flight it is
+// on, or — from a transport that resolved it at start, whose views die
+// at its next Start — the responses, already copied out.
+type started struct {
+	b     Batch
+	resps []Response
+	err   error
+	fl    *Flight
+}
+
+func (c *Core) begin(b Batch) started {
+	rep := c.start(Request{}, b)
+	st := started{b: b, err: rep.Err, fl: rep.Flight}
+	if st.fl == nil && st.err == nil {
+		st.resps = ownedBatch(rep.Views)
+	}
+	return st
+}
+
+// finish awaits the batch: resps[i] answers b.Reqs[i], copied out frame
+// by frame — the group's one slice, and one value arena per frame.
+func (st *started) finish() ([]Response, error) {
+	if st.fl == nil {
+		return st.resps, st.err
+	}
+	resps := make([]Response, len(st.b.Reqs))
+	if err := st.fl.gather(false, func(fr *Frame, views []ResponseView) error {
+		ownResponses(resps, fr.At, views)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -177,17 +260,15 @@ func finish(rep Reply, b Batch) ([]Response, error) {
 	return resps, nil
 }
 
-// settle passes a response through unless it is a StatusError, which it
-// turns into an error — except for a batch sub-response the server
+// settle passes a batch's sub-response through unless it is a
+// StatusError, which it turns into an error — except for one the server
 // degraded to keep the batch under the frame bound (MsgBatchOverflow):
 // that request runs again on its own, since a single value always fits a
-// frame. reqs is nil for a group of one, which is never degraded.
+// frame.
 func (c *Core) settle(reqs []Request, at int, r Response) (Response, error) {
 	switch {
 	case r.Status != StatusError:
 		return r, nil
-	case reqs == nil:
-		return Response{}, serverErr(r.Status, r.Msg)
 	case r.Msg != MsgBatchOverflow:
 		return Response{}, fmt.Errorf("store: batch[%d]: %w", at, serverErr(r.Status, r.Msg))
 	}
@@ -237,15 +318,8 @@ func scanRequest(prefix string, limit int) Request {
 // connection is the contract: an encoded batch larger than MaxFrame
 // fails with ErrFrameTooLarge (MGet and MPut chunk instead).
 func (c *Core) ExecBatch(reqs []Request) ([]Response, error) {
-	b := Batch{Op: OpBatch, Reqs: reqs}
-	return finish(c.start(Request{}, b), b)
-}
-
-// started is one batch on the wire (or already answered) and the reply
-// its Start gave.
-type started struct {
-	b   Batch
-	rep Reply
+	st := c.begin(Batch{Op: OpBatch, Reqs: reqs})
+	return st.finish()
 }
 
 // startChunks starts one batch per chunk, every one before any is
@@ -253,8 +327,7 @@ type started struct {
 func startChunks[T any](c *Core, chunks [][]T, batch func([]T) Batch) []started {
 	sts := make([]started, len(chunks))
 	for i, chunk := range chunks {
-		b := batch(chunk)
-		sts[i] = started{b, c.start(Request{}, b)}
+		sts[i] = c.begin(batch(chunk))
 	}
 	return sts
 }
@@ -262,13 +335,13 @@ func startChunks[T any](c *Core, chunks [][]T, batch func([]T) Batch) []started 
 // settleAll awaits the batches in order and hands each sub-response,
 // settled, to each.
 func (c *Core) settleAll(sts []started, each func(r Response)) error {
-	for _, st := range sts {
-		resps, err := finish(st.rep, st.b)
+	for i := range sts {
+		resps, err := sts[i].finish()
 		if err != nil {
 			return err
 		}
 		for j, r := range resps {
-			if r, err = c.settle(st.b.Reqs, j, r); err != nil {
+			if r, err = c.settle(sts[i].b.Reqs, j, r); err != nil {
 				return err
 			}
 			each(r)
@@ -349,7 +422,8 @@ func chunkBy[T any](items []T, size func(T) int) [][]T {
 // Issue starts one op group for the workload engine: a single op as a
 // scalar request, several as one batch. On a transport that resolves at
 // start the returned Pending already holds the tally; otherwise it holds
-// the flight, and Wait gathers and tallies it.
+// the flight, and Wait gathers and tallies it. Either way the tally
+// reads the views and copies nothing out of them.
 func (c *Core) Issue(ops []workload.Op) workload.Pending {
 	var req Request
 	var b Batch
@@ -366,18 +440,11 @@ func (c *Core) Issue(ops []workload.Op) workload.Pending {
 		fl.core, fl.reqs = c, b.Reqs
 		return &pending{fl: fl}
 	}
-	var out workload.Outcome
-	err := rep.Err
-	switch {
-	case err != nil:
-	case b.Op == 0:
-		err = c.tally(&out, nil, 0, req.Op, &rep.Resp, len(rep.Resp.Entries))
-	default:
-		for i := 0; i < len(rep.Resps) && err == nil; i++ {
-			err = c.tally(&out, b.Reqs, i, b.Reqs[i].Op, &rep.Resps[i], len(rep.Resps[i].Entries))
-		}
+	p := &pending{err: rep.Err}
+	if p.err == nil {
+		p.err = c.tally(&p.out, b.Reqs, req.Op, nil, rep.Views)
 	}
-	return &pending{out: out, err: err}
+	return p
 }
 
 // from sets r to the wire request for one workload op. It fills r in
@@ -408,38 +475,69 @@ type pending struct {
 func (p *pending) Wait() (workload.Outcome, error) {
 	if fl := p.fl; fl != nil {
 		p.fl = nil
-		p.err = fl.gather(true, func(at int, op byte, r Response, scanned int) error {
-			return fl.core.tally(&p.out, fl.reqs, at, op, &r, scanned)
+		p.err = fl.gather(true, func(fr *Frame, views []ResponseView) error {
+			return fl.core.tally(&p.out, fl.reqs, fr.Fut.op, fr.At, views)
 		})
 	}
 	return p.out, p.err
 }
 
-// tally counts one answered request into out — the one place responses
-// become an Outcome. A failed request returns its error and is not
-// counted.
-func (c *Core) tally(out *workload.Outcome, reqs []Request, at int, op byte, r *Response, scanned int) error {
-	if r.Status == StatusError {
-		settled, err := c.settle(reqs, at, *r)
+// tally counts one frame's answers into out — the one place responses
+// become an Outcome, read off the views with nothing copied. views[j]
+// answers reqs[at[j]] (reqs[j] with at nil), or a group of one's lone
+// request, whose opcode is one, when reqs is nil. A failed request
+// returns its error and is not counted. A sub-response the server
+// degraded (MsgBatchOverflow, recognised in the frame's bytes) is
+// refetched through settle after the frame's other views have been
+// read: the refetch is another Start, and on a transport that resolves
+// at start that is the end of these views.
+func (c *Core) tally(out *workload.Outcome, reqs []Request, one byte, at []int, views []ResponseView) error {
+	var refetch []int
+	for j := range views {
+		v, pos, op := &views[j], j, one
+		if at != nil {
+			pos = at[j]
+		}
+		if reqs != nil {
+			op = reqs[pos].Op
+		}
+		switch {
+		case v.Status != StatusError:
+			count(out, op, v.Status == StatusOK, v.Created, v.Scanned)
+		case reqs == nil:
+			return v.err()
+		case string(v.Msg) == MsgBatchOverflow:
+			refetch = append(refetch, pos)
+		default:
+			_, err := c.settle(reqs, pos, Response{Status: StatusError, Msg: string(v.Msg)})
+			return err
+		}
+	}
+	for _, pos := range refetch {
+		r, err := c.settle(reqs, pos, Response{Status: StatusError, Msg: MsgBatchOverflow})
 		if err != nil {
 			return err
 		}
-		r, scanned = &settled, len(settled.Entries)
+		count(out, reqs[pos].Op, r.Status == StatusOK, r.Created, len(r.Entries))
 	}
+	return nil
+}
+
+// count adds one answered request to out.
+func count(out *workload.Outcome, op byte, ok, created bool, scanned int) {
 	out.Ops++
 	switch op {
 	case OpGet:
-		if r.Status == StatusOK {
+		if ok {
 			out.Hits++
 		} else {
 			out.Misses++
 		}
 	case OpPut:
-		if r.Created {
+		if created {
 			out.Created++
 		}
 	case OpScan:
 		out.Scanned += uint64(scanned)
 	}
-	return nil
 }

@@ -14,8 +14,8 @@ import (
 // four clients this core replaced disagreed (Ops: 1 for a failed scalar
 // op, a zero Outcome for a failed batch, a partial total when routed).
 func TestIssueErrorCountsAnswered(t *testing.T) {
-	ok := Response{Status: StatusOK, Value: []byte("v")}
-	refused := Response{Status: StatusError, Msg: "refused"}
+	ok := ResponseView{Status: StatusOK, Value: []byte("v")}
+	refused := ResponseView{Status: StatusError, Msg: []byte("refused")}
 	broken := errors.New("transport broke")
 	gets := []workload.Op{{Kind: workload.KindGet, Key: "a"}, {Kind: workload.KindGet, Key: "b"},
 		{Kind: workload.KindGet, Key: "c"}, {Kind: workload.KindGet, Key: "d"}}
@@ -31,11 +31,11 @@ func TestIssueErrorCountsAnswered(t *testing.T) {
 		ops   []workload.Op
 		want  workload.Outcome
 	}{
-		{"one op refused", func(Request, Batch) Reply { return Reply{Resp: refused} }, gets[:1], workload.Outcome{}},
+		{"one op refused", func(Request, Batch) Reply { return Reply{Views: []ResponseView{refused}} }, gets[:1], workload.Outcome{}},
 		{"one op, transport error", func(Request, Batch) Reply { return Reply{Err: broken} }, gets[:1], workload.Outcome{}},
 		{"group, transport error", func(Request, Batch) Reply { return Reply{Err: broken} }, gets, workload.Outcome{}},
 		{"group, third op refused", func(Request, Batch) Reply {
-			return Reply{Resps: []Response{ok, {Status: StatusNotFound}, refused, ok}}
+			return Reply{Views: []ResponseView{ok, {Status: StatusNotFound}, refused, ok}}
 		}, gets, workload.Outcome{Ops: 2, Hits: 1, Misses: 1}},
 		{"one op in flight on a closed connection", closed.Start, gets[:1], workload.Outcome{}},
 		{"group in flight on a closed connection", closed.Start, gets, workload.Outcome{}},

@@ -41,7 +41,7 @@ func stressAsyncClients(t *testing.T, dial func() (net.Conn, error), nClients, d
 			window := make([]*Future, 0, depth)
 			expect := make(map[*Future]string) // future -> private value expected (gets only)
 			settle := func(f *Future) bool {
-				if f.subs != nil {
+				if f.batch {
 					if _, err := f.WaitBatch(); err != nil {
 						t.Errorf("client %d: batch: %v", c, err)
 						return false

@@ -423,8 +423,8 @@ type Handle struct {
 	groups [][]int
 	batch  batchOps // the batch in execution; hashes is reused
 	scans  []int
-	// ExecViews' results: resps[i].Value aliases arena, and both are
-	// rewritten by the handle's next ExecViews.
+	// ExecViews' (and execReqs') results: resps[i].Value aliases arena,
+	// and both are rewritten by the handle's next such batch.
 	resps []Response
 	arena []byte
 }
@@ -532,13 +532,27 @@ func (h *Handle) ExecViewsOnly(reqs []RequestView, idxs []int) []Response {
 }
 
 func (h *Handle) execViews(reqs []RequestView, idxs []int, subset bool) []Response {
-	if cap(h.resps) < len(reqs) {
-		h.resps = make([]Response, len(reqs))
+	h.batch.reqs, h.batch.views = nil, reqs
+	return h.execShared(len(reqs), idxs, subset)
+}
+
+// execReqs is ExecBatch with ExecViews' ownership: the responses are the
+// handle's, valid until its next batch. It is what the in-process
+// LocalConn runs a group on — the Core copies out what its caller keeps.
+func (h *Handle) execReqs(reqs []Request) []Response {
+	h.batch.reqs, h.batch.views = reqs, nil
+	return h.execShared(len(reqs), nil, false)
+}
+
+// execShared runs the n-request batch in h.batch on the handle's reused
+// response slice and arena.
+func (h *Handle) execShared(n int, idxs []int, subset bool) []Response {
+	if cap(h.resps) < n {
+		h.resps = make([]Response, n)
 	}
-	resps := h.resps[:len(reqs)]
+	resps := h.resps[:n]
 	clear(resps)
 	h.arena = recycle(h.arena)
-	h.batch.reqs, h.batch.views = nil, reqs
 	h.execOps(idxs, subset, resps, &h.arena)
 	return resps
 }

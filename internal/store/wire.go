@@ -301,34 +301,140 @@ func AppendResponse(dst []byte, op byte, resp Response) ([]byte, error) {
 	return dst, nil
 }
 
-// ParseResponse decodes one response body for a request with opcode op.
-func ParseResponse(op byte, body []byte) (Response, error) {
+// ResponseView is a zero-copy decoded scalar response — the client's
+// mirror of RequestView: Value, Raw and Msg alias the frame body they
+// were parsed from, so a view is only valid until that buffer is reused
+// or returned to a pool. It is the only shape a client transport hands
+// the Core, scalar frames and batch sub-responses alike; the owning
+// Response exists for what a caller keeps (Owned is the one copy-out).
+type ResponseView struct {
+	Status  byte
+	Created bool   // OpPut
+	Value   []byte // OpGet hit; aliases the frame
+	Msg     []byte // StatusError detail; aliases the frame
+	// An OpScan's result is Scanned entries: still in wire form in Raw
+	// (aliasing the frame), or — from a transport with no frame to alias,
+	// in-process execution and a routed scan's merge — decoded in Entries.
+	Scanned int
+	Raw     []byte
+	Entries []Entry
+}
+
+// Owned returns the owning copy of v — the one copy-out a view is
+// allowed, taken for whatever the caller keeps past the frame.
+func (v *ResponseView) Owned() Response {
+	return Response{Status: v.Status, Created: v.Created, Value: append([]byte(nil), v.Value...),
+		Entries: v.entries(), Msg: string(v.Msg)}
+}
+
+// ownResponses is the copy-out of a whole frame: dst[j] (dst[at[j]] when
+// at is set) becomes views[j]'s owning copy, with every hit value in one
+// arena, capacity-clipped so nothing appended to one value can grow into
+// the next — two allocations a frame, not one a hit.
+func ownResponses(dst []Response, at []int, views []ResponseView) {
+	size := 0
+	for i := range views {
+		size += len(views[i].Value)
+	}
+	var arena []byte
+	if size > 0 {
+		arena = make([]byte, 0, size)
+	}
+	for j := range views {
+		v, r := &views[j], &dst[j]
+		if at != nil {
+			r = &dst[at[j]]
+		}
+		*r = Response{Status: v.Status, Created: v.Created, Entries: v.entries(), Msg: string(v.Msg)}
+		if len(v.Value) > 0 {
+			lo := len(arena)
+			arena = append(arena, v.Value...)
+			r.Value = arena[lo:len(arena):len(arena)]
+		}
+	}
+}
+
+// ownedBatch is a whole frame's owning copy: nil for an empty one.
+func ownedBatch(views []ResponseView) []Response {
+	if len(views) == 0 {
+		return nil
+	}
+	resps := make([]Response, len(views))
+	ownResponses(resps, nil, views)
+	return resps
+}
+
+// entries decodes a scan view's entry list. Instead of one string and
+// one slice allocation per entry, the raw entry bytes are copied out
+// twice up front — once as the backing string for every key, once as the
+// backing array for every value — and the entries point into those two
+// blobs. Result slices therefore share backing storage: retaining any
+// single entry pins roughly the whole scan, which is the right trade for
+// scan results that are consumed and dropped.
+func (v *ResponseView) entries() []Entry {
+	if v.Entries != nil || v.Scanned == 0 {
+		return v.Entries
+	}
+	keyBlob := string(v.Raw)
+	valBlob := append([]byte(nil), v.Raw...)
+	entries := make([]Entry, v.Scanned)
+	p := parser{buf: v.Raw} // validated when the view was decoded
+	for i := range entries {
+		k := p.bytes16()
+		val := p.bytes32(MaxValueLen)
+		kStart := p.off - len(val) - 4 - len(k)
+		entries[i].Key = keyBlob[kStart : kStart+len(k)]
+		if len(val) > 0 {
+			vStart := p.off - len(val)
+			entries[i].Value = valBlob[vStart:p.off:p.off]
+		}
+	}
+	return entries
+}
+
+// ParseResponseView decodes one response body for a request with opcode
+// op without copying anything out of it, with exactly ParseResponse's
+// validation.
+func ParseResponseView(op byte, body []byte) (v ResponseView, err error) {
 	p := parser{buf: body}
-	resp := p.response(op)
+	p.responseView(op, &v)
+	if err := p.finish(); err != nil {
+		return ResponseView{}, err
+	}
+	return v, nil
+}
+
+// ParseResponse decodes one response body for a request with opcode op
+// into an owning Response.
+func ParseResponse(op byte, body []byte) (Response, error) {
+	var v ResponseView
+	p := parser{buf: body}
+	p.responseView(op, &v)
 	if err := p.finish(); err != nil {
 		return Response{}, err
 	}
-	return resp, nil
+	return v.Owned(), nil
 }
 
-// response decodes one scalar response at the cursor for a request with
-// opcode op (self-delimiting, shared with the batch response parser).
-func (p *parser) response(op byte) Response {
-	var resp Response
-	resp.Status = p.u8()
+// responseView decodes one scalar response at the cursor for a request
+// with opcode op (self-delimiting, shared with the batch response
+// decoder) into the zero view v, aliasing the parsed buffer. A scan's
+// entries are walked — every length checked — but not materialised.
+func (p *parser) responseView(op byte, v *ResponseView) {
+	v.Status = p.u8()
 	switch {
-	case resp.Status == StatusError:
-		resp.Msg = string(p.bytes16())
-	case resp.Status == StatusNotFound:
-	case resp.Status == StatusOK:
+	case v.Status == StatusError:
+		v.Msg = p.bytes16()
+	case v.Status == StatusNotFound:
+	case v.Status == StatusOK:
 		switch op {
 		case OpGet:
-			resp.Value = append([]byte(nil), p.bytes32(MaxValueLen)...)
+			v.Value = p.bytes32(MaxValueLen)
 		case OpPut:
 			switch flag := p.u8(); flag {
 			case 0:
 			case 1:
-				resp.Created = true
+				v.Created = true
 			default:
 				if p.err == nil {
 					p.err = fmt.Errorf("store: invalid created flag %d", flag)
@@ -336,7 +442,15 @@ func (p *parser) response(op byte) Response {
 			}
 		case OpDelete:
 		case OpScan:
-			resp.Entries = p.scanEntries()
+			n := p.u32()
+			lo := p.off
+			for i := uint32(0); i < n && p.err == nil; i++ {
+				p.bytes16()
+				p.bytes32(MaxValueLen)
+			}
+			if p.err == nil {
+				v.Scanned, v.Raw = int(n), p.buf[lo:p.off]
+			}
 		default:
 			if p.err == nil {
 				p.err = ErrBadOp
@@ -344,50 +458,9 @@ func (p *parser) response(op byte) Response {
 		}
 	default:
 		if p.err == nil {
-			p.err = fmt.Errorf("store: unknown status %d", resp.Status)
+			p.err = fmt.Errorf("store: unknown status %d", v.Status)
 		}
 	}
-	return resp
-}
-
-// scanEntries decodes a scan response's entry list. Instead of one
-// string and one slice allocation per entry, the remaining body is
-// copied out twice up front — once as the backing string for every key,
-// once as the backing array for every value — and the entries point
-// into those two blobs. Result slices therefore share backing storage:
-// retaining any single entry pins roughly the whole response, which is
-// the right trade for scan results that are consumed and dropped.
-func (p *parser) scanEntries() []Entry {
-	n := p.u32()
-	if p.err != nil || n == 0 {
-		return nil
-	}
-	rest := p.buf[p.off:]
-	base := p.off
-	keyBlob := string(rest)
-	valBlob := append([]byte(nil), rest...)
-	// Each entry occupies at least its 6 header bytes; cap the
-	// preallocation by that so a lying count cannot allocate unboundedly.
-	hint := int(n)
-	if max := len(rest)/6 + 1; hint > max {
-		hint = max
-	}
-	entries := make([]Entry, 0, hint)
-	for i := uint32(0); i < n && p.err == nil; i++ {
-		k := p.bytes16()
-		v := p.bytes32(MaxValueLen)
-		if p.err != nil {
-			break
-		}
-		kStart := p.off - len(v) - 4 - len(k) - base
-		e := Entry{Key: keyBlob[kStart : kStart+len(k)]}
-		if len(v) > 0 {
-			vStart := p.off - len(v) - base
-			e.Value = valBlob[vStart : vStart+len(v) : vStart+len(v)]
-		}
-		entries = append(entries, e)
-	}
-	return entries
 }
 
 // parser is a cursor over a message body; the first failure sticks and

@@ -259,27 +259,66 @@ func AppendBatchResponse(dst []byte, ops []byte, resps []Response) ([]byte, erro
 	return dst, nil
 }
 
-// ParseBatchResponse decodes a batch response body against the
-// sub-request opcodes the batch was sent with.
-func ParseBatchResponse(ops []byte, body []byte) ([]Response, error) {
+// subOps is the sub-request opcodes a batch response is decoded
+// against: listed, or read off the requests the batch was sent with —
+// exactly one of the two is set.
+type subOps struct {
+	ops  []byte
+	reqs []Request
+}
+
+func (s subOps) len() int { return len(s.ops) + len(s.reqs) }
+
+func (s subOps) at(i int) byte {
+	if s.reqs != nil {
+		return s.reqs[i].Op
+	}
+	return s.ops[i]
+}
+
+// batchResponseViews is the one batch response decoder: it appends the
+// sub-responses of body to dst[:0] as views aliasing it, sub-response i
+// decoded with sub-request i's opcode.
+func batchResponseViews(subs subOps, body []byte, dst []ResponseView) ([]ResponseView, error) {
 	p := parser{buf: body}
 	n := int(p.u16())
-	if p.err == nil && (n != len(ops) || n > MaxBatchOps) {
+	if p.err == nil && (n != subs.len() || n > MaxBatchOps) {
 		p.err = ErrBatchCount
 	}
-	// One slice for the whole batch, capped by the bytes actually there:
-	// every sub-response is at least its status byte.
-	var resps []Response
-	if fit := min(n, len(body)-p.off); p.err == nil && fit > 0 {
-		resps = make([]Response, 0, fit)
+	dst = dst[:0]
+	// Room for the whole batch at once, capped by the bytes actually
+	// there: every sub-response is at least its status byte.
+	if fit := min(n, len(body)-p.off); p.err == nil && fit > cap(dst) {
+		dst = make([]ResponseView, 0, fit)
 	}
 	for i := 0; i < n && p.err == nil; i++ {
-		resps = append(resps, p.response(ops[i]))
+		dst = append(dst, ResponseView{})
+		p.responseView(subs.at(i), &dst[i])
 	}
 	if err := p.finish(); err != nil {
+		return dst[:0], err
+	}
+	return dst, nil
+}
+
+// ParseBatchResponseView decodes a batch response body against the
+// sub-request opcodes the batch was sent with, without copying: it
+// appends the sub-responses to dst[:0] as views aliasing body.
+func ParseBatchResponseView(ops []byte, body []byte, dst []ResponseView) ([]ResponseView, error) {
+	return batchResponseViews(subOps{ops: ops}, body, dst)
+}
+
+// ParseBatchResponse is ParseBatchResponseView plus the copy-out that
+// makes the result owning: one slice, and one arena for the hit values.
+func ParseBatchResponse(ops []byte, body []byte) ([]Response, error) {
+	vp := viewPool.Get().(*[]ResponseView)
+	defer viewPool.Put(vp)
+	views, err := ParseBatchResponseView(ops, body, (*vp)[:0])
+	*vp = views[:0]
+	if err != nil {
 		return nil, err
 	}
-	return resps, nil
+	return ownedBatch(views), nil
 }
 
 // AppendTaggedRequest starts a tagged request: the OpTagged marker and

@@ -172,14 +172,23 @@ func FuzzParseBatchRequest(f *testing.F) {
 	})
 }
 
+// batchResponseSeeds is the seed corpus the two batch-response fuzzers
+// share: the sub-opcode context and the body.
+var batchResponseSeeds = []struct{ ops, body []byte }{
+	{[]byte{OpGet, OpPut}, []byte{0, 2, StatusOK, 0, 0, 0, 1, 'v', StatusOK, 1}},
+	{[]byte{OpDelete}, []byte{0, 1, StatusNotFound}},
+	{[]byte{OpScan}, []byte{0, 1, StatusOK, 0, 0, 0, 0}},
+	{[]byte{}, []byte{0, 0}},
+	{[]byte{OpGet}, []byte{0, 1, StatusError, 0, 2, 'n', 'o'}},
+	{[]byte{OpScan, OpGet}, []byte{0, 2, StatusOK, 0, 0, 0, 1, 0, 1, 'k', 0, 0, 0, 2, 'v', 'w', StatusOK, 0, 0, 0, 1, 'z'}},
+}
+
 // FuzzParseBatchResponse holds the batch response parser to the same
 // standard: the sub-opcode context comes from the fuzzer too.
 func FuzzParseBatchResponse(f *testing.F) {
-	f.Add([]byte{OpGet, OpPut}, []byte{0, 2, StatusOK, 0, 0, 0, 1, 'v', StatusOK, 1})
-	f.Add([]byte{OpDelete}, []byte{0, 1, StatusNotFound})
-	f.Add([]byte{OpScan}, []byte{0, 1, StatusOK, 0, 0, 0, 0})
-	f.Add([]byte{}, []byte{0, 0})
-	f.Add([]byte{OpGet}, []byte{0, 1, StatusError, 0, 2, 'n', 'o'})
+	for _, s := range batchResponseSeeds {
+		f.Add(s.ops, s.body)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte, body []byte) {
 		resps, err := ParseBatchResponse(ops, body)
 		if err != nil {
@@ -191,6 +200,28 @@ func FuzzParseBatchResponse(f *testing.F) {
 		}
 		if !bytes.Equal(enc, body) {
 			t.Fatalf("non-canonical batch response:\nparsed %+v\nfrom % x\nre-enc % x", resps, body, enc)
+		}
+	})
+}
+
+// FuzzParseBatchResponseView is FuzzParseResponseView for a batch body:
+// same accept/reject and error as ParseBatchResponse, and every view
+// held to the owning sub-response it stands for.
+func FuzzParseBatchResponseView(f *testing.F) {
+	for _, s := range batchResponseSeeds {
+		f.Add(s.ops, s.body)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte, body []byte) {
+		resps, err := ParseBatchResponse(ops, body)
+		views, verr := ParseBatchResponseView(ops, body, nil)
+		if !sameErr(err, verr) {
+			t.Fatalf("owning parser: %v, view parser: %v", err, verr)
+		}
+		if len(views) != len(resps) {
+			t.Fatalf("%d views for %d owning sub-responses", len(views), len(resps))
+		}
+		for i := range views {
+			checkView(t, body, &views[i], resps[i])
 		}
 	})
 }

@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -170,14 +172,25 @@ func FuzzParseRequest(f *testing.F) {
 	})
 }
 
+// responseSeeds is the seed corpus the two scalar-response fuzzers share.
+var responseSeeds = []struct {
+	op   byte
+	body []byte
+}{
+	{OpGet, []byte{StatusOK, 0, 0, 0, 1, 'v'}},
+	{OpPut, []byte{StatusOK, 1}},
+	{OpDelete, []byte{StatusNotFound}},
+	{OpScan, []byte{StatusOK, 0, 0, 0, 0}},
+	{OpGet, []byte{StatusError, 0, 2, 'n', 'o'}},
+	{OpScan, []byte{StatusOK, 0, 0, 0, 2, 0, 1, 'a', 0, 0, 0, 1, 'x', 0, 2, 'b', 'c', 0, 0, 0, 0}},
+}
+
 // FuzzParseResponse holds the response parser to the same standard, per
 // opcode.
 func FuzzParseResponse(f *testing.F) {
-	f.Add(OpGet, []byte{StatusOK, 0, 0, 0, 1, 'v'})
-	f.Add(OpPut, []byte{StatusOK, 1})
-	f.Add(OpDelete, []byte{StatusNotFound})
-	f.Add(OpScan, []byte{StatusOK, 0, 0, 0, 0})
-	f.Add(OpGet, []byte{StatusError, 0, 2, 'n', 'o'})
+	for _, s := range responseSeeds {
+		f.Add(s.op, s.body)
+	}
 	f.Fuzz(func(t *testing.T, op byte, body []byte) {
 		resp, err := ParseResponse(op, body)
 		if err != nil {
@@ -194,4 +207,51 @@ func FuzzParseResponse(f *testing.F) {
 			t.Fatalf("non-canonical response encoding:\nparsed %+v\nfrom % x\nre-enc % x", resp, body, enc)
 		}
 	})
+}
+
+// FuzzParseResponseView is the differential fuzzer of the response view
+// decoder, with the owning parser as oracle: the same inputs accepted and
+// rejected with the same error, the view's copy-out equal to the owning
+// result, and nothing in the view reaching outside the body.
+func FuzzParseResponseView(f *testing.F) {
+	for _, s := range responseSeeds {
+		f.Add(s.op, s.body)
+	}
+	f.Fuzz(func(t *testing.T, op byte, body []byte) {
+		resp, err := ParseResponse(op, body)
+		view, verr := ParseResponseView(op, body)
+		if !sameErr(err, verr) {
+			t.Fatalf("owning parser: %v, view parser: %v", err, verr)
+		}
+		checkView(t, body, &view, resp)
+	})
+}
+
+// sameErr: both nil, or the same text (the decoders format some of their
+// errors, so two runs never return the same value).
+func sameErr(a, b error) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
+
+// checkView holds one decoded view to the owning response it stands for.
+func checkView(t *testing.T, body []byte, v *ResponseView, want Response) {
+	t.Helper()
+	if got := v.Owned(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("view.Owned() = %+v, owning parser: %+v", got, want)
+	}
+	if v.Scanned != len(want.Entries) || v.Entries != nil {
+		t.Fatalf("view counts %d scan entries (decoded: %v), owning parser has %d", v.Scanned, v.Entries != nil, len(want.Entries))
+	}
+	for name, field := range map[string][]byte{"Value": v.Value, "Msg": v.Msg, "Raw": v.Raw} {
+		if !within(body, field) {
+			t.Fatalf("view.%s reaches outside the body it was decoded from", name)
+		}
+	}
+}
+
+// within reports whether b's bytes lie inside body's.
+func within(body, b []byte) bool {
+	if len(b) == 0 {
+		return true
+	}
+	lo, p := uintptr(unsafe.Pointer(unsafe.SliceData(body))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return len(body) > 0 && p >= lo && p+uintptr(len(b)) <= lo+uintptr(len(body))
 }
