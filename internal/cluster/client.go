@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -150,31 +149,18 @@ func getGroups(n int) *routeScratch {
 func (s *routeScratch) release() { routePool.Put(s) }
 
 // mergeScan merges the members' scan shares (shares[j] is member j's,
-// in ring.members order) into one sorted, limit-trimmed slice,
-// deduplicating keys: during a resize's copy window a key can
-// transiently exist on both the old and the new owner, and the copy on
-// the node this topology's ring calls the owner wins.
+// in ring.members order) — each already sorted and trimmed to limit by
+// its node — with the store's one merge, stopping at limit. During a
+// resize's copy window a key can transiently exist on both the old and
+// the new owner; the merge meets the two copies side by side, takes the
+// key once, and the copy on the node this topology's ring calls the
+// owner wins.
 func (t *topology) mergeScan(shares [][]store.Entry, limit int) []store.Entry {
-	var entries []store.Entry
-	seen := map[string]int{} // key -> index in entries
-	for j, share := range shares {
-		for _, e := range share {
-			if at, dup := seen[e.Key]; dup {
-				if t.ring.Owner(e.Key) == t.ring.members[j] {
-					entries[at] = e
-				}
-				continue
-			}
-			seen[e.Key] = len(entries)
-			entries = append(entries, e)
-		}
-	}
-	sort.Slice(entries, func(a, b int) bool { return entries[a].Key < entries[b].Key })
-	if limit > 0 && len(entries) > limit {
-		entries = entries[:limit]
-	}
-	return entries
+	return store.MergeRuns(nil, shares, limit, t.ownsCopy)
 }
+
+// ownsCopy reports whether member j's copy of key is the ring owner's.
+func (t *topology) ownsCopy(key string, j int) bool { return t.ring.Owner(key) == t.ring.members[j] }
 
 // Start is the routed transport. A point op goes to its owner as that
 // connection's own flight. A group is split per owner node and each

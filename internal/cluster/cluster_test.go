@@ -276,22 +276,45 @@ func TestClusterScanMerge(t *testing.T) {
 		}
 		ref.Put(key, []byte{byte(i)})
 	}
-	for _, limit := range []int{0, 7, 50} {
-		got, err := cl.Scan("key-000001", limit) // keys 100..199
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref.Scan("key-000001", limit)
-		if len(got) != len(want) {
-			t.Fatalf("limit %d: %d entries, single-store scan has %d", limit, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Key != want[i].Key {
-				t.Fatalf("limit %d: entry %d is %q, want %q (merge order broken)",
-					limit, i, got[i].Key, want[i].Key)
+	check := func(when string) {
+		t.Helper()
+		for _, limit := range []int{0, 1, 7, 50} {
+			got, err := cl.Scan("key-000001", limit) // keys 100..199
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.Scan("key-000001", limit)
+			if len(got) != len(want) {
+				t.Fatalf("%s, limit %d: %d entries, single-store scan has %d", when, limit, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Key != want[i].Key || !bytes.Equal(got[i].Value, want[i].Value) {
+					t.Fatalf("%s, limit %d: entry %d is %q=%v, want %q=%v (merge order or owner rule broken)",
+						when, limit, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+				}
 			}
 		}
 	}
+	check("one copy per key")
+
+	// A resize's copy window, planted by hand: a key inside every limit's
+	// window also held, with another value, by the first member in merge
+	// order, which does not own it. The merge meets both copies side by
+	// side and must take the key once — the owner's copy — and still
+	// count it once against the limit.
+	first := c.Members()[0]
+	dup := -1
+	for i := 100; i < 107; i++ {
+		if cl.Owner(workload.Key(uint64(i))) != first {
+			dup = i
+			break
+		}
+	}
+	if dup < 0 {
+		t.Fatal("member 0 owns every key of the first window: pick another range")
+	}
+	c.Store(first).NewHandle(0).Put(workload.Key(uint64(dup)), []byte("stale copy"))
+	check(fmt.Sprintf("%s also on non-owner %d", workload.Key(uint64(dup)), first))
 }
 
 // TestClusterWorkloadDriver: the scenario engine drives a routed cluster

@@ -14,8 +14,8 @@ import (
 // cross-domain placement.
 
 // TestOptShardLayout: the optimistic engine's shard puts each hot
-// write-side word on its own line and starts the counter stripes
-// line-aligned. The precise offsets matter — before this layout,
+// write-side word on its own line, the buckets header and the key order
+// together on the next, and starts the counter stripes line-aligned. The precise offsets matter — before this layout,
 // stripes started at offset 96, so every stripe element straddled two
 // lines and stripe 0 shared one with the live counter.
 func TestOptShardLayout(t *testing.T) {
@@ -31,6 +31,11 @@ func TestOptShardLayout(t *testing.T) {
 	}
 	if o := unsafe.Offsetof(sh.buckets); o != 2*pad.CacheLineSize {
 		t.Errorf("buckets at offset %d, want %d", o, 2*pad.CacheLineSize)
+	}
+	// The key order is read with the buckets by every scan and written
+	// with them by every create and delete: it shares their line.
+	if o := unsafe.Offsetof(sh.order); o != 2*pad.CacheLineSize+unsafe.Sizeof(sh.buckets) {
+		t.Errorf("order at offset %d, want %d (right after buckets, on their line)", o, 2*pad.CacheLineSize+unsafe.Sizeof(sh.buckets))
 	}
 	if o := unsafe.Offsetof(sh.stripes); o%pad.CacheLineSize != 0 {
 		t.Errorf("stripes at offset %d, not line-aligned", o)

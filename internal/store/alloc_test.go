@@ -315,13 +315,14 @@ func issueOps(keys []string, n int, absent, scan bool) []workload.Op {
 // server half's TestBatchServeAllocs: Driver.Issue(ops).Wait() on each
 // single-store connection kind, at the benchmark's group shapes. Every
 // transport hands the Core views and the tally copies nothing, so a
-// scan-free group costs the same whatever its size and however many of
-// its gets hit: the one Pending, plus the group's request slice when it
-// is more than one op, plus on the windowed transport the flight, which
-// embeds its frame and future. Nothing per frame beyond that, nothing
-// per op, nothing per hit. A scan still pays the engine's walk and copy
-// (ROADMAP item 5), so its row is an upper bound. cluster's
-// TestIssueAllocs holds the routed transport to the same.
+// group costs the same whatever its size and however many of its gets
+// hit: the one Pending, plus the group's request slice when it is more
+// than one op, plus on the windowed transport the flight, which embeds
+// its frame and future. Nothing per frame beyond that, nothing per op,
+// nothing per hit — and, since a scan merges in the handle's scratch
+// (ExecViews server-side, execReqs in process) and the tally only counts
+// it, nothing per scan either. cluster's TestIssueAllocs holds the
+// routed transport to the same.
 func TestIssueAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -331,13 +332,13 @@ func TestIssueAllocs(t *testing.T) {
 	keys := allocKeys(s.NewHandle(0), 16, 64)
 	srv := NewServer(s, 1)
 	for _, kind := range []struct {
-		name                string
-		conn                BatchConn
-		one, group, scanMax float64
+		name       string
+		conn       BatchConn
+		one, group float64
 	}{
-		{"in-process", s.NewLocalConn(0), 1, 2, 20},
-		{"lock-step", srv.PipeClient(), 1, 2, 21},
-		{"windowed", srv.PipeAsyncClient(8), 2, 3, 22},
+		{"in-process", s.NewLocalConn(0), 1, 2},
+		{"lock-step", srv.PipeClient(), 1, 2},
+		{"windowed", srv.PipeAsyncClient(8), 2, 3},
 	} {
 		defer kind.conn.Close()
 		for _, shape := range issueShapes {
@@ -349,17 +350,11 @@ func TestIssueAllocs(t *testing.T) {
 			}
 			issue() // one warm-up group so steady-state buffers exist
 			got, want := testing.AllocsPerRun(100, issue), kind.group
-			switch {
-			case shape.scan:
-				if got > kind.scanMax {
-					t.Errorf("%s, group of %s: %.0f allocs per Issue+Wait, want <= %.0f", kind.name, shape.name, got, kind.scanMax)
-				}
-				continue
-			case shape.n == 1:
+			if shape.n == 1 {
 				want = kind.one
 			}
 			if got != want {
-				t.Errorf("%s, group of %s: %.0f allocs per Issue+Wait, want %.0f whatever the size and the hits", kind.name, shape.name, got, want)
+				t.Errorf("%s, group of %s: %.0f allocs per Issue+Wait, want %.0f whatever the size, the hits and the scans", kind.name, shape.name, got, want)
 			}
 		}
 	}

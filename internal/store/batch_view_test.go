@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"ssync/internal/race"
 )
@@ -105,8 +106,15 @@ func TestRecycle(t *testing.T) {
 	if got := recycle(make([]byte, 1, maxPooledBuf+1)); got != nil {
 		t.Errorf("a buffer past maxPooledBuf was kept (cap %d)", cap(got))
 	}
-	if got := recycle(nil); len(got) != 0 {
+	if got := recycle[byte](nil); len(got) != 0 {
 		t.Errorf("recycle(nil) = %v", got)
+	}
+	// Scratch slices of any element type are held to the same byte bound.
+	if got := recycle(make([]Entry, 1, maxPooledBuf/int(unsafe.Sizeof(Entry{})))); got == nil {
+		t.Error("an Entry scratch of exactly maxPooledBuf bytes was dropped")
+	}
+	if got := recycle(make([]Entry, 1, maxPooledBuf/int(unsafe.Sizeof(Entry{}))+1)); got != nil {
+		t.Errorf("an Entry scratch past maxPooledBuf bytes was kept (cap %d)", cap(got))
 	}
 	var pool sync.Pool
 	bp := new([]byte)

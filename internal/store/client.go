@@ -203,8 +203,9 @@ func (s *Store) NewLocalConn(node int) *LocalConn {
 // it returns — a batch as one grouped execution on the handle's reused
 // response slice and arena, exactly as ExecViews serves a frame, so
 // direct connections amortize shard locking like the wire path and
-// allocate as little. The views alias that storage: valid until the next
-// Start.
+// allocate as little; a single scan on the handle's merge scratch. The
+// views — scan entries included — alias that storage: valid until the
+// next Start (TestLocalConnNoBufferAliasing).
 func (c *LocalConn) Start(req Request, b Batch) Reply {
 	if b.Op != 0 {
 		resps := c.h.execReqs(b.Reqs)
@@ -230,7 +231,7 @@ func (c *LocalConn) Start(req Request, b Batch) Reply {
 	case OpDelete:
 		ok = c.h.Delete(req.Key)
 	case OpScan:
-		v.Entries, ok = c.h.Scan(req.Key, scanLimit(req.Limit)), true
+		v.Entries, ok = c.h.scan(keyOf(req.Key), scanLimit(req.Limit)), true
 		v.Scanned = len(v.Entries)
 	default:
 		return Reply{Err: ErrBadOp}

@@ -266,6 +266,54 @@ func churnWindow(t *testing.T, c *AsyncClient, window, frames int) {
 	}
 }
 
+// TestLocalConnNoBufferAliasing is the audit's fourth transport, the
+// in-process one, on every engine: its views alias the handle's response
+// slice, value arena, kept scan entries and scan merge scratch — with the
+// optimistic engine's values aliased straight out of its buckets and the
+// others' copied into a handle arena — and its next Start rewrites all
+// of it. Every value, multi-get value and scan entry the blocking seven
+// return must survive more than a thousand later Starts of every shape.
+// (Rounds start at 1: an in-process batch has no frame to overflow.)
+func TestLocalConnNoBufferAliasing(t *testing.T) {
+	for _, eng := range Engines {
+		t.Run(string(eng), func(t *testing.T) {
+			s := New(Options{Shards: 2, Buckets: 8, Engine: eng})
+			defer s.Close()
+			c := s.NewLocalConn(0)
+			defer c.Close()
+			if _, err := c.Put("big", aliasBig()); err != nil {
+				t.Fatal(err)
+			}
+			var k keeper
+			for round := 1; round <= 8; round++ {
+				keepBlockingSeven(t, &k, c, round)
+			}
+			for i := 0; i < 1200; i++ {
+				key := fmt.Sprintf("alias-small-%02d", i%9)
+				var err error
+				switch i % 6 {
+				case 0:
+					_, err = c.Put(key, bytes.Repeat([]byte{byte(i)}, 300+i%300))
+				case 1:
+					_, _, err = c.Get(key)
+				case 2:
+					_, err = c.MGet([]string{key, "big", key})
+				case 3:
+					_, err = c.Scan("alias-small-", i%4)
+				case 4:
+					_, err = c.ExecBatch([]Request{{Op: OpScan, Key: "alias-"}, {Op: OpGet, Key: key}, {Op: OpScan, Key: "alias-small-0", Limit: 2}})
+				default:
+					_, err = c.Delete(key)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			k.check(t)
+		})
+	}
+}
+
 // TestBatchEndToEnd drives the batch surface of all three connection
 // kinds — lock-step Client, LocalConn and AsyncClient — against one
 // store and expects identical semantics.

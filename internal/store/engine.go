@@ -74,8 +74,15 @@ type shardAccess interface {
 	// where execPointOps puts them (*arena, or an allocation each when
 	// arena is nil).
 	execGroup(shard int, ops *batchOps, idxs []int, resps []Response, arena *[]byte)
-	// scanShard appends copies of the shard's entries matching prefix.
-	scanShard(shard int, prefix string, out []Entry) []Entry
+	// scanShard appends the shard's entries whose keys start with prefix
+	// to out as one run sorted by key and trimmed to limit (limit <= 0:
+	// all) — the unit Handle's merge consumes. The prefix may alias a
+	// frame like any lookupKey. Keys are the engine's own immutable
+	// strings. A value aliases engine storage where that is immutable
+	// (optimistic) and is otherwise copied, under the engine's exclusion,
+	// onto *arena (locked, actor): either way it is valid until the caller
+	// reuses the arena, and the caller copies out what it keeps.
+	scanShard(shard int, prefix lookupKey, limit int, out []Entry, arena *[]byte) []Entry
 	// exportShard walks the shard's buckets from index from, appending
 	// copies of the entries whose hash satisfies pred, and stops early at
 	// a bucket boundary once maxEntries entries or maxBytes encoded bytes

@@ -67,13 +67,13 @@ type actorMsg struct {
 	ops   *batchOps
 	idxs  []int
 	resps []Response
-	arena *[]byte // actGroup: hit-value destination (see execPointOps)
+	arena *[]byte // actGroup: hit-value destination (see execPointOps); actScan: value copies
 	out   []Entry
 	// actExport parameters; pred runs on the owner goroutine, which is
 	// safe because it only reads hashes it is handed.
 	pred     func(uint64) bool
 	from     int
-	maxn     int
+	maxn     int // actExport: entry budget; actScan: limit
 	maxBytes int
 	reply    chan actorReply
 }
@@ -156,7 +156,7 @@ func (e *actorEngine) handle(tbl *shardTable, m actorMsg) {
 	case actGroup:
 		execPointOps(m.ops, m.idxs, m.resps, m.arena, tbl.get, tbl.put, tbl.del)
 	case actScan:
-		r.out = tbl.scan(m.key.s, m.out)
+		r.out = tbl.scan(m.key, m.maxn, m.out, m.arena)
 	case actExport:
 		r.n, r.out = tbl.export(m.from, m.pred, m.maxn, m.maxBytes, m.out)
 	case actEntries:
@@ -244,8 +244,14 @@ func (a *actorAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []Re
 	a.call(shard, actorMsg{kind: actGroup, ops: ops, idxs: idxs, resps: resps, arena: arena})
 }
 
-func (a *actorAccess) scanShard(shard int, prefix string, out []Entry) []Entry {
-	return a.call(shard, actorMsg{kind: actScan, key: keyOf(prefix), out: out}).out
+// scanShard ships the walk, the sort and the value copies to the owner
+// as one message; the prefix may alias the sender's frame like any key.
+// A zero reply (engine closed mid-call) hands out back unchanged.
+func (a *actorAccess) scanShard(shard int, prefix lookupKey, limit int, out []Entry, arena *[]byte) []Entry {
+	if r := a.call(shard, actorMsg{kind: actScan, key: prefix, maxn: limit, out: out, arena: arena}); r.out != nil {
+		return r.out
+	}
+	return out
 }
 
 // exportShard ships the walk as one message like everything else. A

@@ -78,10 +78,10 @@ func (a *lockedAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []R
 	execPointOps(ops, idxs, resps, arena, tbl.get, tbl.put, tbl.del)
 }
 
-func (a *lockedAccess) scanShard(shard int, prefix string, out []Entry) []Entry {
+func (a *lockedAccess) scanShard(shard int, prefix lookupKey, limit int, out []Entry, arena *[]byte) []Entry {
 	a.lock(shard)
 	defer a.unlock(shard)
-	return a.e.shards[shard].scan(prefix, out)
+	return a.e.shards[shard].scan(prefix, limit, out, arena)
 }
 
 func (a *lockedAccess) exportShard(shard, from int, pred func(uint64) bool, maxEntries, maxBytes int, out []Entry) (int, []Entry) {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"runtime"
+	"sort"
 	"sync/atomic"
 
 	"ssync/internal/hashkit"
@@ -19,8 +20,8 @@ import (
 // published bucket (immutability makes the load its own linearization
 // point, so unlike a classical seqlock it never validates or retries);
 // the version discipline is what gives per-shard *scans* — reads whose
-// footprint spans every bucket — a consistent snapshot that never
-// blocks writers.
+// footprint is the shard's key order and many buckets — a consistent
+// snapshot that never blocks writers.
 //
 // Because published buckets are never mutated in place, reads race with
 // nothing — the engine is exactly as race-detector-clean as the other
@@ -66,22 +67,29 @@ type optCounters struct {
 }
 
 // optShard is one shard: the seqlock version, the live-entry count,
-// the published buckets and the counter stripes. Field order is layout:
-// the two hot write-side words (version, bumped twice per publish;
-// live, bumped per create/delete) each own a full line so neither
-// invalidates the other's readers, the read-mostly buckets header is
-// padded out to the next line, and the stripes array then starts
-// line-aligned — without that, stripe elements straddle two lines and
-// stripe 0 shares one with the live counter, which is exactly the
-// false sharing the stripes exist to avoid. align_test.go pins these
-// offsets.
+// the published buckets, the ordered key view and the counter stripes.
+// Field order is layout: the two hot write-side words (version, bumped
+// twice per publish; live, bumped per create/delete) each own a full
+// line so neither invalidates the other's readers, the read-mostly
+// buckets header and order pointer share the next line, padded out, and
+// the stripes array then starts line-aligned — without that, stripe
+// elements straddle two lines and stripe 0 shares one with the live
+// counter, which is exactly the false sharing the stripes exist to
+// avoid. align_test.go pins these offsets.
+//
+// order is the shard's live keys, sorted: the same strings the buckets
+// hold, published copy-on-write by every create and delete inside the
+// same version window as the bucket it goes with, so a scan that
+// validates sees both or neither. It is what lets a prefix scan seek
+// and stop after limit keys instead of walking every bucket.
 //
 //ssync:cacheline
 type optShard struct {
 	version pad.Uint64
 	live    pad.Int64
 	buckets []atomic.Pointer[oBucket]
-	_       [pad.CacheLineSize - 24]byte
+	order   atomic.Pointer[[]string]
+	_       [pad.CacheLineSize - 32]byte
 	stripes [optStripes]optCounters
 }
 
@@ -202,14 +210,17 @@ func (a *optAccess) putLocked(sh *optShard, hash uint64, key lookupKey, value []
 	}
 	stored := append([]byte(nil), value...)
 	created := i < 0
+	var order *[]string // an overwrite leaves the key order as it is
 	if created {
+		k := key.str()
 		nb.hashes = append(nb.hashes, hash)
-		nb.keys = append(nb.keys, key.str())
+		nb.keys = append(nb.keys, k)
 		nb.vals = append(nb.vals, stored)
+		order = orderInsert(sh.order.Load(), k)
 	} else {
 		nb.vals[i] = stored
 	}
-	e.publish(sh, slot, nb)
+	e.publish(sh, slot, nb, order)
 	if created {
 		sh.live.Add(1)
 	}
@@ -235,17 +246,63 @@ func (a *optAccess) delLocked(sh *optShard, hash uint64, key lookupKey) bool {
 	nb.hashes = append(append(nb.hashes, old.hashes[:i]...), old.hashes[i+1:]...)
 	nb.keys = append(append(nb.keys, old.keys[:i]...), old.keys[i+1:]...)
 	nb.vals = append(append(nb.vals, old.vals[:i]...), old.vals[i+1:]...)
-	e.publish(sh, slot, nb)
+	e.publish(sh, slot, nb, orderDelete(sh.order.Load(), old.keys[i]))
 	sh.live.Add(-1)
 	return true
 }
 
-// publish swaps in a new bucket snapshot inside the seqlock write
-// window: odd version tells optimistic readers a publish is in flight.
-func (e *optimisticEngine) publish(sh *optShard, slot *atomic.Pointer[oBucket], nb *oBucket) {
+// publish swaps in a new bucket snapshot — and, when the write created
+// or deleted a key, the shard's new key order — inside the seqlock
+// write window: odd version tells optimistic readers a publish is in
+// flight.
+func (e *optimisticEngine) publish(sh *optShard, slot *atomic.Pointer[oBucket], nb *oBucket, order *[]string) {
 	sh.version.Add(1)
 	slot.Store(nb)
+	if order != nil {
+		sh.order.Store(order)
+	}
 	sh.version.Add(1)
+}
+
+// orderInsert returns the key order cur with k inserted. A key that
+// sorts last is appended in place when there is capacity: the slots past
+// a published length are never part of any published order (a removal
+// or mid-order insert always copies to a fresh array, so the lengths
+// published over one array only grow), so no reader can see the write.
+// Only that tail growth copies into slack — an eighth more, so a run of
+// ascending creates (a preload) copies the order once per eighth of
+// growth instead of once per key, at 2 B per key rather than the 16 B a
+// doubling costs. Anything else copies to the exact size.
+func orderInsert(cur *[]string, k string) *[]string {
+	var keys []string
+	if cur != nil {
+		keys = *cur
+	}
+	n := len(keys) + 1
+	i := sort.SearchStrings(keys, k)
+	if i == len(keys) {
+		if len(keys) == cap(keys) {
+			keys = append(make([]string, 0, n+n/8), keys...)
+		}
+		next := append(keys, k)
+		return &next
+	}
+	next := make([]string, n)
+	copy(next, keys[:i])
+	next[i] = k
+	copy(next[i+1:], keys[i:])
+	return &next
+}
+
+// orderDelete returns a copy of the key order cur without k, which it
+// holds.
+func orderDelete(cur *[]string, k string) *[]string {
+	keys := *cur
+	i := sort.SearchStrings(keys, k)
+	next := make([]string, len(keys)-1)
+	copy(next, keys[:i])
+	copy(next[i:], keys[i+1:])
+	return &next
 }
 
 // execGroup keeps the paradigm's promise at the batch layer: a group
@@ -275,10 +332,14 @@ func (a *optAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []Resp
 		func(hash uint64, key lookupKey) bool { return a.delLocked(sh, hash, key) })
 }
 
-// scanShard takes a seqlock snapshot of the whole shard: read every
-// published bucket, then validate the version. Writers are never
+// scanShard takes a seqlock snapshot of the keys it needs: load the
+// published key order, seek to the prefix, and for at most limit keys
+// find the value in the published bucket, then validate the version.
+// The run comes out sorted because the order is. Values alias the
+// published buckets, which are never mutated, so nothing is copied here
+// — the caller's merge copies the survivors once. Writers are never
 // blocked; the scan retries instead.
-func (a *optAccess) scanShard(shard int, prefix string, out []Entry) []Entry {
+func (a *optAccess) scanShard(shard int, prefix lookupKey, limit int, out []Entry, _ *[]byte) []Entry {
 	sh := &a.e.shards[shard]
 	a.count(sh).scans.Add(1)
 	base := len(out)
@@ -286,15 +347,21 @@ func (a *optAccess) scanShard(shard int, prefix string, out []Entry) []Entry {
 		v1 := sh.version.Load()
 		if v1&1 == 0 {
 			out = out[:base]
-			for bi := range sh.buckets {
-				b := sh.buckets[bi].Load()
-				if b == nil {
-					continue
+			var keys []string
+			if p := sh.order.Load(); p != nil {
+				keys = *p
+			}
+			for i := prefix.seek(keys); i < len(keys) && prefix.prefixOf(keys[i]); i++ {
+				if limit > 0 && len(out)-base == limit {
+					break
 				}
-				for i, k := range b.keys {
-					if hasPrefix(k, prefix) {
-						out = append(out, Entry{Key: k, Value: append([]byte(nil), b.vals[i]...)})
-					}
+				k := keys[i]
+				hash := hashKey(k)
+				b := a.e.bucketOf(sh, hash).Load()
+				// A miss is a torn read — a publish landed between the two
+				// loads — and the validation below rejects it.
+				if j := b.find(hash, keyOf(k)); j >= 0 {
+					out = append(out, Entry{Key: k, Value: b.vals[j]})
 				}
 			}
 			if sh.version.Load() == v1 {
@@ -308,7 +375,7 @@ func (a *optAccess) scanShard(shard int, prefix string, out []Entry) []Entry {
 }
 
 // exportShard is a seqlock snapshot walk over buckets [from, len),
-// exactly like scanShard but bounded: it stops at a bucket boundary
+// validated like scanShard and bounded: it stops at a bucket boundary
 // once the entry or byte budget is reached, and the whole chunk
 // revalidates against the shard version so a resumed walk never
 // observes a half-published bucket. Bucket indices are stable under

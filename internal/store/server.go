@@ -9,6 +9,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // connScratch pools the per-connection frame buffers (read body and
@@ -25,10 +26,12 @@ var connScratch = sync.Pool{New: func() any { return new([]byte) }}
 // on every buffer it passed through for as long as the pool lives.
 const maxPooledBuf = 64 << 10
 
-// recycle is the keep-or-drop decision for a reusable buffer: emptied
-// if it is worth keeping, nil if it outgrew maxPooledBuf.
-func recycle(buf []byte) []byte {
-	if cap(buf) > maxPooledBuf {
+// recycle is the keep-or-drop decision for a reusable buffer or scratch
+// slice: emptied if it is worth keeping, nil if its backing array
+// outgrew maxPooledBuf bytes.
+func recycle[T any](buf []T) []T {
+	var elem T
+	if uintptr(cap(buf))*unsafe.Sizeof(elem) > maxPooledBuf {
 		return nil
 	}
 	return buf[:0]
@@ -285,10 +288,11 @@ func (sv *Server) pipeConn() net.Conn {
 // ExecView runs one zero-copy scalar request against the handle,
 // encoding the response directly onto out (which already carries the
 // echoed tag; its length is the overhead a trimmed scan must respect).
-// For get/put/delete nothing on this path allocates in steady state:
-// the key stays a frame-aliasing byte slice all the way into the
-// engine, and a get's value is appended by the engine straight into
-// the response buffer behind a status byte and length placeholder.
+// Nothing on this path allocates in steady state: the key stays a
+// frame-aliasing byte slice all the way into the engine, a get's value
+// is appended by the engine straight into the response buffer behind a
+// status byte and length placeholder, and a scan is encoded from the
+// handle's merge scratch.
 func (h *Handle) ExecView(req RequestView, out []byte) ([]byte, error) {
 	switch req.Op {
 	case OpGet:
@@ -318,7 +322,7 @@ func (h *Handle) ExecView(req RequestView, out []byte) ([]byte, error) {
 		}
 		return append(out, StatusNotFound), nil
 	case OpScan:
-		entries := h.Scan(string(req.Key), scanLimit(req.Limit))
+		entries := h.scan(keyBytes(req.Key), scanLimit(req.Limit))
 		return AppendResponse(out, OpScan, Response{Status: StatusOK, Entries: trimToFrame(entries, len(out))})
 	}
 	return AppendResponse(out, req.Op, Response{Status: StatusError, Msg: ErrBadOp.Error()})

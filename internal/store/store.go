@@ -21,7 +21,9 @@ package store
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"ssync/internal/hashkit"
 	"ssync/internal/locks"
@@ -64,6 +66,24 @@ func (k lookupKey) str() string {
 		return string(k.b)
 	}
 	return k.s
+}
+
+// prefixOf reports whether s starts with k, k read as a scan prefix.
+func (k lookupKey) prefixOf(s string) bool {
+	if k.b != nil {
+		return len(s) >= len(k.b) && s[:len(k.b)] == string(k.b)
+	}
+	return len(s) >= len(k.s) && s[:len(k.s)] == k.s
+}
+
+// seek returns the index of the first of the sorted keys that does not
+// sort before k: where a prefix scan of k starts. Like eq, it compares
+// without converting a frame-aliasing key.
+func (k lookupKey) seek(keys []string) int {
+	if k.b != nil {
+		return sort.Search(len(keys), func(i int) bool { return keys[i] >= string(k.b) })
+	}
+	return sort.SearchStrings(keys, k.s)
 }
 
 // hash is FNV-1a over the key bytes, identical for both representations.
@@ -210,19 +230,31 @@ func (sh *shardTable) del(hash uint64, key lookupKey) bool {
 	return false
 }
 
-// scan appends copies of the entries whose keys start with prefix.
-func (sh *shardTable) scan(prefix string, out []Entry) []Entry {
+// scan appends the entries whose keys start with prefix to out as one
+// run sorted by key and trimmed to limit (limit <= 0: all). The table
+// has no order, so it walks every bucket and sorts what matched; the
+// values of the run's survivors are then copied onto *arena — the table
+// overwrites values in place, so nothing returned may alias it.
+func (sh *shardTable) scan(prefix lookupKey, limit int, out []Entry, arena *[]byte) []Entry {
 	sh.ops.Scans++
+	base := len(out)
 	for b := range sh.buckets {
 		for s := &sh.buckets[b]; s != nil; s = s.next {
 			for j := 0; j < segCap; j++ {
-				if s.used[j] && hasPrefix(s.keys[j], prefix) {
-					out = append(out, Entry{Key: s.keys[j], Value: append([]byte(nil), s.vals[j]...)})
+				if s.used[j] && prefix.prefixOf(s.keys[j]) {
+					out = append(out, Entry{Key: s.keys[j], Value: s.vals[j]})
 				}
 			}
 		}
 	}
-	return out
+	run := out[base:]
+	slices.SortFunc(run, func(x, y Entry) int { return strings.Compare(x.Key, y.Key) })
+	if limit > 0 && len(run) > limit {
+		clear(run[limit:]) // reused scratch must not keep table values reachable
+		run = run[:limit]
+	}
+	copyEntries(run[:0], arena, run) // in place
+	return out[:base+len(run)]
 }
 
 // export walks buckets [from, len) appending entries whose hash
@@ -403,12 +435,13 @@ func (b *batchOps) at(i int) (op byte, key lookupKey, value []byte) {
 	return r.Op, keyOf(r.Key), r.Value
 }
 
-// scan returns scan sub-request i's prefix and limit.
-func (b *batchOps) scan(i int) (prefix string, limit int) {
+// scan returns scan sub-request i's prefix and limit; the prefix aliases
+// the frame when the batch is views.
+func (b *batchOps) scan(i int) (prefix lookupKey, limit int) {
 	if b.views != nil {
-		return string(b.views[i].Key), scanLimit(b.views[i].Limit)
+		return keyBytes(b.views[i].Key), scanLimit(b.views[i].Limit)
 	}
-	return b.reqs[i].Key, scanLimit(b.reqs[i].Limit)
+	return keyOf(b.reqs[i].Key), scanLimit(b.reqs[i].Limit)
 }
 
 // Handle is a per-goroutine accessor carrying the engine's per-goroutine
@@ -423,10 +456,25 @@ type Handle struct {
 	groups [][]int
 	batch  batchOps // the batch in execution; hashes is reused
 	scans  []int
-	// ExecViews' (and execReqs') results: resps[i].Value aliases arena,
-	// and both are rewritten by the handle's next such batch.
+	// ExecViews' (and execReqs') results: resps[i].Value and a scan's
+	// entry values alias arena, its entries alias kept, and all three are
+	// rewritten by the handle's next such batch.
 	resps []Response
 	arena []byte
+	kept  []Entry
+	sc    scanScratch
+}
+
+// scanScratch is a handle's prefix-scan workspace, reused across scans:
+// the shards' sorted runs back to back, the merge's view of each run,
+// the arena the locked and actor engines copy run values onto, and the
+// merged result. Everything in it is rewritten by the handle's next
+// scan.
+type scanScratch struct {
+	runs   []Entry
+	heads  [][]Entry
+	arena  []byte
+	merged []Entry
 }
 
 // NewHandle creates an accessor; node is the NUMA hint for hierarchical
@@ -501,11 +549,12 @@ func (h *Handle) Delete(key string) bool {
 // (get/put/delete) are grouped by shard and each touched shard executes
 // its whole group in one engine visit — one lock acquisition (locked),
 // one mailbox round trip (actor), one write-lock hold for the group's
-// writes (optimistic). Scans still walk all shards one at a time,
-// outside the grouped execution. resps[i] is the response to reqs[i]; a
-// batch is a performance unit, not a transaction — sub-ops linearize
-// individually, and ops for one shard apply in batch order. The
-// responses are the caller's: one slice, and one allocation per hit.
+// writes (optimistic). Scans still visit all shards one at a time,
+// outside the grouped execution, and merge their runs (Scan). resps[i]
+// is the response to reqs[i]; a batch is a performance unit, not a
+// transaction — sub-ops linearize individually, and ops for one shard
+// apply in batch order. The responses are the caller's: one slice, one
+// allocation per hit and two per scan.
 func (h *Handle) ExecBatch(reqs []Request) []Response {
 	resps := make([]Response, len(reqs))
 	h.batch.reqs, h.batch.views = reqs, nil
@@ -552,7 +601,7 @@ func (h *Handle) execShared(n int, idxs []int, subset bool) []Response {
 	}
 	resps := h.resps[:n]
 	clear(resps)
-	h.arena = recycle(h.arena)
+	h.arena, h.kept = recycle(h.arena), recycle(h.kept)
 	h.execOps(idxs, subset, resps, &h.arena)
 	return resps
 }
@@ -606,8 +655,21 @@ func (h *Handle) execOps(idxs []int, subset bool, resps []Response, arena *[]byt
 			h.acc.execGroup(sh, ops, idxs, resps, arena)
 		}
 	}
+	// A scan's entries go where its point ops' hit values go: with an
+	// arena, onto the handle's kept entries and that arena; without, into
+	// an owning copy of their own.
 	for _, i := range scans {
-		resps[i] = Response{Status: StatusOK, Entries: h.Scan(ops.scan(i))}
+		var entries []Entry
+		switch merged := h.scan(ops.scan(i)); {
+		case len(merged) == 0:
+		case arena == nil:
+			entries = ownEntries(merged)
+		default:
+			lo := len(h.kept)
+			h.kept = copyEntries(h.kept, arena, merged)
+			entries = h.kept[lo:len(h.kept):len(h.kept)]
+		}
+		resps[i] = Response{Status: StatusOK, Entries: entries}
 	}
 	h.scans = scans
 	ops.reqs, ops.views = nil, nil // the caller's slices are not ours to keep alive
@@ -662,23 +724,106 @@ func execPointOps(ops *batchOps, idxs []int, resps []Response, arena *[]byte,
 // by key. It visits the shards one at a time (one engine visit each), so
 // the result is a union of per-shard snapshots, not a global atomic
 // snapshot — the usual contract of a sharded range read. limit <= 0 means
-// unlimited.
+// unlimited. The result is the caller's: one slice, and every value in
+// one arena — two allocations however many entries match.
 func (h *Handle) Scan(prefix string, limit int) []Entry {
-	var out []Entry
-	// Domain-major shard walk (identity without a placement); the sort
-	// below makes the result independent of visit order.
-	for _, i := range h.s.visit {
-		out = h.acc.scanShard(i, prefix, out)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return ownEntries(h.scan(keyOf(prefix), limit))
 }
 
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
+// scan is the one scan path: every shard contributes one sorted run of
+// at most limit entries — in the domain-major visit order, which the
+// merge makes irrelevant to the result — and the runs are merged until
+// limit. The result lives in the handle's scan scratch, values included
+// (or aliasing the optimistic engine's immutable ones), until its next
+// scan; what a caller keeps it copies.
+func (h *Handle) scan(prefix lookupKey, limit int) []Entry {
+	sc := &h.sc
+	runs, heads := recycle(sc.runs), sc.heads[:0]
+	sc.arena = recycle(sc.arena)
+	for _, i := range h.s.visit {
+		lo := len(runs)
+		runs = h.acc.scanShard(i, prefix, limit, runs, &sc.arena)
+		// A run stays valid if a later shard's append moves runs: the
+		// old array is only ever read again through this head.
+		heads = append(heads, runs[lo:])
+	}
+	sc.merged = MergeRuns(recycle(sc.merged), heads, limit, nil)
+	// The merge copied out what it took; the runs must not keep values
+	// the engine has since replaced reachable until the next scan.
+	clear(runs)
+	clear(heads)
+	sc.runs, sc.heads = runs, heads
+	return sc.merged
+}
+
+// MergeRuns appends to dst the k-way merge of runs, each sorted by key,
+// and stops once limit entries have been appended (limit <= 0: all) —
+// the one merge every scan goes through: a store's over its shards'
+// runs, a routed client's over its members' shares. It advances runs
+// past what it takes. A key at the head of several runs is taken once:
+// from the first run for which keep(key, run) reports true, else from
+// the first run holding it; keep may be nil when no key can be in two
+// runs, as in a store, whose shards partition the keys.
+func MergeRuns(dst []Entry, runs [][]Entry, limit int, keep func(key string, run int) bool) []Entry {
+	for base := len(dst); limit <= 0 || len(dst)-base < limit; {
+		at := -1 // the run whose head sorts first
+		for r, run := range runs {
+			if len(run) > 0 && (at < 0 || run[0].Key < runs[at][0].Key) {
+				at = r
+			}
+		}
+		if at < 0 {
+			break
+		}
+		e := runs[at][0]
+		runs[at] = runs[at][1:]
+		for r := at + 1; r < len(runs); r++ {
+			if len(runs[r]) == 0 || runs[r][0].Key != e.Key {
+				continue
+			}
+			if keep != nil && !keep(e.Key, at) && keep(e.Key, r) {
+				e, at = runs[r][0], r
+			}
+			runs[r] = runs[r][1:]
+		}
+		dst = append(dst, e)
+	}
+	return dst
+}
+
+// copyEntries appends entries to dst with every value copied onto
+// *arena, capacity-clipped so nothing appended later can grow into it:
+// the one copy a scan's surviving values take. An empty value stays nil.
+// dst may be entries[:0]: the copy then happens in place.
+func copyEntries(dst []Entry, arena *[]byte, entries []Entry) []Entry {
+	buf := *arena
+	for _, e := range entries {
+		if len(e.Value) == 0 {
+			e.Value = nil
+		} else {
+			lo := len(buf)
+			buf = append(buf, e.Value...)
+			e.Value = buf[lo:len(buf):len(buf)]
+		}
+		dst = append(dst, e)
+	}
+	*arena = buf
+	return dst
+}
+
+// ownEntries is the owning copy of a scan result, nil for an empty one:
+// one slice and one value arena, each sized exactly. Keys are immutable
+// strings and are shared, not copied.
+func ownEntries(entries []Entry) []Entry {
+	if len(entries) == 0 {
+		return nil
+	}
+	size := 0
+	for i := range entries {
+		size += len(entries[i].Value)
+	}
+	arena := make([]byte, 0, size)
+	return copyEntries(make([]Entry, 0, len(entries)), &arena, entries)
 }
 
 // Len counts live entries (one engine visit per shard).

@@ -314,7 +314,8 @@ type ResponseView struct {
 	Msg     []byte // StatusError detail; aliases the frame
 	// An OpScan's result is Scanned entries: still in wire form in Raw
 	// (aliasing the frame), or — from a transport with no frame to alias,
-	// in-process execution and a routed scan's merge — decoded in Entries.
+	// in-process execution and a routed scan's merge — decoded in Entries,
+	// aliasing that transport's scratch like Raw aliases a frame.
 	Scanned int
 	Raw     []byte
 	Entries []Entry
@@ -364,16 +365,20 @@ func ownedBatch(views []ResponseView) []Response {
 	return resps
 }
 
-// entries decodes a scan view's entry list. Instead of one string and
-// one slice allocation per entry, the raw entry bytes are copied out
-// twice up front — once as the backing string for every key, once as the
-// backing array for every value — and the entries point into those two
-// blobs. Result slices therefore share backing storage: retaining any
-// single entry pins roughly the whole scan, which is the right trade for
-// scan results that are consumed and dropped.
+// entries is the owning copy of a scan view's entry list. Entries a
+// transport carried decoded may alias its scratch (in process, the
+// handle's scan merge) just as raw ones alias a frame, so they are
+// copied out too: one slice and one value arena (ownEntries). Raw
+// entries are decoded without one string and one slice allocation per
+// entry: the raw entry bytes are copied out twice up front — once as the
+// backing string for every key, once as the backing array for every
+// value — and the entries point into those two blobs. Result slices
+// therefore share backing storage: retaining any single entry pins
+// roughly the whole scan, which is the right trade for scan results that
+// are consumed and dropped.
 func (v *ResponseView) entries() []Entry {
 	if v.Entries != nil || v.Scanned == 0 {
-		return v.Entries
+		return ownEntries(v.Entries)
 	}
 	keyBlob := string(v.Raw)
 	valBlob := append([]byte(nil), v.Raw...)
