@@ -95,13 +95,16 @@ func TestClusterResize(t *testing.T) {
 		}
 		metrics[r.Metric] = r.Stats.Mean
 	}
-	for _, want := range []string{"steady Kops/s", "dip Kops/s", "add ms", "remove ms"} {
+	// Traffic completed and both migrations took time: counts, not a
+	// window. The dip is sampled over 10 ms intervals, and on a loaded
+	// host one may see no op complete, so the dip metrics and the recovery
+	// may legitimately be zero, but must be present.
+	for _, want := range []string{"steady Kops/s", "add ms", "remove ms"} {
 		if metrics[want] <= 0 {
 			t.Fatalf("missing or zero metric %q in %v", want, metrics)
 		}
 	}
-	// dip % and recovery ms may legitimately be zero, but must be present.
-	for _, want := range []string{"dip %", "recovery ms"} {
+	for _, want := range []string{"dip Kops/s", "dip %", "recovery ms"} {
 		if _, ok := metrics[want]; !ok {
 			t.Fatalf("missing metric %q in %v", want, metrics)
 		}

@@ -86,79 +86,72 @@ func TestRoutedServeAllocs(t *testing.T) {
 	}
 }
 
-// TestIssueAllocs holds the routed transport to store's TestIssueAllocs
-// gate: Driver.Issue(ops).Wait() through a cluster.Client over one node
-// and over three, at the benchmark's group shapes (one op; 4, 8 and 16
-// ops with every fourth a put; 8 whose gets all miss; 4 ops with a scan).
-// A point op is its owner's windowed flight: the Pending and the flight.
-// A scan-free group costs the Pending, its request slice, the Flight and
-// the frame list that holds every frame's future — and, when more than
-// one node owns a share, the one owner-ordered copy of the requests and
-// their positions — whatever its size, however many frames it splits
-// into (over three nodes these go out as 2 or 3) and however many gets
-// hit. A group with a scan is never one node's whole group (a scan has
-// no one owner), so it pays that copy on one node too, and nothing more:
-// its per-member frames live in the frame list, each member merges in
-// its handle's scratch, and the tally counts the shares without merging.
+// TestIssueAllocs is the client half's allocation gate, beside the
+// server half's TestBatchServeAllocs and TestRoutedServeAllocs:
+// Driver.Issue(ops).Wait() on every row at the benchmark's group shapes,
+// pinned to the row's exact object count. Transports hand the Core views
+// and the tally copies nothing, so a group costs the same whatever its
+// size and hit count: the one Pending, the group's request slice, and on
+// a windowed row the flight, which embeds its frame and future. Routed, a
+// group adds its frame list and, when more than one node owns a share,
+// one owner-ordered copy of the requests — however many frames it splits
+// into. A scan has no one owner, so a group with one pays that copy on
+// one node too; its per-member frames live in the frame list, and the
+// tally counts the shares without merging.
 func TestIssueAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
+	// One op; 4, 8 and 16 with every fourth a put; 8 whose gets all miss;
+	// 4 with a scan.
 	shapes := []struct {
-		name   string
-		n      int
-		absent bool
-		scan   bool
-	}{{"1", 1, false, false}, {"4", 4, false, false}, {"8", 8, false, false}, {"16", 16, false, false},
-		{"8 misses", 8, true, false}, {"4+scan", 4, false, true}}
-	for _, kind := range []struct {
-		nodes            int
-		one, group, scan float64
-	}{
-		{1, 2, 4, 6},
-		{3, 2, 6, 6},
-	} {
-		c := newTestCluster(t, kind.nodes, store.Options{})
-		cl := c.Dial(8)
-		defer cl.Close()
-		keys := make([]string, 16)
-		for i := range keys {
-			keys[i] = workload.Key(uint64(i))
-			if _, err := cl.Put(keys[i], make([]byte, 64)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, shape := range shapes {
-			ops := make([]workload.Op, shape.n)
-			for j := range ops {
-				key := keys[j]
-				if shape.absent {
-					key = "absent-" + key
-				}
-				ops[j] = workload.Op{Kind: workload.KindGet, Key: key}
-				if j%4 == 3 {
-					ops[j] = workload.Op{Kind: workload.KindPut, Key: keys[j], Value: make([]byte, 64)}
-				}
-			}
-			if shape.scan {
-				ops[1] = workload.Op{Kind: workload.KindScan, Key: keys[0][:len(keys[0])-1], Limit: 4}
-			}
-			issue := func() {
-				if _, err := (store.Driver{C: cl}).Issue(ops).Wait(); err != nil {
+		n            int
+		absent, scan bool
+	}{{1, false, false}, {4, false, false}, {8, false, false}, {16, false, false}, {8, true, false}, {4, false, true}}
+	for _, tr := range transports {
+		tr := tr
+		t.Run(tr.name, func(t *testing.T) {
+			c := tr.open(t, store.Options{}).dial(0, 8)
+			defer c.Close()
+			keys := make([]string, 16)
+			for i := range keys {
+				keys[i] = workload.Key(uint64(i))
+				if _, err := c.Put(keys[i], make([]byte, 64)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			issue() // one warm-up group so steady-state buffers exist
-			got, want := testing.AllocsPerRun(100, issue), kind.group
-			switch {
-			case shape.scan:
-				want = kind.scan
-			case shape.n == 1:
-				want = kind.one
+			for _, shape := range shapes {
+				ops := make([]workload.Op, shape.n)
+				for j := range ops {
+					key := keys[j]
+					if shape.absent {
+						key = "absent-" + key
+					}
+					ops[j] = workload.Op{Kind: workload.KindGet, Key: key}
+					if j%4 == 3 {
+						ops[j] = workload.Op{Kind: workload.KindPut, Key: keys[j], Value: make([]byte, 64)}
+					}
+				}
+				if shape.scan {
+					ops[1] = workload.Op{Kind: workload.KindScan, Key: keys[0][:len(keys[0])-1], Limit: 4}
+				}
+				issue := func() {
+					if _, err := (store.Driver{C: c}).Issue(ops).Wait(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				issue() // one warm-up group so steady-state buffers exist
+				got, want := testing.AllocsPerRun(100, issue), tr.issue[1]
+				switch {
+				case shape.scan:
+					want = tr.issue[2]
+				case shape.n == 1:
+					want = tr.issue[0]
+				}
+				if got != want {
+					t.Errorf("group %+v: %.0f allocs per Issue+Wait, want %.0f whatever the size, the split, the hits and the scans", shape, got, want)
+				}
 			}
-			if got != want {
-				t.Errorf("%d nodes, group of %s: %.0f allocs per Issue+Wait, want %.0f whatever the size, the split and the hits", kind.nodes, shape.name, got, want)
-			}
-		}
+		})
 	}
 }

@@ -3,8 +3,6 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"reflect"
-	"strings"
 	"testing"
 
 	"ssync/internal/locks"
@@ -17,159 +15,6 @@ func newTestCluster(t *testing.T, nodes int, opt store.Options) *Cluster {
 	c := New(Options{Nodes: nodes, Store: opt})
 	t.Cleanup(c.Close)
 	return c
-}
-
-// keeper is store's audit helper again (test files do not cross package
-// lines): it holds what a client returned beside a deep copy taken on the
-// spot, and check reports whatever later frames changed underneath.
-type keeper struct {
-	kept []struct {
-		what      string
-		got, snap []store.Response
-	}
-}
-
-func (k *keeper) keep(what string, got ...store.Response) {
-	snap := make([]store.Response, len(got))
-	for i, r := range got {
-		snap[i] = store.Response{Status: r.Status, Created: r.Created, Value: bytes.Clone(r.Value), Msg: strings.Clone(r.Msg)}
-		for _, e := range r.Entries {
-			snap[i].Entries = append(snap[i].Entries, store.Entry{Key: strings.Clone(e.Key), Value: bytes.Clone(e.Value)})
-		}
-	}
-	k.kept = append(k.kept, struct {
-		what      string
-		got, snap []store.Response
-	}{what, got, snap})
-}
-
-func (k *keeper) check(t *testing.T) {
-	t.Helper()
-	for _, r := range k.kept {
-		if !reflect.DeepEqual(r.got, r.snap) {
-			t.Errorf("%s: retained result changed under later frames", r.what)
-		}
-	}
-}
-
-// TestRoutedClientNoBufferAliasing extends store's frame-lifetime audit
-// to the routing client: its batch path hands out index groups from a
-// sync.Pool and fans sub-batches through per-node async connections
-// whose request and response frames are themselves pooled, each response
-// frame owned by a future inside the flight until the Core has copied
-// out of it. Everything the blocking seven and GetAsync(...).Wait()
-// return — values, scan entries, the messages of a batch answer too
-// large for its frames — must stay intact while more than a thousand
-// later frames, eight groups in flight at a time, churn every one of
-// those pools.
-func TestRoutedClientNoBufferAliasing(t *testing.T) {
-	const window = 8
-	c := newTestCluster(t, 3, store.Options{Shards: 4, Lock: locks.TICKET})
-	cl := c.Dial(window)
-	defer cl.Close()
-
-	big := make([]byte, 96<<10)
-	for i := range big {
-		big[i] = byte(i * 11)
-	}
-	bigKeys := make([]string, 6) // spread over the ring: several nodes hold one
-	for i := range bigKeys {
-		bigKeys[i] = fmt.Sprintf("alias-big-%02d", i)
-		if _, err := cl.Put(bigKeys[i], big); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var k keeper
-	for round := 0; round < 6; round++ {
-		// Routed batch: pooled route groups + per-node batch frames.
-		reqs := make([]store.Request, 0, len(bigKeys)+2)
-		for _, key := range bigKeys {
-			reqs = append(reqs, store.Request{Op: store.OpGet, Key: key})
-		}
-		small := fmt.Sprintf("alias-small-%02d", round)
-		reqs = append(reqs, store.Request{Op: store.OpPut, Key: small, Value: bytes.Repeat([]byte{byte(round + 1)}, 256)},
-			store.Request{Op: store.OpScan, Key: "alias-small-"})
-		resps, err := cl.ExecBatch(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range bigKeys {
-			if resps[i].Status != store.StatusOK || !bytes.Equal(resps[i].Value, big) {
-				t.Fatalf("round %d: routed get %d status %d, %d bytes", round, i, resps[i].Status, len(resps[i].Value))
-			}
-		}
-		k.keep("ExecBatch", resps...)
-		// Routed scalar get, async get, MGet and a fanned-out scan, whose
-		// entries share backing blobs (the bulk-copy decode).
-		v, found, err := cl.Get(small)
-		if err != nil || !found || v[0] != byte(round+1) {
-			t.Fatalf("round %d: routed Get(%s) = %v, %v", round, small, found, err)
-		}
-		k.keep("Get", store.Response{Value: v})
-		resp, err := cl.GetAsync(bigKeys[round]).Wait()
-		if err != nil || !bytes.Equal(resp.Value, big) {
-			t.Fatalf("round %d: GetAsync = status %d, %v", round, resp.Status, err)
-		}
-		k.keep("GetAsync.Wait", resp)
-		vals, err := cl.MGet(append([]string{small, "alias-absent"}, bigKeys...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range vals {
-			k.keep("MGet", store.Response{Value: v})
-		}
-		entries, err := cl.Scan("alias-big-", 0)
-		if err != nil || len(entries) != len(bigKeys) {
-			t.Fatalf("round %d: scan = %d entries, %v", round, len(entries), err)
-		}
-		for _, e := range entries {
-			if !bytes.Equal(e.Value, big) {
-				t.Fatalf("round %d: scan entry %q corrupted", round, e.Key)
-			}
-		}
-		k.keep("Scan", store.Response{Entries: entries})
-	}
-	// 48 × 96 KiB from whichever node owns one key overflow its response
-	// frame: the tail comes back as StatusError messages, kept as well.
-	gets := make([]store.Request, 48)
-	for i := range gets {
-		gets[i] = store.Request{Op: store.OpGet, Key: bigKeys[0]}
-	}
-	resps, err := cl.ExecBatch(gets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last := resps[len(resps)-1]; last.Status != store.StatusError || last.Msg != store.MsgBatchOverflow {
-		t.Fatalf("the tail of a 4.5 MiB batch answer = status %d %q, want it degraded", last.Status, last.Msg)
-	}
-	k.keep("ExecBatch past one frame", resps...)
-
-	// Later frames at full window: eight groups in flight at a time, each
-	// split over the three nodes, a scan fanned out in every fourth.
-	ops := make([]workload.Op, 0, 8)
-	for i := 0; i < 6; i++ {
-		ops = append(ops, workload.Op{Kind: workload.KindGet, Key: fmt.Sprintf("alias-small-%02d", i)},
-			workload.Op{Kind: workload.KindPut, Key: fmt.Sprintf("alias-small-%02d", i), Value: bytes.Repeat([]byte{byte(0xF0 + i)}, 200+i)})
-	}
-	withScan := append(append([]workload.Op(nil), ops...), workload.Op{Kind: workload.KindScan, Key: "alias-small-"})
-	pend := make([]workload.Pending, window)
-	for frames := 0; frames < 1000; {
-		for i := range pend {
-			group := ops
-			if i%4 == 3 {
-				group = withScan
-			}
-			pend[i] = store.Driver{C: cl}.Issue(group)
-			frames++ // at least: a group goes out as one frame per owning node
-		}
-		for _, p := range pend {
-			if _, err := p.Wait(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	k.check(t)
 }
 
 // TestClusterPointOps: routed puts land on exactly the ring owner's
@@ -219,41 +64,6 @@ func TestClusterPointOps(t *testing.T) {
 		}
 		if want := i%2 == 1; found != want {
 			t.Fatalf("key %d: found=%v after deletes, want %v", i, found, want)
-		}
-	}
-}
-
-// TestClusterBatchOrder: ExecBatch reassembles responses in request
-// order, and same-key sub-ops apply in batch order (same owner → same
-// sub-batch → server-side batch order), so a put-then-get pair inside
-// one routed batch observes itself.
-func TestClusterBatchOrder(t *testing.T) {
-	c := newTestCluster(t, 3, store.Options{Shards: 4})
-	cl := c.Dial(0)
-	defer cl.Close()
-
-	var reqs []store.Request
-	const n = 60
-	for i := 0; i < n; i++ {
-		key := workload.Key(uint64(i))
-		reqs = append(reqs,
-			store.Request{Op: store.OpPut, Key: key, Value: []byte(fmt.Sprintf("v%d", i))},
-			store.Request{Op: store.OpGet, Key: key})
-	}
-	resps, err := cl.ExecBatch(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resps) != len(reqs) {
-		t.Fatalf("%d responses for %d requests", len(resps), len(reqs))
-	}
-	for i := 0; i < n; i++ {
-		put, get := resps[2*i], resps[2*i+1]
-		if put.Status != store.StatusOK || !put.Created {
-			t.Fatalf("put %d: %+v", i, put)
-		}
-		if get.Status != store.StatusOK || !bytes.Equal(get.Value, []byte(fmt.Sprintf("v%d", i))) {
-			t.Fatalf("get %d after put in same batch: %+v", i, get)
 		}
 	}
 }
@@ -315,41 +125,6 @@ func TestClusterScanMerge(t *testing.T) {
 	}
 	c.Store(first).NewHandle(0).Put(workload.Key(uint64(dup)), []byte("stale copy"))
 	check(fmt.Sprintf("%s also on non-owner %d", workload.Key(uint64(dup)), first))
-}
-
-// TestClusterWorkloadDriver: the scenario engine drives a routed cluster
-// conn through store.Driver — batched, pipelined, every engine — and the
-// counted ops survive the split/reassembly.
-func TestClusterWorkloadDriver(t *testing.T) {
-	for _, eng := range store.Engines {
-		eng := eng
-		t.Run(string(eng), func(t *testing.T) {
-			t.Parallel()
-			c := newTestCluster(t, 3, store.Options{Shards: 4, Engine: eng, Lock: locks.TICKET})
-			scenario := workload.Scenario{
-				Keys:      512,
-				Mix:       workload.Mix{Get: 80, Put: 15, Scan: 5},
-				Preload:   256,
-				Phases:    []workload.Phase{{Name: "steady", Clients: 4, Ops: 600}},
-				Batch:     8,
-				Pipeline:  4,
-				ScanLimit: 8,
-			}
-			results, err := workload.Run(scenario, func(i int) (workload.Conn, error) {
-				return store.Driver{C: c.Dial(4)}, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			steady := results[len(results)-1]
-			if want := uint64(4 * 600); steady.Ops != want {
-				t.Fatalf("counted %d ops, want %d", steady.Ops, want)
-			}
-			if steady.Hits == 0 || steady.Created == 0 {
-				t.Fatalf("no hits (%d) or creates (%d) in a preloaded mixed run", steady.Hits, steady.Created)
-			}
-		})
-	}
 }
 
 // TestClusterOwnerAgreesWithClient: the client's routing is exactly the

@@ -85,10 +85,23 @@ func span(lo, hi uint64, mk func(key string) store.Request) []store.Request {
 
 func putSelf(key string) store.Request { return put(key, key) }
 
-var bigValue = string(bytes.Repeat([]byte{0xCD}, store.MaxValueLen))
+var (
+	bigValue  = string(bytes.Repeat([]byte{0xCD}, store.MaxValueLen))
+	value256K = string(bytes.Repeat([]byte{0xAB}, 256<<10))
+)
 
 func putBig(key string) store.Request { return put("huge-"+key, bigValue) }
 func getBig(key string) store.Request { return get("huge-" + key) }
+
+// putGetPairs puts and then gets each of n fresh keys, pair by pair.
+func putGetPairs(n int) []store.Request {
+	var reqs []store.Request
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("order-%02d", i)
+		reqs = append(reqs, put(key, "v"+key), get(key))
+	}
+	return reqs
+}
 
 var conformanceScript = []step{
 	{name: "put creates", via: "put", reqs: []store.Request{put("a", "1")}},
@@ -98,6 +111,13 @@ var conformanceScript = []step{
 	{name: "put empty value", via: "put", reqs: []store.Request{put("empty", "")}},
 	{name: "get empty value", via: "get", reqs: []store.Request{get("empty")}},
 	{name: "mget empty vs absent", via: "mget", reqs: []store.Request{get("empty"), get("nope"), get("a")}},
+	{name: "put empty key", via: "put", reqs: []store.Request{put("", "k")}},
+	{name: "get empty key", via: "get", reqs: []store.Request{get("")}},
+	{name: "put 256 KiB value", via: "put", reqs: []store.Request{put("256k", value256K)}},
+	{name: "get 256 KiB value", via: "get", reqs: []store.Request{get("256k")}},
+	// Same-key sub-ops apply in batch order — on a routed row, same owner,
+	// same frame, server-side batch order — so each get sees its put.
+	{name: "execbatch 60 put-get pairs in order", via: "execbatch", reqs: putGetPairs(60)},
 	{name: "delete present", via: "delete", reqs: []store.Request{del("a")}},
 	{name: "delete absent", via: "delete", reqs: []store.Request{del("a")}},
 	{name: "mput splits per owner", via: "mput", reqs: span(0, 150, putSelf)},
@@ -133,48 +153,38 @@ var conformanceScript = []step{
 	{name: "issue past one frame refetches", via: "issue", reqs: span(0, 6, getBig), long: true},
 }
 
-// TestConnConformance runs one script of operations over every
-// connection kind — the in-process, lock-step and windowed transports of
-// a single store and the routed one over one and three nodes — and holds
-// each answer to the map model: the seven blocking methods, Issue of one
-// op and of mixed groups, an empty value, multi-ops past MaxBatchOps
-// (which must chunk) and past one response frame (which must refetch the
-// degraded tail). All of that surface is store.Core's, written once; what
-// differs per row of conns is only the transport underneath it.
+// TestConnConformance runs one script of operations over every row of
+// the transport table and holds each answer to the map model: the seven
+// blocking methods, Issue of one op and of mixed groups, the empty key, an
+// empty value and a 256 KiB one, a routed batch's same-key pairs in
+// order, multi-ops past MaxBatchOps (which must chunk) and past one
+// response frame (which must refetch the degraded tail). All of that
+// surface is store.Core's, written once; what differs per row is only the
+// transport underneath it.
 func TestConnConformance(t *testing.T) {
-	conns := []struct {
-		name string
-		dial func(t *testing.T) store.BatchConn
-	}{
-		{"in-process", func(t *testing.T) store.BatchConn { return testStore(t).NewLocalConn(0) }},
-		{"lock-step", func(t *testing.T) store.BatchConn { return store.NewServer(testStore(t), 1).PipeClient() }},
-		{"windowed", func(t *testing.T) store.BatchConn { return store.NewServer(testStore(t), 1).PipeAsyncClient(8) }},
-		{"routed-1", func(t *testing.T) store.BatchConn { return newTestCluster(t, 1, store.Options{Shards: 4}).Dial(8) }},
-		{"routed-3", func(t *testing.T) store.BatchConn { return newTestCluster(t, 3, store.Options{Shards: 4}).Dial(8) }},
-	}
-	for _, kind := range conns {
-		kind := kind
-		t.Run(kind.name, func(t *testing.T) {
+	t.Parallel()
+	for _, tr := range transports {
+		tr := tr
+		t.Run(tr.name, func(t *testing.T) {
 			t.Parallel()
-			c := kind.dial(t)
+			c := tr.open(t, store.Options{Shards: 4}).dial(0, 8)
 			defer c.Close()
 			m := model{}
 			for _, st := range conformanceScript {
 				if st.long && testing.Short() {
 					continue
 				}
-				if err := st.run(c, m); err != nil {
-					t.Fatalf("%s: %v", st.name, err)
+				// The model carries state from step to step: a failure ends the row.
+				if !t.Run(st.name, func(t *testing.T) {
+					if err := st.run(c, m); err != nil {
+						t.Fatal(err)
+					}
+				}) {
+					return
 				}
 			}
 		})
 	}
-}
-
-func testStore(t *testing.T) *store.Store {
-	s := store.New(store.Options{Shards: 4})
-	t.Cleanup(s.Close)
-	return s
 }
 
 // run plays the step on c and on the model and compares the answers.
@@ -182,17 +192,16 @@ func (st step) run(c store.BatchConn, m model) error {
 	want := m.exec(st.reqs)
 	got := make([]store.Response, len(st.reqs))
 	var err error
+	var ok bool // found or existed
 	switch st.via {
 	case "get":
-		var found bool
-		got[0].Value, found, err = c.Get(st.reqs[0].Key)
-		got[0].Status = status(found)
+		got[0].Value, ok, err = c.Get(st.reqs[0].Key)
+		got[0].Status = status(ok)
 	case "put":
 		got[0].Created, err = c.Put(st.reqs[0].Key, st.reqs[0].Value)
 	case "delete":
-		var existed bool
-		existed, err = c.Delete(st.reqs[0].Key)
-		got[0].Status = status(existed)
+		ok, err = c.Delete(st.reqs[0].Key)
+		got[0].Status = status(ok)
 	case "scan":
 		got[0].Entries, err = c.Scan(st.reqs[0].Key, int(st.reqs[0].Limit))
 	case "execbatch":
@@ -227,9 +236,8 @@ func (st step) run(c store.BatchConn, m model) error {
 		return nil
 	case "issue":
 		ops := make([]workload.Op, len(st.reqs))
-		var wantOut workload.Outcome
+		wantOut := workload.Outcome{Ops: uint64(len(st.reqs))}
 		for i, r := range st.reqs {
-			wantOut.Ops++
 			switch r.Op {
 			case store.OpGet:
 				ops[i] = workload.Op{Kind: workload.KindGet, Key: r.Key}

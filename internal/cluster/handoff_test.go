@@ -257,6 +257,7 @@ func hExplore(t *testing.T, init [2]int8, ops []hOp, s hState, st *hStats) {
 // empty and a populated initial state, exploring all interleavings
 // against the four driver steps.
 func TestHandoffInterleavings(t *testing.T) {
+	t.Parallel() // seconds of single-threaded search: overlap it with the matrices
 	// The op universe: put (distinct values) or delete, on either key.
 	universe := []hOp{
 		{key: 0, val: 10},

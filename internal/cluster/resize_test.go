@@ -261,36 +261,24 @@ func TestRemoveNodeErrors(t *testing.T) {
 	}
 }
 
-// TestClusterLinearizableAcrossMigration is the headline: per-key
-// histories recorded while the cluster grows AND shrinks under load
-// must linearize, for every shard engine, for lock-step, deep-async and
-// batch-frame clients alike. The resizes are paced by a shared op counter so
-// both migrations overlap live traffic. Run with -race; CI's migration
-// leg does.
+// TestClusterLinearizableAcrossMigration is the migration axis: per-key
+// histories recorded while a 3-node cluster grows AND shrinks under load
+// must linearize, for every shard engine and every driver. The resizes
+// are paced by a shared op counter so both migrations overlap live
+// traffic. Run with -race; CI's migration leg does.
 func TestClusterLinearizableAcrossMigration(t *testing.T) {
-	const (
-		nClients = 4
-		nKeys    = 8
-		depth    = 16
-	)
-	ops := 280
-	if testing.Short() {
-		ops = 120
-	}
+	t.Parallel()
+	const clients = 4
+	ops := linOps()
 	for _, eng := range store.Engines {
-		for _, kind := range []string{"lockstep", "async", "batch"} {
-			eng, kind := eng, kind
-			t.Run(string(eng)+"/"+kind, func(t *testing.T) {
+		for _, drv := range drivers {
+			eng, drv := eng, drv
+			t.Run(string(eng)+"/"+drv.name, func(t *testing.T) {
 				t.Parallel()
-				c := New(Options{Nodes: 3, Vnodes: 32, Store: store.Options{
-					Shards: 2, Buckets: 4, Engine: eng, Lock: locks.MCS,
-					MaxThreads: nClients + 2, Nodes: 2,
-				}})
+				c := New(Options{Nodes: 3, Vnodes: 32, Store: linOptions(eng)})
 				defer c.Close()
-				hists := newClusterHistories(nKeys)
 				var done atomic.Uint64
-				tick := func() { done.Add(1) }
-				total := uint64(nClients * ops)
+				total := uint64(clients * ops)
 
 				// The resizer: grow after a quarter of the ops, shrink an
 				// original member after half — both while clients hammer.
@@ -313,38 +301,13 @@ func TestClusterLinearizableAcrossMigration(t *testing.T) {
 						t.Errorf("RemoveNode under load: %v", err)
 					}
 				}()
-
-				var wg sync.WaitGroup
-				for cli := 0; cli < nClients; cli++ {
-					cli := cli
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						switch kind {
-						case "lockstep":
-							cl := c.Dial(1)
-							defer cl.Close()
-							runRoutedLinearClient(t, cl, cli, nKeys, ops, hists, tick)
-						case "async":
-							cl := c.Dial(depth)
-							defer cl.Close()
-							runRoutedAsyncLinearClient(t, cl, cli, nKeys, ops, depth, hists, tick)
-						case "batch":
-							cl := c.Dial(depth)
-							defer cl.Close()
-							runRoutedBatchLinearClient(t, cl, cli, nKeys, ops, depth, hists, tick)
-						}
-					}()
-				}
-				wg.Wait()
+				defer resizeWG.Wait() // before c.Close, should the check below fail
+				linearizable(t, func(_, depth int) store.BatchConn { return c.Dial(depth) }, drv, clients, ops,
+					func() { done.Add(1) })
 				resizeWG.Wait()
-				if t.Failed() {
-					return
-				}
-				if got := fmt.Sprint(c.Members()); got != "[0 2 3]" {
+				if got := fmt.Sprint(c.Members()); !t.Failed() && got != "[0 2 3]" {
 					t.Fatalf("members %s after grow+shrink, want [0 2 3]", got)
 				}
-				clusterCheckHistories(t, string(eng)+"/"+kind+"/migrating", hists)
 			})
 		}
 	}

@@ -280,82 +280,3 @@ func BenchmarkWirePointOps(b *testing.B) {
 		s.Close()
 	}
 }
-
-// issueShapes are the benchmark's group shapes — one op, groups of 4, 8
-// and 16, a group of 8 whose gets all miss, and a group of 4 carrying a
-// scan — as deterministic op groups over preloaded keys: every get hits
-// (or, with absent, none does), every fourth op is a put.
-var issueShapes = []struct {
-	name   string
-	n      int
-	absent bool
-	scan   bool
-}{{"1", 1, false, false}, {"4", 4, false, false}, {"8", 8, false, false}, {"16", 16, false, false},
-	{"8 misses", 8, true, false}, {"4+scan", 4, false, true}}
-
-func issueOps(keys []string, n int, absent, scan bool) []workload.Op {
-	ops := make([]workload.Op, n)
-	for i := range ops {
-		key := keys[i]
-		if absent {
-			key = "absent-" + key
-		}
-		ops[i] = workload.Op{Kind: workload.KindGet, Key: key}
-		if i%4 == 3 {
-			ops[i] = workload.Op{Kind: workload.KindPut, Key: keys[i], Value: make([]byte, 64)}
-		}
-	}
-	if scan {
-		ops[1] = workload.Op{Kind: workload.KindScan, Key: keys[0][:len(keys[0])-1], Limit: 4}
-	}
-	return ops
-}
-
-// TestIssueAllocs is the client half's allocation gate, beside the
-// server half's TestBatchServeAllocs: Driver.Issue(ops).Wait() on each
-// single-store connection kind, at the benchmark's group shapes. Every
-// transport hands the Core views and the tally copies nothing, so a
-// group costs the same whatever its size and however many of its gets
-// hit: the one Pending, plus the group's request slice when it is more
-// than one op, plus on the windowed transport the flight, which embeds
-// its frame and future. Nothing per frame beyond that, nothing per op,
-// nothing per hit — and, since a scan merges in the handle's scratch
-// (ExecViews server-side, execReqs in process) and the tally only counts
-// it, nothing per scan either. cluster's TestIssueAllocs holds the
-// routed transport to the same.
-func TestIssueAllocs(t *testing.T) {
-	if race.Enabled {
-		t.Skip("race instrumentation perturbs allocation counts")
-	}
-	s := New(Options{})
-	defer s.Close()
-	keys := allocKeys(s.NewHandle(0), 16, 64)
-	srv := NewServer(s, 1)
-	for _, kind := range []struct {
-		name       string
-		conn       BatchConn
-		one, group float64
-	}{
-		{"in-process", s.NewLocalConn(0), 1, 2},
-		{"lock-step", srv.PipeClient(), 1, 2},
-		{"windowed", srv.PipeAsyncClient(8), 2, 3},
-	} {
-		defer kind.conn.Close()
-		for _, shape := range issueShapes {
-			ops := issueOps(keys, shape.n, shape.absent, shape.scan)
-			issue := func() {
-				if _, err := (Driver{C: kind.conn}).Issue(ops).Wait(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			issue() // one warm-up group so steady-state buffers exist
-			got, want := testing.AllocsPerRun(100, issue), kind.group
-			if shape.n == 1 {
-				want = kind.one
-			}
-			if got != want {
-				t.Errorf("%s, group of %s: %.0f allocs per Issue+Wait, want %.0f whatever the size, the hits and the scans", kind.name, shape.name, got, want)
-			}
-		}
-	}
-}

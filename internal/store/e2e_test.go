@@ -1,79 +1,10 @@
 package store
 
 import (
-	"bytes"
-	"fmt"
 	"net"
 	"strings"
 	"testing"
-
-	"ssync/internal/locks"
-	"ssync/internal/workload"
 )
-
-func TestClientServerEndToEnd(t *testing.T) {
-	s := New(Options{Shards: 4, Buckets: 8, Lock: locks.TICKET})
-	srv := NewServer(s, 2)
-	c := srv.PipeClient()
-	defer c.Close()
-
-	if _, found, err := c.Get("nope"); err != nil || found {
-		t.Fatalf("Get(nope) = found %v, err %v", found, err)
-	}
-	created, err := c.Put("alpha", []byte("one"))
-	if err != nil || !created {
-		t.Fatalf("Put(alpha) = created %v, err %v", created, err)
-	}
-	created, err = c.Put("alpha", []byte("two"))
-	if err != nil || created {
-		t.Fatalf("re-Put(alpha) = created %v, err %v", created, err)
-	}
-	v, found, err := c.Get("alpha")
-	if err != nil || !found || string(v) != "two" {
-		t.Fatalf("Get(alpha) = %q, %v, %v", v, found, err)
-	}
-
-	for i := 0; i < 10; i++ {
-		if _, err := c.Put(fmt.Sprintf("scan-%02d", i), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	entries, err := c.Scan("scan-", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 4 || entries[0].Key != "scan-00" || entries[3].Key != "scan-03" {
-		t.Fatalf("Scan = %v", entries)
-	}
-
-	existed, err := c.Delete("alpha")
-	if err != nil || !existed {
-		t.Fatalf("Delete(alpha) = %v, %v", existed, err)
-	}
-	existed, err = c.Delete("alpha")
-	if err != nil || existed {
-		t.Fatalf("second Delete(alpha) = %v, %v", existed, err)
-	}
-
-	// Empty key and empty value are legal on the wire.
-	if _, err := c.Put("", nil); err != nil {
-		t.Fatalf("Put(empty) err: %v", err)
-	}
-	v, found, err = c.Get("")
-	if err != nil || !found || len(v) != 0 {
-		t.Fatalf("Get(empty) = %q, %v, %v", v, found, err)
-	}
-
-	// A large value survives the round trip intact.
-	big := bytes.Repeat([]byte{0xAB}, 256<<10)
-	if _, err := c.Put("big", big); err != nil {
-		t.Fatal(err)
-	}
-	v, _, err = c.Get("big")
-	if err != nil || !bytes.Equal(v, big) {
-		t.Fatalf("big value corrupted: %d bytes, err %v", len(v), err)
-	}
-}
 
 func TestClientRejectsOversizedRequests(t *testing.T) {
 	s := New(Options{})
@@ -119,67 +50,6 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 		t.Fatal("server must close the connection after a bad request")
 	}
 	clientEnd.Close()
-}
-
-// TestWorkloadOverWire drives the full stack exactly as `ssync store`
-// does: the scenario engine's ramp/steady phases, zipfian keys and a
-// get/put/scan mix, through wire-protocol clients on net.Pipe, then
-// checks the books: every op accounted, per-shard counters consistent,
-// and the preloaded population still readable.
-func TestWorkloadOverWire(t *testing.T) {
-	const clients, opsPerClient = 4, 800
-	s := New(Options{Shards: 8, Buckets: 16, Lock: locks.MCS, MaxThreads: clients + 2})
-	srv := NewServer(s, 2)
-	dial := func(int) (workload.Conn, error) {
-		return Driver{C: srv.PipeClient()}, nil
-	}
-	scenario := workload.Scenario{
-		Dist:      workload.NewZipfian(512, 0),
-		Mix:       workload.Mix{Get: 80, Put: 15, Scan: 5},
-		ValueSize: 32,
-		ScanLimit: 8,
-		Preload:   256,
-		Phases:    workload.RampSteady(clients, opsPerClient),
-	}
-	mon := s.NewHandle(0)
-	before := mon.ShardStats()
-	phases, err := workload.Run(scenario, dial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := mon.ShardStats()
-
-	if len(phases) != 2 || phases[0].Name != "ramp" || phases[1].Name != "steady" {
-		t.Fatalf("phases = %+v", phases)
-	}
-	steady := phases[1]
-	if steady.Ops != clients*opsPerClient {
-		t.Fatalf("steady ops = %d, want %d", steady.Ops, clients*opsPerClient)
-	}
-	if steady.Hits == 0 {
-		t.Fatal("zipfian traffic over a preloaded store produced no hits")
-	}
-
-	// Per-shard counter deltas must cover every client op (scans touch
-	// all shards, so the totals exceed the op count).
-	var issued uint64
-	for _, ph := range phases {
-		issued += ph.Ops
-	}
-	var counted uint64
-	for i := range after {
-		counted += after[i].Sub(before[i]).Total()
-	}
-	if counted < issued {
-		t.Fatalf("shard counters saw %d ops, clients issued %d", counted, issued)
-	}
-
-	// The hottest zipfian keys were preloaded and only ever overwritten,
-	// never left absent for long: key 0 must be present.
-	v, ok := mon.Get(workload.Key(0))
-	if ok && len(v) == 0 {
-		t.Fatal("key-0 present but empty")
-	}
 }
 
 // TestServedTCP exercises the accept loop over real TCP when the
