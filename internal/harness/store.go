@@ -13,10 +13,10 @@ import (
 // family of experiments, one per lock algorithm: store/tas, store/ticket,
 // store/mcs, ... Each runs the scenario engine (internal/workload) with
 // a zipfian 95:5 get/put mix against the same store twice — once through
-// in-process connections ("direct") and once through the length-prefixed
-// wire protocol over net.Pipe ("wire") — so the grid shows both what the
-// shard-lock choice costs and how much of it survives a real request
-// path.
+// LocalConns, no wire ("direct"), and once through the length-prefixed
+// wire protocol over the server's in-process conn ("wire") — so the grid
+// shows both what the shard-lock choice costs and how much of it
+// survives a real request path.
 
 // storeShards is the shard count of the registered experiments; small
 // enough that zipfian traffic meaningfully contends the hot shards.

@@ -102,7 +102,7 @@ func TestPointOpAllocs(t *testing.T) {
 	}
 }
 
-// TestWireAllocs pins the full wire round trip (net.Pipe transport,
+// TestWireAllocs pins the full wire round trip (in-process transport,
 // lock-step client) to a small constant per op: the decoded value copy
 // on a get, and nothing but transport noise on a put.
 func TestWireAllocs(t *testing.T) {
@@ -234,8 +234,8 @@ func TestScanLimitClamp(t *testing.T) {
 }
 
 // BenchmarkWirePointOps is the tentpole's measurement: the point-op
-// path per engine, direct (handle) and over net.Pipe (wire), with
-// allocs/op reported. Direct get and put are allocation-free on the
+// path per engine, direct (handle) and over the in-process conn (wire),
+// with allocs/op reported. Direct get and put are allocation-free on the
 // mutate-in-place engines; the optimistic engine's put pays its
 // copy-on-write rebuild and nothing else.
 func BenchmarkWirePointOps(b *testing.B) {

@@ -12,12 +12,18 @@ import (
 
 // AsyncClient is the multiplexed replacement for the lock-step Client:
 // instead of one request in flight per connection, it keeps a window of
-// tagged requests outstanding and overlaps their round trips. A writer
-// goroutine drains a submission channel and coalesces queued frames
-// into single flushes; a reader goroutine matches responses to futures
+// tagged requests outstanding and overlaps their round trips. A submitter
+// writes its own frame: under the connection's write lock it encodes the
+// request into the one encode scratch, takes a window slot and writes the
+// frame into the buffered stream, and the last submitter queued on the
+// lock flushes — a burst from many goroutines goes out in one flush. The
+// connection's one goroutine, its reader, matches responses to futures
 // FIFO (the server answers in arrival order) and verifies every echoed
 // tag. Submission is safe from any number of goroutines; each submitted
-// op returns a *Future resolved when its response arrives.
+// op returns a *Future resolved when its response arrives. The reader
+// stays a goroutine of its own because over net.Pipe or TCP a submitter
+// may block in Write until the server reads, and a server connection
+// reads only as its responses are read.
 //
 // The in-flight window is the client-side pacing knob: submissions past
 // the window block until responses drain, so a slow server applies
@@ -28,17 +34,23 @@ import (
 type AsyncClient struct {
 	Core
 	conn io.ReadWriteCloser
-	bw   *bufio.Writer // owned by writeLoop
 	br   *bufio.Reader // owned by readLoop
 
-	reqCh chan *Future  // unbuffered hand-off to the writer
-	pend  chan *Future  // written-or-being-written, FIFO; cap = window
-	tags  atomic.Uint32 // tag allocator
+	// The write side. Whoever holds wmu encodes into ebuf, takes a slot in
+	// pend and writes into bw; queued counts the submitters holding or
+	// waiting for it, so the last one flushes.
+	wmu    sync.Mutex
+	bw     *bufio.Writer
+	ebuf   []byte // request encode scratch
+	tag    uint32 // the last tag issued
+	shut   bool   // set as the reader exits: nothing enters pend after it
+	queued atomic.Int32
+
+	pend chan *Future // written-or-being-written, FIFO; cap = window
 
 	done    chan struct{} // closed on shutdown
 	drained chan struct{} // closed once every pending future is resolved
 	once    sync.Once
-	wg      sync.WaitGroup
 
 	mu  sync.Mutex
 	err error // first fatal error
@@ -53,7 +65,8 @@ var ErrClientClosed = errors.New("store: async client closed")
 const DefaultWindow = 32
 
 // NewAsyncClient wraps an established connection with a multiplexed
-// client keeping up to window requests in flight.
+// client keeping up to window requests in flight. It starts one
+// goroutine, the reader, which exits when the client shuts down.
 func NewAsyncClient(conn io.ReadWriteCloser, window int) *AsyncClient {
 	if window < 1 {
 		window = DefaultWindow
@@ -62,20 +75,12 @@ func NewAsyncClient(conn io.ReadWriteCloser, window int) *AsyncClient {
 		conn:    conn,
 		bw:      bufio.NewWriter(conn),
 		br:      bufio.NewReader(conn),
-		reqCh:   make(chan *Future),
 		pend:    make(chan *Future, window),
 		done:    make(chan struct{}),
 		drained: make(chan struct{}),
 	}
 	c.Core = NewCore(c.Start)
-	c.wg.Add(2)
-	go c.writeLoop()
 	go c.readLoop()
-	go func() {
-		c.wg.Wait()
-		c.drainPending()
-		close(c.drained)
-	}()
 	return c
 }
 
@@ -87,7 +92,8 @@ func (c *AsyncClient) Err() error {
 	return c.err
 }
 
-// fatal records the first failure and initiates shutdown.
+// fatal records the first failure and initiates shutdown: closing the
+// connection ends the reader's Read and any submitter's blocked Write.
 func (c *AsyncClient) fatal(err error) {
 	c.mu.Lock()
 	if c.err == nil {
@@ -100,7 +106,7 @@ func (c *AsyncClient) fatal(err error) {
 	})
 }
 
-// Close shuts the client down: the connection closes, both loops exit,
+// Close shuts the client down: the connection closes, the reader exits,
 // and every future still in flight resolves with ErrClientClosed (or the
 // earlier fatal error). It returns once all of that has happened, so
 // after Close no future is left unresolved.
@@ -110,25 +116,33 @@ func (c *AsyncClient) Close() error {
 	return nil
 }
 
-// drainPending fails every future still queued in the window after both
-// loops have exited.
-func (c *AsyncClient) drainPending() {
+// shutdown is the reader's exit, after fatal. It marks the connection
+// shut under the write lock, which a submitter blocked on a window slot
+// lets go of at done and one blocked writing at the closed connection;
+// from then on no future enters pend. It then fails every future still
+// in the window and reports the client drained.
+func (c *AsyncClient) shutdown() {
+	c.wmu.Lock()
+	c.shut = true
+	c.wmu.Unlock()
 	err := c.Err()
 	for {
 		select {
 		case f := <-c.pend:
 			f.fail(err)
 		default:
+			close(c.drained)
 			return
 		}
 	}
 }
 
-// Future is one in-flight request frame. It owns the encoded request
-// until the writer has sent it and, from the moment the reader hands it
-// over, the response frame: the reader only checks the frame's length and
-// tag, and the goroutine that waits decodes it — as views aliasing the
-// frame for the Core, copied out for a caller of Wait or WaitBatch — and
+// Future is one in-flight request frame. It carries no request bytes —
+// its submitter wrote them into the connection's buffered stream before
+// Submit returned — and from the moment the reader hands it over it owns
+// the response frame: the reader only checks the frame's length and tag,
+// and the goroutine that waits decodes it — as views aliasing the frame
+// for the Core, copied out for a caller of Wait or WaitBatch — and
 // returns the buffer to its pool. A future is awaited once, by one
 // goroutine, and must not be copied or moved once submitted.
 type Future struct {
@@ -137,8 +151,6 @@ type Future struct {
 	batch bool      // the frame is a batch: count × sub-responses come back
 	reqs  []Request // a batch's sub-requests; sub-response j decodes with reqs[j].Op
 	tag   uint32
-	body  []byte  // encoded tagged request frame body
-	bufp  *[]byte // pooled backing buffer for body
 
 	// done is released exactly once, by whoever resolves the future: the
 	// reader with the response frame, or fail with err. Embedded, so
@@ -160,23 +172,12 @@ var (
 	errFutureAwaited = errors.New("store: future already awaited")
 )
 
-// framePool recycles frame buffers, request and response alike: a request
-// body is dead the moment WriteFrame copies it into the connection's
-// write buffer and a response frame the moment its future has been
-// awaited, so pooling removes two per-frame allocations from exactly the
-// hot path the multiplexed client exists to speed up.
+// framePool recycles response frame buffers: a frame is dead the moment
+// its future has been awaited, so pooling removes a per-frame allocation
+// from exactly the hot path the multiplexed client exists to speed up.
+// (Requests need no pool: each is encoded into the connection's one
+// scratch and copied into the write buffer before the lock is let go.)
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// releaseBody returns f's request frame buffer to the pool. Ownership is
-// unambiguous: the goroutine that failed to hand f over releases it, or
-// the writer does after the write attempt.
-func (f *Future) releaseBody() {
-	if f.bufp == nil {
-		return
-	}
-	putBuf(&framePool, f.bufp, f.body)
-	f.bufp, f.body = nil, nil
-}
 
 // fail resolves f with err instead of a response frame.
 func (f *Future) fail(err error) {
@@ -255,38 +256,70 @@ func (f *Future) WaitBatch() ([]Response, error) {
 	return resps, nil
 }
 
-// submit encodes a tagged frame for the request into f — a zero Future
-// at its final address — and hands it to the writer. Encoding happens on
-// the caller's goroutine, so concurrent submitters don't serialize on
-// the writer for it.
+// submit resolves f — a zero Future at its final address — through the
+// connection: the submitter writes its own frame under the write lock
+// (enqueue), and if no other submitter is queued behind it, flushes.
 func (c *AsyncClient) submit(f *Future, op byte, batch bool, reqs []Request, enc func(dst []byte) ([]byte, error)) *Future {
 	f.c, f.op, f.batch, f.reqs = c, op, batch, reqs
 	f.done.Add(1)
-	f.tag = c.tags.Add(1)
-	bufp := framePool.Get().(*[]byte)
-	body, err := enc(AppendTaggedRequest((*bufp)[:0], f.tag))
-	//ssync:ignore poolaudit the Future owns the frame; releaseBody is the single release point on every path
-	f.body, f.bufp = body, bufp
-	if err != nil {
-		f.releaseBody()
+	c.queued.Add(1)
+	c.wmu.Lock()
+	if err := c.enqueue(f, enc); err != nil {
 		f.fail(err)
-		return f
+	}
+	if c.queued.Add(-1) == 0 {
+		if err := c.bw.Flush(); err != nil {
+			c.fatal(err) // the futures in pend fail as the reader exits
+		}
+	}
+	c.wmu.Unlock()
+	return f
+}
+
+// enqueue, under wmu, tags f, encodes its frame into the scratch, takes a
+// window slot for it (flushing first if the window is full, so the server
+// can drain it) and writes the frame into the buffered stream. The slot
+// is taken before the write and the reader pops slots FIFO, so pend order
+// is write order. An error return fails f alone; once f holds a slot it
+// is the reader's to resolve, whatever happens to the write.
+func (c *AsyncClient) enqueue(f *Future, enc func(dst []byte) ([]byte, error)) error {
+	if c.shut {
+		return c.closedErr()
+	}
+	c.tag++
+	f.tag = c.tag
+	body, err := enc(AppendTaggedRequest(c.ebuf[:0], f.tag))
+	c.ebuf = recycle(body) // body stays valid until wmu is let go
+	if err != nil {
+		return err
 	}
 	if len(body) > MaxFrame {
 		// Catch the oversized frame here, where it fails only this
-		// future; from the write loop it would be connection-fatal and
-		// take every unrelated in-flight future down with it.
-		f.releaseBody()
-		f.fail(ErrFrameTooLarge)
-		return f
+		// future; from WriteFrame it would be connection-fatal and take
+		// every unrelated in-flight future down with it.
+		return ErrFrameTooLarge
 	}
 	select {
-	case c.reqCh <- f:
-	case <-c.done:
-		f.releaseBody()
-		f.fail(c.closedErr())
+	case c.pend <- f:
+	default:
+		// Window full: everything buffered must reach the server before
+		// blocking, or responses could never arrive to free a slot. The
+		// wait keeps wmu, so the next frame written is this one; done
+		// ends it, so shutdown can take wmu.
+		if err := c.bw.Flush(); err != nil {
+			c.fatal(err)
+			return c.Err() // first recorded error wins (Close vs transport)
+		}
+		select {
+		case c.pend <- f:
+		case <-c.done:
+			return c.closedErr()
+		}
 	}
-	return f
+	if err := WriteFrame(c.bw, body); err != nil {
+		c.fatal(err) // f is in pend: shutdown resolves it
+	}
+	return nil
 }
 
 func (c *AsyncClient) closedErr() error {
@@ -374,76 +407,10 @@ func (c *AsyncClient) MGetAsync(keys []string) *Future { return c.FrameAsync(MGe
 // MPutAsync submits a compact multi-put as one frame.
 func (c *AsyncClient) MPutAsync(entries []Entry) *Future { return c.FrameAsync(MPutBatch(entries)) }
 
-// writeLoop drains submissions, acquires window slots, and writes
-// frames, flushing once per burst: after a blocking receive it keeps
-// writing as long as more submissions are immediately available, and
-// only then flushes — the message-coalescing the paper's
-// communication-cost analysis argues for.
-func (c *AsyncClient) writeLoop() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.done:
-			return
-		case f := <-c.reqCh:
-			if !c.writeOne(f) {
-				return
-			}
-			for more := true; more; {
-				select {
-				case f2 := <-c.reqCh:
-					if !c.writeOne(f2) {
-						return
-					}
-				default:
-					more = false
-				}
-			}
-			if err := c.bw.Flush(); err != nil {
-				c.fatal(err)
-				return
-			}
-		}
-	}
-}
-
-// writeOne acquires a window slot for f (flushing first if the window is
-// full, so the server can drain it) and writes f's frame. The slot is
-// acquired before the write, and the reader pops slots FIFO, so pend
-// order always equals write order.
-func (c *AsyncClient) writeOne(f *Future) bool {
-	select {
-	case c.pend <- f:
-	default:
-		// Window full: everything buffered must reach the server before
-		// blocking, or responses could never arrive to free a slot.
-		if err := c.bw.Flush(); err != nil {
-			c.fatal(err)
-			f.releaseBody()
-			f.fail(c.Err()) // first recorded error wins (Close vs transport)
-			return false
-		}
-		select {
-		case c.pend <- f:
-		case <-c.done:
-			f.releaseBody()
-			f.fail(c.closedErr())
-			return false
-		}
-	}
-	err := WriteFrame(c.bw, f.body)
-	f.releaseBody() // the body is copied (or dead) after the write attempt
-	if err != nil {
-		c.fatal(err)
-		return false // f is in pend; drainPending resolves it
-	}
-	return true
-}
-
 // readLoop reads response frames, matches each to its future and hands
 // the frame over, buffer and all: decoding is the waiter's.
 func (c *AsyncClient) readLoop() {
-	defer c.wg.Done()
+	defer c.shutdown()
 	for {
 		bufp := framePool.Get().(*[]byte)
 		body, err := ReadFrame(c.br, *bufp)

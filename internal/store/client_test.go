@@ -84,14 +84,7 @@ func TestServerRejectsTaggedMalformed(t *testing.T) {
 // corrupting transport, since the client's own encoders never produce
 // one.
 func TestPipelineRejectSurfacesServerError(t *testing.T) {
-	s := New(Options{})
-	srv := NewServer(s, 1)
-	clientEnd, serverEnd := net.Pipe()
-	go func() {
-		defer serverEnd.Close()
-		_ = srv.ServeConn(serverEnd)
-	}()
-	cl := NewAsyncClient(&corruptBatches{Conn: clientEnd}, 4)
+	cl := NewAsyncClient(&corruptBatches{Conn: netPipe(NewServer(New(Options{}), 1))}, 4)
 	defer cl.Close()
 	_, err := cl.MGet([]string{"a", "b"})
 	if err == nil {

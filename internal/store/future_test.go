@@ -1,11 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,12 +131,14 @@ func awaitAll(t *testing.T, waits []waiter) []error {
 	return errs
 }
 
-// TestShutdownFailsEveryFlight: with eight flights un-awaited at depth 8,
-// the client closing or the peer hanging up resolves every one of them
-// with the first fatal error — no Wait hangs, none panics, whether it is
-// a future's or an Issue'd group's.
+// TestShutdownFailsEveryFlight: with eight flights un-awaited at depth 8
+// and two more submitters waiting for a slot in the full window — one of
+// them holding the write lock — the client closing or the peer hanging up
+// resolves every one of them with the first fatal error: no Wait hangs,
+// none panics, whether it is a future's or an Issue'd group's, and no
+// submitter is left blocked.
 func TestShutdownFailsEveryFlight(t *testing.T) {
-	const depth = 8
+	const depth, waiting = 8, 2
 	for _, tc := range []struct {
 		name string
 		kill func(c *AsyncClient, peer net.Conn)
@@ -156,7 +162,17 @@ func TestShutdownFailsEveryFlight(t *testing.T) {
 			defer c.Close()
 			waits := inFlight(c, depth)
 			<-written
-			tc.kill(c, peer)
+			late := make(chan *Future, waiting)
+			for i := 0; i < waiting; i++ {
+				go func() { late <- c.MGetAsync([]string{"a", "b"}) }()
+				waits = append(waits, func() error { _, err := (<-late).WaitBatch(); return err })
+			}
+			for deadline := time.Now().Add(10 * time.Second); c.queued.Load() < waiting; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the late submitters never reached the write lock")
+				}
+			}
+			inTime(t, tc.name, func() { tc.kill(c, peer) })
 			for i, err := range awaitAll(t, waits) {
 				if !errors.Is(err, tc.want) {
 					t.Errorf("flight %d: %v, want %v", i, err, tc.want)
@@ -164,6 +180,133 @@ func TestShutdownFailsEveryFlight(t *testing.T) {
 			}
 			if err := c.Err(); !errors.Is(err, tc.want) {
 				t.Errorf("client died with %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// stallConn wraps one end of a net.Pipe: it counts the Writes in
+// progress, and its Reads wait until gate is closed or the end is.
+type stallConn struct {
+	net.Conn
+	gate, closed chan struct{}
+	once         sync.Once
+	writing      atomic.Int32
+}
+
+func newStallConn(c net.Conn, gate chan struct{}) *stallConn {
+	return &stallConn{Conn: c, gate: gate, closed: make(chan struct{})}
+}
+
+func (s *stallConn) Read(p []byte) (int, error) {
+	select {
+	case <-s.gate:
+	case <-s.closed:
+	}
+	return s.Conn.Read(p)
+}
+
+func (s *stallConn) Write(p []byte) (int, error) {
+	s.writing.Add(1)
+	defer s.writing.Add(-1)
+	return s.Conn.Write(p)
+}
+
+func (s *stallConn) Close() error {
+	s.once.Do(func() { close(s.closed) })
+	return s.Conn.Close()
+}
+
+// TestBlockedWriterOverPipe: over net.Pipe, which has no buffer, a full
+// window of un-awaited batch frames from concurrent submitters is held in
+// the state a submitter-writes-its-own-frame client must survive — the
+// server blocked writing a large response nobody is reading yet, so it
+// reads no requests, and a submitter blocked in Write with the
+// connection's write lock held. Released, every flight completes with its
+// answer; closed instead, every flight fails with ErrClientClosed. Nothing
+// may hang.
+func TestBlockedWriterOverPipe(t *testing.T) {
+	const window, keys = 8, 8
+	s := New(Options{})
+	defer s.Close()
+	h := s.NewHandle(0)
+	// Long keys make each request frame larger than the bufio buffers on
+	// both ends, so the request stream backs up as soon as the server
+	// stops reading; large values do the same to every response.
+	frames := make([][]string, window)
+	want := map[string][]byte{}
+	for i := range frames {
+		for j := 0; j < keys; j++ {
+			k := fmt.Sprintf("%d/%d/%s", i, j, strings.Repeat("k", 600))
+			want[k] = bytes.Repeat([]byte{byte(i*keys + j)}, 16<<10)
+			h.Put(k, want[k])
+			frames[i] = append(frames[i], k)
+		}
+	}
+	for _, closeIt := range []bool{false, true} {
+		name := "released"
+		if closeIt {
+			name = "Close"
+		}
+		t.Run(name, func(t *testing.T) {
+			clientEnd, serverEnd := net.Pipe()
+			gate := make(chan struct{})
+			open := make(chan struct{})
+			close(open)
+			srvSide := newStallConn(serverEnd, open)
+			go func() {
+				defer serverEnd.Close()
+				_ = NewServer(s, 1).ServeConn(srvSide)
+			}()
+			cliSide := newStallConn(clientEnd, gate)
+			c := NewAsyncClient(cliSide, window)
+			defer c.Close()
+
+			futs := make(chan *Future, window)
+			for i := range frames {
+				i := i
+				go func() { futs <- c.MGetAsync(frames[i]) }()
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for srvSide.writing.Load() == 0 || cliSide.writing.Load() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("never reached a server blocked writing and a submitter blocked in Write")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if closeIt {
+				go c.Close()
+			} else {
+				close(gate)
+			}
+			waits := make([]waiter, window)
+			timeout := time.After(10 * time.Second)
+			for i := range waits {
+				select {
+				case f := <-futs:
+					waits[i] = func() error {
+						resps, err := f.WaitBatch()
+						if err != nil {
+							return err
+						}
+						for j, r := range resps {
+							if k := f.reqs[j].Key; !bytes.Equal(r.Value, want[k]) {
+								return fmt.Errorf("%.8s…: %d bytes, want its %d", k, len(r.Value), len(want[k]))
+							}
+						}
+						return nil
+					}
+				case <-timeout:
+					t.Fatal("a submitter hangs")
+				}
+			}
+			for i, err := range awaitAll(t, waits) {
+				switch {
+				case closeIt && !errors.Is(err, ErrClientClosed):
+					t.Errorf("flight %d: %v, want ErrClientClosed", i, err)
+				case !closeIt && err != nil:
+					t.Errorf("flight %d: %v", i, err)
+				}
 			}
 		})
 	}

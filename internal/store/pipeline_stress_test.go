@@ -122,14 +122,19 @@ func TestPipelineStressPipe(t *testing.T) {
 	if testing.Short() {
 		ops = 400
 	}
-	stressAsyncClients(t, func() (net.Conn, error) {
-		clientEnd, serverEnd := net.Pipe()
-		go func() {
-			defer serverEnd.Close()
-			_ = srv.ServeConn(serverEnd)
-		}()
-		return clientEnd, nil
-	}, 8, 64, ops)
+	stressAsyncClients(t, func() (net.Conn, error) { return netPipe(srv), nil }, 8, 64, ops)
+}
+
+// netPipe dials srv over net.Pipe, which has no buffer: every Write waits
+// for the peer's Read. Tests use it where the in-process transport's
+// buffering would hide a writer blocked against a writer.
+func netPipe(srv *Server) net.Conn {
+	clientEnd, serverEnd := net.Pipe()
+	go func() {
+		defer serverEnd.Close()
+		_ = srv.ServeConn(serverEnd)
+	}()
+	return clientEnd
 }
 
 func TestPipelineStressTCP(t *testing.T) {
@@ -152,11 +157,18 @@ func TestPipelineStressTCP(t *testing.T) {
 
 // TestPipelineWindowExhaustion floods a tiny window from many submitter
 // goroutines: every op must complete (window backpressure, no deadlock)
-// even though submissions outnumber the window 100:1.
+// even though submissions outnumber the window 100:1 — over the
+// in-process transport and over net.Pipe, where a submitter blocked in
+// Write holds the write lock until the server reads.
 func TestPipelineWindowExhaustion(t *testing.T) {
 	s := New(Options{Shards: 2, Buckets: 4, Lock: locks.TICKET})
 	srv := NewServer(s, 2)
-	cl := srv.PipeAsyncClient(2)
+	for name, conn := range map[string]net.Conn{"in-process": srv.pipeConn(), "net.Pipe": netPipe(srv)} {
+		t.Run(name, func(t *testing.T) { exhaustWindow(t, NewAsyncClient(conn, 2)) })
+	}
+}
+
+func exhaustWindow(t *testing.T, cl *AsyncClient) {
 	defer cl.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

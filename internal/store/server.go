@@ -263,21 +263,25 @@ func trimResp(op byte, r Response) Response {
 	return r
 }
 
-// PipeClient connects a new in-process client to the server over
-// net.Pipe, with the server side on its own goroutine — the transport
-// `ssync store`, the harness experiments and the e2e tests share.
+// PipeClient connects a new in-process client to the server over a
+// buffered in-memory connection (memConn), with the server side on its
+// own goroutine — the transport `ssync store`, the harness experiments,
+// the cluster and the e2e tests share.
 func (sv *Server) PipeClient() *Client {
 	return NewClient(sv.pipeConn())
 }
 
 // PipeAsyncClient is PipeClient's multiplexed sibling: a new async
-// client with the given in-flight window over net.Pipe.
+// client with the given in-flight window over the same in-memory
+// connection. It adds one goroutine beside the server's: its reader.
 func (sv *Server) PipeAsyncClient(window int) *AsyncClient {
 	return NewAsyncClient(sv.pipeConn(), window)
 }
 
+// pipeConn is the one in-process dial: a memConn whose far end the
+// server serves on a goroutine of its own.
 func (sv *Server) pipeConn() net.Conn {
-	clientEnd, serverEnd := net.Pipe()
+	clientEnd, serverEnd := memPipe()
 	go func() {
 		defer serverEnd.Close()
 		_ = sv.ServeConn(serverEnd)

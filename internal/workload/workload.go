@@ -11,9 +11,11 @@ import (
 	"ssync/internal/xrand"
 )
 
-// Conn is what a workload client drives: the method set shared by
-// store.Client (wire protocol), store.LocalConn (in-process) and any
-// future backend. Scan reports how many entries it returned. A Conn is
+// Conn is what a workload client drives. store.Driver adapts every
+// connection kind to it: store.LocalConn (a handle, no wire),
+// store.Client and store.AsyncClient (the wire protocol, over the
+// in-process buffered connection or any net.Conn) and the routed
+// cluster.Client. Scan reports how many entries it returned. A Conn is
 // used by one goroutine at a time.
 type Conn interface {
 	Get(key string) (value []byte, found bool, err error)
