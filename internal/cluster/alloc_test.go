@@ -21,8 +21,8 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // whose ring owns every key, ServeConn — parse, decide the owner from
 // the frame bytes under the filter lock, execute, encode — allocates
 // nothing per frame, scalar or batch, on the mutate-in-place engines.
-// (The optimistic engine's puts pay their copy-on-write, which store's
-// gate bounds; here it serves reads only.) Per-connection set-up is
+// (The optimistic engine's puts pay their immutable value copy, which
+// store's gate pins; here it serves reads only.) Per-connection set-up is
 // measured out by serving the same cycle of frames at two lengths.
 func TestRoutedServeAllocs(t *testing.T) {
 	if race.Enabled {

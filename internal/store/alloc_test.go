@@ -15,8 +15,10 @@ import (
 //
 //   - a direct Get that must return an owning copy (use GetAppend for
 //     the allocation-free form),
-//   - the optimistic engine's Put, whose copy-on-write bucket rebuild
-//     IS its synchronization (bounded, not zeroed, below),
+//   - the optimistic engine's Put, whose stored value is immutable so
+//     that readers may alias it: an overwrite is exactly the value copy
+//     and its pointer box, a create adds the copy-on-write bucket and key
+//     order (pinned and bounded below),
 //   - the wire client's decoded value copy (the parse paths' copy-out
 //     invariant is what makes all the buffer pooling sound).
 //
@@ -35,11 +37,22 @@ func allocKeys(h *Handle, n, valLen int) []string {
 	return keys
 }
 
-// optPutAllocBound is the allowance for one optimistic-engine put: the
-// rebuilt oBucket header plus its three parallel slices, the stored
-// value copy, and slack for the occasional bucket growth. The other
-// engines mutate in place and get no allowance at all.
-const optPutAllocBound = 8
+// optOverwriteAllocs is exactly what one optimistic-engine overwrite
+// allocates: the stored value copy and the pointer box its cell's atomic
+// store publishes. The other engines overwrite in place and allocate
+// nothing.
+const optOverwriteAllocs = 2
+
+// optCreateAllocBound and optDeleteAllocBound bound the optimistic
+// engine's create and delete, each of which rebuilds its bucket
+// copy-on-write (header, hashes, cells) and publishes a new key order
+// (array and pointer box). A create adds the value copy, its box and the
+// cell: 8 objects for a key that sorts mid-order, fewer for one appended
+// into the order's slack. A delete is 5.
+const (
+	optCreateAllocBound = 8
+	optDeleteAllocBound = 5
+)
 
 func TestPointOpAllocs(t *testing.T) {
 	if race.Enabled {
@@ -80,23 +93,44 @@ func TestPointOpAllocs(t *testing.T) {
 				h.Put(keys[i%len(keys)], val)
 				i++
 			})
-			switch {
-			case eng == EngineOptimistic && put > optPutAllocBound:
-				t.Errorf("Put: %.2f allocs/op, want <= %d (copy-on-write)", put, optPutAllocBound)
-			case eng != EngineOptimistic && put != 0:
-				t.Errorf("Put: %.2f allocs/op, want 0", put)
-			}
-
 			putBytes := testing.AllocsPerRun(runs, func() {
 				kb := append(kbuf[:0], keys[i%len(keys)]...)
 				h.PutBytes(kb, val)
 				i++
 			})
-			switch {
-			case eng == EngineOptimistic && putBytes > optPutAllocBound:
-				t.Errorf("PutBytes: %.2f allocs/op, want <= %d (copy-on-write)", putBytes, optPutAllocBound)
-			case eng != EngineOptimistic && putBytes != 0:
-				t.Errorf("PutBytes: %.2f allocs/op, want 0", putBytes)
+			want := 0.0
+			if eng == EngineOptimistic {
+				want = optOverwriteAllocs
+			}
+			if put != want || putBytes != want {
+				t.Errorf("overwrite: Put %.2f, PutBytes %.2f allocs/op, want %.0f", put, putBytes, want)
+			}
+			if eng != EngineOptimistic {
+				return
+			}
+
+			// A create and a delete of keys that sort between the present
+			// ones, so every order publish is a full copy, in a store of one
+			// bucket per shard, so no bucket rebuild is of an empty one.
+			dense := New(Options{Engine: eng, Buckets: 1})
+			defer dense.Close()
+			dh := dense.NewHandle(0)
+			fresh := allocKeys(dh, runs+1, len(val))
+			for j := range fresh {
+				fresh[j] += "+"
+			}
+			var c, d int
+			create := testing.AllocsPerRun(runs, func() {
+				dh.Put(fresh[c], val)
+				c++
+			})
+			del := testing.AllocsPerRun(runs, func() {
+				dh.Delete(fresh[d])
+				d++
+			})
+			if create > optCreateAllocBound || del > optDeleteAllocBound {
+				t.Errorf("create %.2f, delete %.2f allocs/op, want <= %d and <= %d (copy-on-write)",
+					create, del, optCreateAllocBound, optDeleteAllocBound)
 			}
 		})
 	}
@@ -137,7 +171,7 @@ func TestWireAllocs(t *testing.T) {
 
 			putBound := 1.0 // transport slack only
 			if eng == EngineOptimistic {
-				putBound += optPutAllocBound
+				putBound += optOverwriteAllocs
 			}
 			put := warm(func() {
 				if _, err := c.Put(keys[i%len(keys)], val); err != nil {
@@ -236,8 +270,8 @@ func TestScanLimitClamp(t *testing.T) {
 // BenchmarkWirePointOps is the tentpole's measurement: the point-op
 // path per engine, direct (handle) and over the in-process conn (wire),
 // with allocs/op reported. Direct get and put are allocation-free on the
-// mutate-in-place engines; the optimistic engine's put pays its
-// copy-on-write rebuild and nothing else.
+// mutate-in-place engines; the optimistic engine's put of a present key
+// pays its value copy and the copy's pointer box, nothing else.
 func BenchmarkWirePointOps(b *testing.B) {
 	val := make([]byte, 64)
 	for _, eng := range Engines {

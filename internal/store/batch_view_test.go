@@ -222,7 +222,7 @@ func mustBatch(t testing.TB, b Batch) []byte {
 // TestBatchServeAllocs is the batch path's allocation gate: ServeConn
 // fed recorded batch frames from memory — parse, route, execute, encode
 // — allocates nothing per frame on the mutate-in-place engines and no
-// more than the copy-on-write bound per put on the optimistic one, with
+// more than an overwrite's two objects per put on the optimistic one, with
 // and without a Router. Per-connection set-up (handle, buffers, scratch
 // growing to the frame mix) is measured out by serving the same cycle
 // of frames at two lengths.
@@ -284,7 +284,7 @@ func TestBatchServeAllocs(t *testing.T) {
 				perCycle := (serve(long) - serve(short)) / (long - short)
 				bound := 0.0
 				if eng == EngineOptimistic {
-					bound = float64(puts * optPutAllocBound)
+					bound = float64(puts * optOverwriteAllocs)
 				}
 				if perCycle > bound {
 					t.Errorf("%.2f allocs per cycle of %d batch frames (%d puts), want <= %.0f",

@@ -13,9 +13,10 @@ import "fmt"
 //     outright and executes batched request/reply messages from a
 //     channel mailbox — the message-passing paradigm, internal/mp's
 //     client-server discipline with Go channels as the transport.
-//   - EngineOptimistic publishes immutable copy-on-write buckets so
-//     point reads complete without acquiring the shard lock (one atomic
-//     load), with a seqlock-style shard version giving scans consistent
+//   - EngineOptimistic publishes immutable copy-on-write buckets of
+//     per-key cells, whose values an overwrite swaps by pointer, so
+//     point reads complete without acquiring the shard lock (two atomic
+//     loads), with a seqlock-style shard version giving scans consistent
 //     snapshots; writers still lock — the optimistic paradigm.
 type Engine string
 

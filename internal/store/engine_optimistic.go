@@ -2,7 +2,6 @@ package store
 
 import (
 	"runtime"
-	"sort"
 	"sync/atomic"
 
 	"ssync/internal/hashkit"
@@ -11,26 +10,28 @@ import (
 )
 
 // optimisticEngine is the optimistic-read paradigm: Get and the all-read
-// batch groups (MGet) complete without acquiring the shard lock. Each
-// bucket is an immutable snapshot published through an atomic pointer;
-// writers — which still serialize through the shard's write lock, any
-// libslock algorithm — rebuild the touched bucket copy-on-write and
-// publish it with a seqlock-style version dance (odd while publishing,
-// even when stable). A point read is a single atomic load of the
-// published bucket (immutability makes the load its own linearization
-// point, so unlike a classical seqlock it never validates or retries);
+// batch groups (MGet) complete without acquiring the shard lock. Every
+// key has a cell whose value is an atomic pointer, and each bucket is an
+// immutable snapshot of its cells published through an atomic pointer.
+// Writers — which still serialize through the shard's write lock, any
+// libslock algorithm — overwrite a present key by storing a fresh value
+// pointer into its cell, and create or delete one by rebuilding the
+// touched bucket copy-on-write; either is published with a seqlock-style
+// version dance (odd while publishing, even when stable). A point read
+// is two atomic loads, the bucket and then the cell's value, and never
+// validates or retries (optAccess.get says why that is linearizable);
 // the version discipline is what gives per-shard *scans* — reads whose
-// footprint is the shard's key order and many buckets — a consistent
+// footprint is the shard's key order and many cells — a consistent
 // snapshot that never blocks writers.
 //
-// Because published buckets are never mutated in place, reads race with
-// nothing — the engine is exactly as race-detector-clean as the other
-// two. Counters are per-field atomics, striped per accessor so the
-// lock-free read path does not serialize on one hot counter line; a
-// stats snapshot sums the stripes, stays race-free, and each field is
-// monotone across snapshots (the fields of one snapshot may straddle
-// in-flight ops; ShardStats documents this as the cross-engine
-// contract).
+// Because published buckets and stored values are never mutated in
+// place, reads race with nothing — the engine is exactly as
+// race-detector-clean as the other two. Counters are per-field atomics,
+// striped per accessor so the lock-free read path does not serialize on
+// one hot counter line; a stats snapshot sums the stripes, stays
+// race-free, and each field is monotone across snapshots (the fields of
+// one snapshot may straddle in-flight ops; ShardStats documents this as
+// the cross-engine contract).
 type optimisticEngine struct {
 	opt       Options
 	shards    []optShard
@@ -38,15 +39,31 @@ type optimisticEngine struct {
 	accessCtr atomic.Uint64 // round-robin counter-stripe assignment
 }
 
-// oBucket is an immutable bucket snapshot. The flat-vector layout
-// replaces the segment chains of the mutable table: copy-on-write
-// rewrites the whole bucket anyway, so chaining would only add pointer
-// hops to the read path. Inner value slices are immutable once published
-// and may be shared between successive snapshots.
+// oCell is one key's slot, shared by every bucket snapshot and key order
+// that holds the key. The key never changes; an overwrite stores a fresh
+// value pointer, and a stored value is never mutated, so a reader may
+// alias it for as long as it likes. A cell lives from the create that
+// makes it to the delete that drops it: a deleted cell is never written
+// again, and a re-create makes a new one.
+type oCell struct {
+	key string
+	val atomic.Pointer[[]byte]
+}
+
+// oBucket is an immutable bucket snapshot: which cells the bucket holds,
+// and their hashes. The flat-vector layout replaces the segment chains
+// of the mutable table: a create or delete rewrites the whole bucket
+// anyway, so chaining would only add pointer hops to the read path.
+// Only a create or a delete rebuilds it; an overwrite reaches the value
+// through the cell and leaves every snapshot as it is.
+//
+// Per key that is 16 B of bucket entries (hash and cell pointer), a
+// 24 B cell and a 24 B value box — 64 B where parallel hash, key and
+// value slices held 48 B — plus 8 B in the key order, where a key string
+// took 16 B.
 type oBucket struct {
 	hashes []uint64
-	keys   []string
-	vals   [][]byte
+	cells  []*oCell
 }
 
 // optStripes is the number of counter stripes per shard. Counting a get
@@ -77,18 +94,19 @@ type optCounters struct {
 // counter, which is exactly the false sharing the stripes exist to
 // avoid. align_test.go pins these offsets.
 //
-// order is the shard's live keys, sorted: the same strings the buckets
-// hold, published copy-on-write by every create and delete inside the
-// same version window as the bucket it goes with, so a scan that
-// validates sees both or neither. It is what lets a prefix scan seek
-// and stop after limit keys instead of walking every bucket.
+// order is the shard's live cells, sorted by key: the same cells the
+// buckets hold, published copy-on-write by every create and delete
+// inside the same version window as the bucket it goes with, so a scan
+// that validates sees both or neither. It is what lets a prefix scan
+// seek, read each value straight from its cell and stop after limit
+// keys instead of walking every bucket.
 //
 //ssync:cacheline
 type optShard struct {
 	version pad.Uint64
 	live    pad.Int64
 	buckets []atomic.Pointer[oBucket]
-	order   atomic.Pointer[[]string]
+	order   atomic.Pointer[[]*oCell]
 	_       [pad.CacheLineSize - 32]byte
 	stripes [optStripes]optCounters
 }
@@ -129,7 +147,7 @@ func (b *oBucket) find(hash uint64, key lookupKey) int {
 		return -1
 	}
 	for i, h := range b.hashes {
-		if h == hash && key.eq(b.keys[i]) {
+		if h == hash && key.eq(b.cells[i].key) {
 			return i
 		}
 	}
@@ -158,22 +176,27 @@ func (a *optAccess) lock(i int) {
 
 func (a *optAccess) unlock(i int) { a.e.guards[i].Release(a.toks[i]) }
 
-// get is the paradigm's point: one atomic load of the published
-// immutable bucket — no lock, no validation, no retry, no waiting on
-// writers at all. Immutability makes the load itself the linearization
-// point: the snapshot a reader observes is exactly the state some
-// prefix of the shard's writes published. The shard version exists for
-// scanShard's multi-bucket snapshot, where a single load cannot cover
-// the footprint; validating point reads against it would only make
-// every Get in a shard retry on publishes to unrelated buckets.
+// get is the paradigm's point: two atomic loads, the published bucket
+// and then the found cell's value — no lock, no validation, no retry, no
+// waiting on writers at all. It is linearizable because of three facts:
+// an overwrite stores only into a cell of the shard's current bucket,
+// under the shard lock; a deleted cell is never written again (a
+// re-create makes a new cell); and a stored value is never mutated. So
+// a reader whose bucket was current at its first load either misses —
+// the key was absent at that load — or holds a cell that was live then,
+// and reads a value the key held at some instant between its two loads:
+// the cell's value at the second load if the cell is still live, else
+// the last one it held before its delete, which came after the first
+// load. The shard version exists for scanShard's multi-key snapshot,
+// where two loads cannot cover the footprint; validating point reads
+// against it would only make every Get in a shard retry on writes to
+// unrelated keys.
 func (a *optAccess) get(shard int, hash uint64, key lookupKey, dst []byte) ([]byte, bool) {
 	sh := &a.e.shards[shard]
 	a.count(sh).gets.Add(1)
 	b := a.e.bucketOf(sh, hash).Load()
 	if i := b.find(hash, key); i >= 0 {
-		// The loaded bucket is immutable, so appending from vals[i] into
-		// the caller's buffer is safe without any validation.
-		return append(dst, b.vals[i]...), true
+		return append(dst, *b.cells[i].val.Load()...), true
 	}
 	return dst, false
 }
@@ -190,45 +213,47 @@ func (a *optAccess) del(shard int, hash uint64, key lookupKey) bool {
 	return a.delLocked(&a.e.shards[shard], hash, key)
 }
 
-// putLocked rebuilds the bucket copy-on-write and publishes it under the
-// version dance. The shard write lock must be held. Copy-on-write is
-// the one write path that allocates by design — the rebuilt bucket IS
-// the synchronization mechanism — so the optimistic engine's put can
-// never be allocation-free the way the mutate-in-place engines are;
-// the alloc regression tests bound it instead of zeroing it.
+// putLocked stores a copy of value under key. The shard write lock must
+// be held. An overwrite stores a fresh value pointer into the key's
+// cell inside the version window, so a scan that read the old value
+// retries; it rebuilds no bucket and publishes no order. A create makes
+// a cell, rebuilds the bucket copy-on-write and publishes it with the
+// new key order. The value copy and its pointer box are the two
+// allocations every put pays — a stored value is immutable, which is
+// what lets readers alias it — so the optimistic engine's put can never
+// be allocation-free the way the mutate-in-place engines are; the alloc
+// regression tests pin the overwrite and bound the create.
 func (a *optAccess) putLocked(sh *optShard, hash uint64, key lookupKey, value []byte) bool {
 	e := a.e
 	a.count(sh).puts.Add(1)
+	stored := append([]byte(nil), value...)
 	slot := e.bucketOf(sh, hash)
 	old := slot.Load()
-	i := old.find(hash, key)
-	nb := &oBucket{}
+	if i := old.find(hash, key); i >= 0 {
+		sh.version.Add(1)
+		old.cells[i].val.Store(&stored)
+		sh.version.Add(1)
+		return false
+	}
+	c := &oCell{key: key.str()}
+	c.val.Store(&stored)
+	var hashes []uint64
+	var cells []*oCell
 	if old != nil {
-		nb.hashes = append([]uint64(nil), old.hashes...)
-		nb.keys = append([]string(nil), old.keys...)
-		nb.vals = append([][]byte(nil), old.vals...)
+		hashes, cells = old.hashes, old.cells
 	}
-	stored := append([]byte(nil), value...)
-	created := i < 0
-	var order *[]string // an overwrite leaves the key order as it is
-	if created {
-		k := key.str()
-		nb.hashes = append(nb.hashes, hash)
-		nb.keys = append(nb.keys, k)
-		nb.vals = append(nb.vals, stored)
-		order = orderInsert(sh.order.Load(), k)
-	} else {
-		nb.vals[i] = stored
+	nb := &oBucket{
+		hashes: append(append(make([]uint64, 0, len(hashes)+1), hashes...), hash),
+		cells:  append(append(make([]*oCell, 0, len(cells)+1), cells...), c),
 	}
-	e.publish(sh, slot, nb, order)
-	if created {
-		sh.live.Add(1)
-	}
-	return created
+	e.publish(sh, slot, nb, orderInsert(sh.order.Load(), c))
+	sh.live.Add(1)
+	return true
 }
 
-// delLocked rebuilds the bucket without key, if present. The shard write
-// lock must be held.
+// delLocked rebuilds the bucket without key, if present, and publishes
+// it with the key order that drops its cell. The shard write lock must
+// be held.
 func (a *optAccess) delLocked(sh *optShard, hash uint64, key lookupKey) bool {
 	e := a.e
 	a.count(sh).deletes.Add(1)
@@ -238,70 +263,64 @@ func (a *optAccess) delLocked(sh *optShard, hash uint64, key lookupKey) bool {
 	if i < 0 {
 		return false
 	}
+	n := len(old.hashes) - 1
 	nb := &oBucket{
-		hashes: make([]uint64, 0, len(old.hashes)-1),
-		keys:   make([]string, 0, len(old.keys)-1),
-		vals:   make([][]byte, 0, len(old.vals)-1),
+		hashes: append(append(make([]uint64, 0, n), old.hashes[:i]...), old.hashes[i+1:]...),
+		cells:  append(append(make([]*oCell, 0, n), old.cells[:i]...), old.cells[i+1:]...),
 	}
-	nb.hashes = append(append(nb.hashes, old.hashes[:i]...), old.hashes[i+1:]...)
-	nb.keys = append(append(nb.keys, old.keys[:i]...), old.keys[i+1:]...)
-	nb.vals = append(append(nb.vals, old.vals[:i]...), old.vals[i+1:]...)
-	e.publish(sh, slot, nb, orderDelete(sh.order.Load(), old.keys[i]))
+	e.publish(sh, slot, nb, orderDelete(sh.order.Load(), old.cells[i].key))
 	sh.live.Add(-1)
 	return true
 }
 
-// publish swaps in a new bucket snapshot — and, when the write created
-// or deleted a key, the shard's new key order — inside the seqlock
-// write window: odd version tells optimistic readers a publish is in
-// flight.
-func (e *optimisticEngine) publish(sh *optShard, slot *atomic.Pointer[oBucket], nb *oBucket, order *[]string) {
+// publish swaps in a create's or a delete's new bucket snapshot and the
+// shard's new key order inside the seqlock write window: odd version
+// tells optimistic readers a publish is in flight.
+func (e *optimisticEngine) publish(sh *optShard, slot *atomic.Pointer[oBucket], nb *oBucket, order *[]*oCell) {
 	sh.version.Add(1)
 	slot.Store(nb)
-	if order != nil {
-		sh.order.Store(order)
-	}
+	sh.order.Store(order)
 	sh.version.Add(1)
 }
 
-// orderInsert returns the key order cur with k inserted. A key that
+// orderInsert returns the key order cur with c inserted. A key that
 // sorts last is appended in place when there is capacity: the slots past
 // a published length are never part of any published order (a removal
 // or mid-order insert always copies to a fresh array, so the lengths
 // published over one array only grow), so no reader can see the write.
 // Only that tail growth copies into slack — an eighth more, so a run of
 // ascending creates (a preload) copies the order once per eighth of
-// growth instead of once per key, at 2 B per key rather than the 16 B a
+// growth instead of once per key, at 1 B per key rather than the 8 B a
 // doubling costs. Anything else copies to the exact size.
-func orderInsert(cur *[]string, k string) *[]string {
-	var keys []string
+func orderInsert(cur *[]*oCell, c *oCell) *[]*oCell {
+	var cells []*oCell
 	if cur != nil {
-		keys = *cur
+		cells = *cur
 	}
-	n := len(keys) + 1
-	i := sort.SearchStrings(keys, k)
-	if i == len(keys) {
-		if len(keys) == cap(keys) {
-			keys = append(make([]string, 0, n+n/8), keys...)
+	n := len(cells) + 1
+	i := keyOf(c.key).seek(cells)
+	if i == len(cells) {
+		if len(cells) == cap(cells) {
+			cells = append(make([]*oCell, 0, n+n/8), cells...)
 		}
-		next := append(keys, k)
+		next := append(cells, c)
 		return &next
 	}
-	next := make([]string, n)
-	copy(next, keys[:i])
-	next[i] = k
-	copy(next[i+1:], keys[i:])
+	next := make([]*oCell, n)
+	copy(next, cells[:i])
+	next[i] = c
+	copy(next[i+1:], cells[i:])
 	return &next
 }
 
-// orderDelete returns a copy of the key order cur without k, which it
-// holds.
-func orderDelete(cur *[]string, k string) *[]string {
-	keys := *cur
-	i := sort.SearchStrings(keys, k)
-	next := make([]string, len(keys)-1)
-	copy(next, keys[:i])
-	copy(next[i:], keys[i+1:])
+// orderDelete returns a copy of the key order cur without the cell of
+// k, which it holds.
+func orderDelete(cur *[]*oCell, k string) *[]*oCell {
+	cells := *cur
+	i := keyOf(k).seek(cells)
+	next := make([]*oCell, len(cells)-1)
+	copy(next, cells[:i])
+	copy(next[i:], cells[i+1:])
 	return &next
 }
 
@@ -317,8 +336,8 @@ func (a *optAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []Resp
 			break
 		}
 	}
-	// Published buckets are immutable, so the same lock-free get serves
-	// under the write lock too (no publish can race it there).
+	// The lock-free get needs nothing from the lock, so the same get
+	// serves under it too (no write can race it there).
 	get := func(hash uint64, key lookupKey, dst []byte) ([]byte, bool) { return a.get(shard, hash, key, dst) }
 	if !hasWrite {
 		execPointOps(ops, idxs, resps, arena, get, nil, nil)
@@ -333,12 +352,14 @@ func (a *optAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []Resp
 }
 
 // scanShard takes a seqlock snapshot of the keys it needs: load the
-// published key order, seek to the prefix, and for at most limit keys
-// find the value in the published bucket, then validate the version.
-// The run comes out sorted because the order is. Values alias the
-// published buckets, which are never mutated, so nothing is copied here
-// — the caller's merge copies the survivors once. Writers are never
-// blocked; the scan retries instead.
+// published key order, seek to the prefix, read the value of each of at
+// most limit cells, then validate the version. The run comes out sorted
+// because the order is. Values alias the stored ones, which are never
+// mutated, so nothing is copied here — the caller's merge copies the
+// survivors once. Every write stores inside the version window, an
+// overwrite's cell store included, so a scan that validates read every
+// cell as it stood at one instant. Writers are never blocked; the scan
+// retries instead.
 func (a *optAccess) scanShard(shard int, prefix lookupKey, limit int, out []Entry, _ *[]byte) []Entry {
 	sh := &a.e.shards[shard]
 	a.count(sh).scans.Add(1)
@@ -347,22 +368,15 @@ func (a *optAccess) scanShard(shard int, prefix lookupKey, limit int, out []Entr
 		v1 := sh.version.Load()
 		if v1&1 == 0 {
 			out = out[:base]
-			var keys []string
+			var cells []*oCell
 			if p := sh.order.Load(); p != nil {
-				keys = *p
+				cells = *p
 			}
-			for i := prefix.seek(keys); i < len(keys) && prefix.prefixOf(keys[i]); i++ {
+			for i := prefix.seek(cells); i < len(cells) && prefix.prefixOf(cells[i].key); i++ {
 				if limit > 0 && len(out)-base == limit {
 					break
 				}
-				k := keys[i]
-				hash := hashKey(k)
-				b := a.e.bucketOf(sh, hash).Load()
-				// A miss is a torn read — a publish landed between the two
-				// loads — and the validation below rejects it.
-				if j := b.find(hash, keyOf(k)); j >= 0 {
-					out = append(out, Entry{Key: k, Value: b.vals[j]})
-				}
+				out = append(out, Entry{Key: cells[i].key, Value: *cells[i].val.Load()})
 			}
 			if sh.version.Load() == v1 {
 				return out
@@ -401,8 +415,10 @@ func (a *optAccess) exportShard(shard, from int, pred func(uint64) bool, maxEntr
 				}
 				for i, h := range b.hashes {
 					if pred(h) {
-						out = append(out, Entry{Key: b.keys[i], Value: append([]byte(nil), b.vals[i]...)})
-						bytes += entryWireSize(b.keys[i], b.vals[i])
+						c := b.cells[i]
+						v := *c.val.Load()
+						out = append(out, Entry{Key: c.key, Value: append([]byte(nil), v...)})
+						bytes += entryWireSize(c.key, v)
 					}
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,8 +15,9 @@ import (
 )
 
 // The scan path under its oracles: a sorted-map reference for what a
-// scan returns, the optimistic engine's key order against the keys its
-// buckets hold, scanners racing writers, and the allocation gate.
+// scan returns, the optimistic engine's key order against the cells its
+// buckets hold, scanners racing writers, one shard's snapshot under
+// overwrites, the merge's table, and the allocation gate.
 
 // scanFuzzKey maps a byte to one of 39 keys of one to three letters of
 // "abc", so that keys share prefixes of every length and every shard
@@ -41,7 +43,7 @@ var scanLimits = []int{0, 1, 16, 100}
 // (Handle.Scan, a batch's arena path, ExecView's encoding), for prefixes
 // that match nothing, one key and so one shard, a band, or everything,
 // and after every step the optimistic engine's published key order must
-// be exactly the keys its buckets hold, sorted.
+// be exactly the cells its buckets hold, sorted by key.
 func FuzzScanModel(f *testing.F) {
 	rng := xrand.New(25)
 	for _, n := range []int{0, 8, 64, 256, 1024} {
@@ -129,15 +131,27 @@ func runScanModel(t *testing.T, s *Store, data []byte) {
 
 // orderAndKeys returns shard i's published key order and the keys its
 // published buckets hold, sorted — the order's invariant is that the two
-// are equal whenever the shard is quiescent. A test-only accessor.
+// are equal whenever the shard is quiescent, and hold the same cells. A
+// bucket's key whose cell the order does not hold comes back marked. A
+// test-only accessor.
 func (e *optimisticEngine) orderAndKeys(i int) (order, live []string) {
 	sh := &e.shards[i]
+	inOrder := map[*oCell]bool{}
 	if p := sh.order.Load(); p != nil {
-		order = *p
+		for _, c := range *p {
+			order = append(order, c.key)
+			inOrder[c] = true
+		}
 	}
 	for b := range sh.buckets {
 		if bk := sh.buckets[b].Load(); bk != nil {
-			live = append(live, bk.keys...)
+			for _, c := range bk.cells {
+				if inOrder[c] {
+					live = append(live, c.key)
+				} else {
+					live = append(live, c.key+" (cell not in the order)")
+				}
+			}
 		}
 	}
 	sort.Strings(live)
@@ -263,6 +277,114 @@ func TestScanUnderWriters(t *testing.T) {
 			scanning.Wait()
 			done.Store(true)
 			writing.Wait()
+		})
+	}
+}
+
+// TestScanSnapshotUnderOverwrites holds a shard's scan to one instant
+// while the keys it returns are overwritten, on every engine (run it with
+// -race; CI's engine-matrix leg does). A writer overwrites two keys of
+// one shard in turn — a=n, b=n, a=n+1, … — so at every instant
+// b ≤ a ≤ b+1, and every scan of their prefix must read exactly that.
+// TestScanUnderWriters cannot see a torn scan: any mix of the values it
+// writes is a mix it accepts.
+func TestScanSnapshotUnderOverwrites(t *testing.T) {
+	const scans = 20000
+	for _, eng := range Engines {
+		eng := eng
+		t.Run(string(eng), func(t *testing.T) {
+			t.Parallel()
+			s := New(Options{Shards: 4, Engine: eng, MaxThreads: 4})
+			defer s.Close()
+			a, b := "ow-a", ""
+			for i := 0; b == ""; i++ {
+				if k := fmt.Sprintf("ow-b%d", i); s.shardOf(hashKey(k)) == s.shardOf(hashKey(a)) {
+					b = k
+				}
+			}
+			h := s.NewHandle(0)
+			h.Put(a, []byte("0"))
+			h.Put(b, []byte("0"))
+			var done atomic.Bool
+			var writing sync.WaitGroup
+			writing.Add(1)
+			go func() {
+				defer writing.Done()
+				h := s.NewHandle(0)
+				for n := 1; !done.Load(); n++ {
+					v := []byte(strconv.Itoa(n))
+					h.Put(a, v)
+					h.Put(b, v)
+				}
+			}()
+			defer writing.Wait()
+			defer done.Store(true)
+			for i := 0; i < scans; i++ {
+				got := h.Scan("ow-", 0)
+				if len(got) != 2 {
+					t.Fatalf("scan returned %d entries, want %s and %s", len(got), a, b)
+				}
+				va, erra := strconv.Atoi(string(got[0].Value))
+				vb, errb := strconv.Atoi(string(got[1].Value))
+				if erra != nil || errb != nil || vb > va || va > vb+1 {
+					t.Fatalf("scan %d read %s=%s, %s=%s: no instant held both", i, a, got[0].Value, b, got[1].Value)
+				}
+			}
+		})
+	}
+}
+
+// TestMergeRuns pins the one k-way merge a store runs over its shards'
+// runs (keep nil: the shards partition the keys) and a routed client
+// runs over its members' shares (keep picks the owner's copy of a key
+// two members returned). An entry's value names the run it came from.
+func TestMergeRuns(t *testing.T) {
+	run := func(r string, keys ...string) []Entry {
+		out := make([]Entry, len(keys))
+		for i, k := range keys {
+			out[i] = Entry{Key: k, Value: []byte(r)}
+		}
+		return out
+	}
+	keepRun := func(want int) func(string, int) bool {
+		return func(_ string, r int) bool { return r == want }
+	}
+	for _, c := range []struct {
+		name  string
+		runs  [][]Entry
+		limit int
+		keep  func(string, int) bool
+		want  []Entry
+	}{
+		{name: "disjoint, keep nil, limit 0 (all)",
+			runs: [][]Entry{run("0", "a", "d", "e"), run("1", "b"), run("2", "c", "f")},
+			want: []Entry{{"a", []byte("0")}, {"b", []byte("1")}, {"c", []byte("2")}, {"d", []byte("0")}, {"e", []byte("0")}, {"f", []byte("2")}}},
+		{name: "shared head, keep picks the first copy",
+			runs: [][]Entry{run("0", "a", "k"), run("1", "k", "z")}, keep: keepRun(0),
+			want: []Entry{{"a", []byte("0")}, {"k", []byte("0")}, {"z", []byte("1")}}},
+		{name: "shared head, keep picks the second copy",
+			runs: [][]Entry{run("0", "a", "k"), run("1", "k", "z")}, keep: keepRun(1),
+			want: []Entry{{"a", []byte("0")}, {"k", []byte("1")}, {"z", []byte("1")}}},
+		{name: "shared head, keep picks neither: the first run's",
+			runs: [][]Entry{run("0", "k"), run("1", "k")}, keep: keepRun(2),
+			want: []Entry{{"k", []byte("0")}}},
+		{name: "limit 1",
+			runs: [][]Entry{run("0", "b", "c"), run("1", "a")}, limit: 1,
+			want: []Entry{{"a", []byte("1")}}},
+		{name: "limit past the total",
+			runs: [][]Entry{run("0", "b"), run("1", "a")}, limit: 10,
+			want: []Entry{{"a", []byte("1")}, {"b", []byte("0")}}},
+		{name: "empty runs",
+			runs: [][]Entry{nil, run("1", "a"), {}, run("3", "b")},
+			want: []Entry{{"a", []byte("1")}, {"b", []byte("3")}}},
+		{name: "every run empty", runs: [][]Entry{nil, {}}},
+		{name: "no runs"},
+		{name: "single run",
+			runs: [][]Entry{run("0", "a", "b", "c")}, limit: 2,
+			want: []Entry{{"a", []byte("0")}, {"b", []byte("0")}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sameEntries(t, c.name, MergeRuns(nil, c.runs, c.limit, c.keep), c.want)
 		})
 	}
 }

@@ -76,14 +76,15 @@ func (k lookupKey) prefixOf(s string) bool {
 	return len(s) >= len(k.s) && s[:len(k.s)] == k.s
 }
 
-// seek returns the index of the first of the sorted keys that does not
-// sort before k: where a prefix scan of k starts. Like eq, it compares
-// without converting a frame-aliasing key.
-func (k lookupKey) seek(keys []string) int {
+// seek returns the index of the first of the cells, sorted by key, whose
+// key does not sort before k: where a prefix scan of k starts, or where
+// k goes in the order. Like eq, it compares without converting a
+// frame-aliasing key.
+func (k lookupKey) seek(cells []*oCell) int {
 	if k.b != nil {
-		return sort.Search(len(keys), func(i int) bool { return keys[i] >= string(k.b) })
+		return sort.Search(len(cells), func(i int) bool { return cells[i].key >= string(k.b) })
 	}
-	return sort.SearchStrings(keys, k.s)
+	return sort.Search(len(cells), func(i int) bool { return cells[i].key >= k.s })
 }
 
 // hash is FNV-1a over the key bytes, identical for both representations.
@@ -760,16 +761,17 @@ func (h *Handle) scan(prefix lookupKey, limit int) []Entry {
 // and stops once limit entries have been appended (limit <= 0: all) —
 // the one merge every scan goes through: a store's over its shards'
 // runs, a routed client's over its members' shares. It advances runs
-// past what it takes. A key at the head of several runs is taken once:
-// from the first run for which keep(key, run) reports true, else from
-// the first run holding it; keep may be nil when no key can be in two
-// runs, as in a store, whose shards partition the keys.
+// past what it takes. With keep set, a key at the head of several runs
+// is taken once: from the first run for which keep(key, run) reports
+// true, else from the first run holding it. keep is nil when no key can
+// be in two runs, as in a store, whose shards partition the keys; the
+// merge then does not look for duplicates at all.
 func MergeRuns(dst []Entry, runs [][]Entry, limit int, keep func(key string, run int) bool) []Entry {
 	for base := len(dst); limit <= 0 || len(dst)-base < limit; {
-		at := -1 // the run whose head sorts first
+		at, head := -1, "" // the run whose head sorts first, and its key
 		for r, run := range runs {
-			if len(run) > 0 && (at < 0 || run[0].Key < runs[at][0].Key) {
-				at = r
+			if len(run) > 0 && (at < 0 || run[0].Key < head) {
+				at, head = r, run[0].Key
 			}
 		}
 		if at < 0 {
@@ -777,14 +779,16 @@ func MergeRuns(dst []Entry, runs [][]Entry, limit int, keep func(key string, run
 		}
 		e := runs[at][0]
 		runs[at] = runs[at][1:]
-		for r := at + 1; r < len(runs); r++ {
-			if len(runs[r]) == 0 || runs[r][0].Key != e.Key {
-				continue
+		if keep != nil {
+			for r := at + 1; r < len(runs); r++ {
+				if len(runs[r]) == 0 || runs[r][0].Key != head {
+					continue
+				}
+				if !keep(head, at) && keep(head, r) {
+					e, at = runs[r][0], r
+				}
+				runs[r] = runs[r][1:]
 			}
-			if keep != nil && !keep(e.Key, at) && keep(e.Key, r) {
-				e, at = runs[r][0], r
-			}
-			runs[r] = runs[r][1:]
 		}
 		dst = append(dst, e)
 	}
