@@ -8,5 +8,5 @@
 // key-value store) and against a deterministic discrete-event simulator of
 // the paper's four many-core platforms, which regenerates every table and
 // figure of the evaluation. Start with README.md, DESIGN.md and
-// `go run ./cmd/ssync figures`.
+// `go run ./cmd/ssync list`.
 package ssync

@@ -1,7 +1,7 @@
-// Package cli implements the ssync command-line tool: every subcommand,
-// including the formerly separate single-purpose benchmark binaries, is
+// Package cli implements the ssync command-line tool: every subcommand is
 // a library function, so cmd/ssync is a one-line wrapper and every
-// invocation is unit-testable.
+// invocation is unit-testable. Every table and figure of the paper is an
+// experiment of `ssync run`.
 package cli
 
 import (
@@ -12,8 +12,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-
-	"ssync/internal/arch"
 )
 
 // tool is one dispatchable subcommand.
@@ -23,20 +21,12 @@ type tool struct {
 	main func(argv []string, stdout, stderr io.Writer) int
 }
 
-// tools lists every subcommand of ssync. The seven retired benchmark
-// binaries and topology are reachable only as `ssync <name>`.
+// tools lists every subcommand of ssync.
 var tools = []tool{
-	{"run", "run registered experiments on the sharded harness", RunMain},
+	{"run", "run registered experiments (every table and figure of the paper)", RunMain},
 	{"list", "list the registered experiments", ListMain},
 	{"store", "sharded KVS: scenario workload over the wire protocol", StoreMain},
 	{"cluster", "multi-node store cluster: consistent-hash routed workload", ClusterMain},
-	{"figures", "regenerate every table and figure of the paper", FiguresMain},
-	{"lockbench", "lock experiments: Figures 3-8", LockbenchMain},
-	{"ccbench", "cache-coherence latencies: Tables 2-3", CcbenchMain},
-	{"mpbench", "message passing: Figures 9-10 and the prefetchw ablation", MpbenchMain},
-	{"sshtbench", "ssht hash table: Figure 11", SshtbenchMain},
-	{"tmbench", "software transactional memory: the §8 experiment", TmbenchMain},
-	{"kvbench", "memcached-style key-value store: Figure 12", KvbenchMain},
 	{"topology", "print the simulated platform models", TopologyMain},
 	{"lint", "static analysis: check the repo's concurrency and allocation invariants", LintMain},
 }
@@ -128,16 +118,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// platformOrExit resolves a model name or exits the tool with status 2.
-func platformOrExit(tool, name string, stderr io.Writer) (*arch.Platform, int) {
-	p := arch.ByName(strings.TrimSpace(name))
-	if p == nil {
-		fmt.Fprintf(stderr, "%s: unknown platform %q (have %v)\n", tool, name, arch.Names())
-		return nil, 2
-	}
-	return p, 0
 }
 
 // Run is the process-level entry used by cmd/ main functions.

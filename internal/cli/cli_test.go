@@ -118,14 +118,29 @@ func TestRunErrors(t *testing.T) {
 	if out, _, code := runMain(t, "run", "locks/single", "-platform", "native"); code == 0 {
 		t.Errorf("empty experiment×platform intersection must fail, got output %q", out)
 	}
+	// A thread count no shard can run is a usage error caught before any
+	// shard starts: below 1 anywhere, above the model's core count on a
+	// simulated platform.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"locks/single", "-platform", "Tilera", "-threads", "200"}, "locks/single on Tilera: 200 threads, the model has 36 cores"},
+		{[]string{"locks/single", "-platform", "Tilera", "-threads", "0"}, "locks/single on Tilera: 0 threads"},
+		{[]string{"locks/single", "-platform", "Tilera", "-threads", "-3"}, "locks/single on Tilera: -3 threads"},
+		{[]string{"mp/pair", "-platform", "Xeon", "-threads", "1,81"}, "mp/pair on Xeon: 81 threads, the model has 80 cores"},
+		{[]string{"ssht/", "-platform", "Opteron", "-threads", "49"}, "on Opteron: 49 threads, the model has 48 cores"},
+		{[]string{"native/locks", "-threads", "0"}, "native/locks on native: 0 threads"},
+	} {
+		out, errOut, code := runMain(t, append([]string{"run"}, c.args...)...)
+		if code != 2 || out != "" || !strings.Contains(errOut, c.want) {
+			t.Errorf("run %v: exit %d, stdout %q, stderr %q; want exit 2, no output, %q", c.args, code, out, errOut, c.want)
+		}
+	}
 }
 
 func TestHelpExitsZero(t *testing.T) {
-	for _, args := range [][]string{
-		{"run", "-h"}, {"list", "-h"}, {"lockbench", "-h"}, {"ccbench", "-h"},
-		{"mpbench", "-h"}, {"sshtbench", "-h"}, {"tmbench", "-h"},
-		{"kvbench", "-h"}, {"figures", "-h"}, {"topology", "-h"},
-	} {
+	for _, args := range [][]string{{"run", "-h"}, {"list", "-h"}, {"topology", "-h"}} {
 		if _, _, code := runMain(t, args...); code != 0 {
 			t.Errorf("%v exited %d, want 0", args, code)
 		}
@@ -149,13 +164,16 @@ func TestDispatcher(t *testing.T) {
 	if code != 0 {
 		t.Error("help must succeed")
 	}
-	// The perf-trajectory subcommand is gone: benchmark/run.sh is the
-	// only instrument, so `ssync bench` is as unknown as any typo.
-	if strings.Contains(help, "\n  bench ") {
-		t.Errorf("help still lists the deleted bench command:\n%s", help)
-	}
-	if _, errOut, code := runMain(t, "bench"); code != 2 || !strings.Contains(errOut, "unknown command") {
-		t.Errorf("ssync bench: exit %d, stderr %q; want 2 with \"unknown command\"", code, errOut)
+	// Deleted subcommands are as unknown as any typo: benchmark/run.sh is
+	// the only perf instrument (`bench`), and every table and figure is an
+	// experiment of `ssync run` (the legacy per-figure tools).
+	for _, name := range []string{"bench", "figures", "lockbench", "ccbench", "mpbench", "sshtbench", "tmbench", "kvbench"} {
+		if strings.Contains(help, "\n  "+name+" ") {
+			t.Errorf("help still lists the deleted %s command:\n%s", name, help)
+		}
+		if _, errOut, code := runMain(t, name); code != 2 || !strings.Contains(errOut, "unknown command") {
+			t.Errorf("ssync %s: exit %d, stderr %q; want 2 with \"unknown command\"", name, code, errOut)
+		}
 	}
 	if _, errOut, code := runMain(t, "no-such-tool"); code != 2 || !strings.Contains(errOut, "unknown command") {
 		t.Error("unknown command must exit 2 with a message")
@@ -165,30 +183,14 @@ func TestDispatcher(t *testing.T) {
 	}
 }
 
-// TestLegacyToolsStillWork drives each retired binary's entry point
-// through the dispatcher, now its only route, on its cheapest
-// configuration.
+// TestLegacyToolsStillWork drives topology, the one retired binary that
+// is not an experiment, through the dispatcher, its only route.
 func TestLegacyToolsStillWork(t *testing.T) {
 	out, errOut, code := runMain(t, "topology", "-platform", "Tilera")
 	if code != 0 || !strings.Contains(out, "Tilera — 36 cores") {
 		t.Errorf("topology: exit %d, %s%s", code, errOut, out)
 	}
-	out, _, code = runMain(t, "ccbench", "-platform", "Niagara", "-local")
-	if code != 0 || !strings.Contains(out, "Table 3") {
-		t.Errorf("ccbench -local failed: %s", out)
-	}
-	out, _, code = runMain(t, "lockbench", "-fig", "3", "-deadline", "20000")
-	if code != 0 || !strings.Contains(out, "Figure 3") {
-		t.Errorf("lockbench -fig 3 failed: %s", out)
-	}
-	out, _, code = runMain(t, "figures", "-id", "T3", "-platform", "Tilera")
-	if code != 0 || !strings.Contains(out, "Table 3 — Tilera") {
-		t.Errorf("figures -id T3 failed: %s", out)
-	}
-	if _, _, code = runMain(t, "lockbench", "-fig", "99"); code != 2 {
-		t.Error("lockbench with a bad figure must exit 2")
-	}
-	if _, _, code = runMain(t, "ccbench", "-platform", "PDP-11"); code != 2 {
-		t.Error("ccbench with a bad platform must exit 2")
+	if _, _, code = runMain(t, "topology", "-platform", "PDP-11"); code != 2 {
+		t.Error("topology with a bad platform must exit 2")
 	}
 }

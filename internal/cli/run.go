@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 
-	"ssync/internal/bench"
 	"ssync/internal/harness"
 )
 
@@ -44,7 +43,7 @@ func RunMain(argv []string, stdout, stderr io.Writer) int {
 		Parallel: *parallel,
 		Reps:     *reps,
 		Warmup:   *warmup,
-		Config:   bench.Config{Deadline: *deadline, LatencyOps: *latencyOps},
+		Config:   harness.Config{Deadline: *deadline, LatencyOps: *latencyOps},
 	}
 	if *platforms != "" {
 		opt.Platforms = splitList(*platforms)
@@ -71,6 +70,9 @@ func RunMain(argv []string, stdout, stderr io.Writer) int {
 	results, err := harness.Run(exps, opt)
 	if err != nil {
 		fmt.Fprintln(stderr, "ssync run:", err)
+		if errors.Is(err, harness.ErrGrid) {
+			return 2
+		}
 		if results == nil {
 			return 1
 		}

@@ -22,9 +22,10 @@ func TopologyMain(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	for _, name := range splitList(*platforms) {
-		p, code := platformOrExit("topology", name, stderr)
+		p := arch.ByName(name)
 		if p == nil {
-			return code
+			fmt.Fprintf(stderr, "topology: unknown platform %q (have %v)\n", name, arch.Names())
+			return 2
 		}
 		fmt.Fprintf(stdout, "%s — %d cores, %d memory nodes, %.2f GHz\n", p.Name, p.NumCores, p.NumNodes, p.ClockGHz)
 		fmt.Fprintf(stdout, "  local latencies: L1 %d, L2 %d, LLC %d, RAM %d cycles\n", p.L1, p.L2, p.LLC, p.RAM)

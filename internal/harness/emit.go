@@ -5,9 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
+	"strings"
 
-	"ssync/internal/bench"
 	"ssync/internal/stats"
 )
 
@@ -79,34 +80,59 @@ func (CSV) Emit(w io.Writer, results []Result) error {
 }
 
 // Table renders one fixed-width table per experiment × platform, metrics
-// as columns and thread counts as rows, through the same figure formatter
-// the cmd/ tools print with.
+// as columns and thread counts as rows (0.00 where a metric has no value
+// at a thread count).
 type Table struct{}
 
 // Emit implements Emitter.
 func (Table) Emit(w io.Writer, results []Result) error {
-	type group struct {
-		exp, plat string
+	type group struct{ exp, plat string }
+	type cell struct {
+		metric  string
+		threads int
 	}
-	figs := map[group]*bench.Figure{}
+	type table struct {
+		metrics []string
+		threads []int
+		mean    map[cell]float64
+	}
+	tables := map[group]*table{}
 	var order []group
 	for _, r := range results {
 		g := group{r.Experiment, r.Platform}
-		fig := figs[g]
-		if fig == nil {
-			fig = &bench.Figure{Name: r.Experiment, Platform: r.Platform, XLabel: "threads"}
-			figs[g] = fig
+		t := tables[g]
+		if t == nil {
+			t = &table{mean: map[cell]float64{}}
+			tables[g] = t
 			order = append(order, g)
 		}
-		s := bench.FindSeries(*fig, r.Metric)
-		if s == nil {
-			fig.Series = append(fig.Series, bench.Series{Label: r.Metric})
-			s = &fig.Series[len(fig.Series)-1]
+		if !slices.Contains(t.metrics, r.Metric) {
+			t.metrics = append(t.metrics, r.Metric)
 		}
-		s.Points = append(s.Points, bench.Point{X: r.Threads, Y: r.Stats.Mean})
+		if !slices.Contains(t.threads, r.Threads) {
+			t.threads = append(t.threads, r.Threads)
+		}
+		if _, dup := t.mean[cell{r.Metric, r.Threads}]; !dup {
+			t.mean[cell{r.Metric, r.Threads}] = r.Stats.Mean
+		}
 	}
 	for _, g := range order {
-		if _, err := fmt.Fprintln(w, bench.FormatFigure(*figs[g])); err != nil {
+		t := tables[g]
+		slices.Sort(t.threads)
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s — %s\n%-10s", g.exp, g.plat, "threads")
+		for _, m := range t.metrics {
+			fmt.Fprintf(&b, " %14s", m)
+		}
+		b.WriteString("\n")
+		for _, n := range t.threads {
+			fmt.Fprintf(&b, "%-10d", n)
+			for _, m := range t.metrics {
+				fmt.Fprintf(&b, " %14.2f", t.mean[cell{m, n}])
+			}
+			b.WriteString("\n")
+		}
+		if _, err := fmt.Fprintln(w, b.String()); err != nil {
 			return err
 		}
 	}

@@ -1,10 +1,11 @@
-// Package harness is the unified experiment driver of the suite: every
-// member — the simulated reproductions in internal/bench and the native
-// Go libraries (locks, mp, ssht, tm, kvs, lockfree) — registers as an
+// Package harness is the experiment layer of the suite: every table and
+// figure of the paper's evaluation (§5–§8) and every native Go library
+// (locks, mp, ssht, tm, kvs, lockfree, the store) registers as an
 // Experiment, and one sharded runner executes any subset of the
 // experiment × platform × thread-count grid in parallel, aggregates the
 // repetitions through internal/stats and emits JSON, CSV or fixed-width
-// tables. cmd/ssync is the CLI over this package.
+// tables. The simulation kernels that reproduce the paper live beside the
+// experiments that call them. cmd/ssync is the CLI over this package.
 package harness
 
 import (
@@ -14,7 +15,6 @@ import (
 	"sync"
 
 	"ssync/internal/arch"
-	"ssync/internal/bench"
 )
 
 // Native is the pseudo-platform name of experiments that run real
@@ -32,8 +32,34 @@ type Shard struct {
 	Rep int
 	// Warmup marks discarded warm-up repetitions.
 	Warmup bool
-	// Config scales the run (zero fields fall back to bench defaults).
-	Config bench.Config
+	// Config scales the run (zero fields fall back to the defaults).
+	Config Config
+}
+
+// Config scales the simulated experiments. Zero fields take the defaults:
+// 400 000 cycles, 200 latency operations and 5 repetitions.
+type Config struct {
+	// Deadline is the simulated duration of each throughput measurement,
+	// in cycles. Native experiments derive their operation counts from it.
+	Deadline uint64
+	// LatencyOps is the number of operations timed in latency experiments.
+	LatencyOps int
+	// Reps is the repetition count of each ccbench single-op case.
+	Reps int
+}
+
+// orDefault fills unset fields with the defaults.
+func (c Config) orDefault() Config {
+	if c.Deadline == 0 {
+		c.Deadline = 400_000
+	}
+	if c.LatencyOps == 0 {
+		c.LatencyOps = 200
+	}
+	if c.Reps == 0 {
+		c.Reps = 5
+	}
+	return c
 }
 
 // Sample is one named measurement produced by a shard run.
@@ -95,8 +121,11 @@ func (d Def) Threads(platform string) []int {
 	return d.Grid(platform)
 }
 
-// Run implements Experiment.
-func (d Def) Run(s Shard) ([]Sample, error) { return d.Runner(s) }
+// Run implements Experiment. Unset Config fields take the defaults.
+func (d Def) Run(s Shard) ([]Sample, error) {
+	s.Config = s.Config.orDefault()
+	return d.Runner(s)
+}
 
 // PaperPlatforms returns the four machine models of the paper's
 // evaluation (the X2 extras Opteron2/Xeon2 are opt-in per experiment).
@@ -105,11 +134,16 @@ func PaperPlatforms() []string {
 }
 
 // DefaultThreads returns the default grid for a platform: the paper's
-// cross-platform Figure 8 counts for the models, a small power-of-two
-// ladder for native runs.
+// cross-platform counts of Figures 8 and 11 for the models (up to 36
+// cores for comparability), a small power-of-two ladder for native runs.
 func DefaultThreads(platform string) []int {
-	if p := arch.ByName(platform); p != nil {
-		return bench.Figure8Threads(p)
+	switch platform {
+	case "Opteron":
+		return []int{1, 6, 18, 36}
+	case "Xeon":
+		return []int{1, 10, 18, 36}
+	case "Niagara", "Tilera":
+		return []int{1, 8, 18, 36}
 	}
 	return []int{1, 2, 4, 8}
 }

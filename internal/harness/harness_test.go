@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"ssync/internal/bench"
 )
 
 // fake builds a deterministic experiment for runner tests.
@@ -177,7 +175,7 @@ func TestRunnerDeterministicOrderUnderParallelism(t *testing.T) {
 	opt := Options{
 		Platforms: []string{"Opteron"},
 		Threads:   []int{1, 2, 6},
-		Config:    bench.Config{Deadline: 20_000, LatencyOps: 8, Reps: 1},
+		Config:    Config{Deadline: 20_000, LatencyOps: 8, Reps: 1},
 	}
 	opt.Parallel = 1
 	seq, err := Run([]Experiment{e}, opt)
@@ -275,6 +273,29 @@ func TestTableEmitter(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestTableLayout pins the fixed-width layout byte for byte: a title,
+// metrics as 14-wide columns in first-seen order, thread counts as
+// sorted rows, and 0.00 where a metric has no value at a thread count.
+func TestTableLayout(t *testing.T) {
+	res := []Result{
+		{Experiment: "grp/e", Platform: "Xeon", Threads: 8, Metric: "TAS"},
+		{Experiment: "grp/e", Platform: "Xeon", Threads: 1, Metric: "TAS"},
+		{Experiment: "grp/e", Platform: "Xeon", Threads: 1, Metric: "back-off & prefetchw"},
+	}
+	res[0].Stats.Mean, res[1].Stats.Mean, res[2].Stats.Mean = 2.5, 1, 3.25
+	var buf bytes.Buffer
+	if err := (Table{}).Emit(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	want := "grp/e — Xeon\n" +
+		"threads               TAS back-off & prefetchw\n" +
+		"1                    1.00           3.25\n" +
+		"8                    2.50           0.00\n\n"
+	if got := buf.String(); got != want {
+		t.Errorf("table layout\n%q\nwant\n%q", got, want)
 	}
 }
 

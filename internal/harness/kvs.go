@@ -1,4 +1,4 @@
-package bench
+package harness
 
 import (
 	"ssync/internal/arch"
@@ -49,51 +49,48 @@ func defaultKVSParams(setOnly bool) kvsParams {
 	return p
 }
 
-// KVSResult is one Figure 12 bar: throughput in Kops/s for a lock
-// algorithm at a thread count.
-type KVSResult struct {
-	Alg     simlocks.Alg
-	Threads int
-	Kops    float64
+func init() {
+	kvsExperiment := func(id, doc string, get bool) Def {
+		return Def{
+			ID: id, Doc: doc,
+			Grid: kvsThreads,
+			Runner: func(s Shard) ([]Sample, error) {
+				p, err := model(s)
+				if err != nil {
+					return nil, err
+				}
+				var out []Sample
+				// The lock algorithms the paper shows in Figure 12.
+				for _, alg := range []simlocks.Alg{simlocks.MUTEX, simlocks.TAS, simlocks.TICKET, simlocks.MCS} {
+					out = append(out, Sample{
+						Metric: string(alg),
+						Value:  kvsRun(p, alg, s.Threads, defaultKVSParams(!get), s.Config),
+					})
+				}
+				return out, nil
+			},
+		}
+	}
+	Register(kvsExperiment("kvs/set", "Figure 12: memcached-style set test, Kops/s per lock algorithm", false))
+	Register(kvsExperiment("kvs/get", "§6.4 get test (lock-insensitive control), Kops/s per lock algorithm", true))
 }
 
-// Figure12Algs are the lock algorithms the paper shows in Figure 12.
-var Figure12Algs = []simlocks.Alg{simlocks.MUTEX, simlocks.TAS, simlocks.TICKET, simlocks.MCS}
-
-// Figure12Threads returns the paper's client thread counts (none of the
+// kvsThreads returns Figure 12's client thread counts (none of the
 // platforms scales beyond 18).
-func Figure12Threads(p *arch.Platform) []int {
-	switch p.Name {
+func kvsThreads(platform string) []int {
+	switch platform {
 	case "Xeon", "Tilera":
 		return []int{1, 10, 18}
 	case "Niagara":
 		return []int{1, 8, 18}
-	default:
+	case "Opteron":
 		return []int{1, 6, 18}
 	}
-}
-
-// Figure12 reproduces the set-only panel for a platform. With get=true it
-// runs the §6.4 get test instead, where the lock algorithm is irrelevant.
-func Figure12(p *arch.Platform, get bool, cfg Config) []KVSResult {
-	cfg = cfg.orDefault()
-	params := defaultKVSParams(!get)
-	var out []KVSResult
-	for _, alg := range Figure12Algs {
-		for _, n := range Figure12Threads(p) {
-			out = append(out, KVSResult{
-				Alg:     alg,
-				Threads: n,
-				Kops:    kvsRun(p, alg, n, params, cfg),
-			})
-		}
-	}
-	return out
+	return DefaultThreads(platform)
 }
 
 // kvsRun measures the modelled memcached throughput in Kops/s.
 func kvsRun(p *arch.Platform, alg simlocks.Alg, nThreads int, params kvsParams, cfg Config) float64 {
-	cfg = cfg.orDefault()
 	// The think time dwarfs the per-figure deadline used elsewhere; scale
 	// the run so each thread completes a useful number of operations.
 	deadline := cfg.Deadline
@@ -157,30 +154,4 @@ func kvsRun(p *arch.Platform, alg simlocks.Alg, nThreads int, params kvsParams, 
 	}
 	// Kops/s = ops / (cycles / (GHz * 1e9)) / 1e3.
 	return float64(total) / float64(cycles) * p.ClockGHz * 1e6
-}
-
-// KVSSpeedup returns the best non-mutex speed-up over MUTEX at the highest
-// thread count — the paper reports 29–50% on three of the four platforms.
-func KVSSpeedup(results []KVSResult) float64 {
-	maxThreads := 0
-	for _, r := range results {
-		if r.Threads > maxThreads {
-			maxThreads = r.Threads
-		}
-	}
-	var mutex, best float64
-	for _, r := range results {
-		if r.Threads != maxThreads {
-			continue
-		}
-		if r.Alg == simlocks.MUTEX {
-			mutex = r.Kops
-		} else if r.Kops > best {
-			best = r.Kops
-		}
-	}
-	if mutex == 0 {
-		return 0
-	}
-	return best/mutex - 1
 }

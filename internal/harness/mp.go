@@ -1,34 +1,68 @@
-package bench
+package harness
 
 import (
 	"ssync/internal/arch"
+	"ssync/internal/ccbench"
 	"ssync/internal/memsim"
 	"ssync/internal/simmp"
 )
 
-// MPLatency is one Figure 9 bar pair: one-way and round-trip latency for a
-// core pair at a distance.
-type MPLatency struct {
-	Class     string
-	OneWay    float64
-	RoundTrip float64
+// This file reproduces the message-passing experiments of §5.5 on the
+// simulator: Figure 9 (one-to-one latency by distance) and Figure 10
+// (client-server throughput).
+
+func init() {
+	Register(Def{
+		ID:   "mp/pair",
+		Doc:  "Figure 9: one-to-one message passing by distance, cycles",
+		Grid: func(string) []int { return []int{2} },
+		Runner: func(s Shard) ([]Sample, error) {
+			p, err := model(s)
+			if err != nil {
+				return nil, err
+			}
+			var out []Sample
+			for _, class := range ccbench.ReportClasses(p) {
+				b := pickAtClass(p, 0, class)
+				if b < 0 {
+					continue
+				}
+				out = append(out,
+					Sample{Metric: "one-way " + p.DistNames[class], Value: mpOneWay(p, 0, b, s.Config)},
+					Sample{Metric: "round-trip " + p.DistNames[class], Value: mpRoundTrip(p, 0, b, s.Config)})
+			}
+			return out, nil
+		},
+	})
+
+	Register(Def{
+		ID:   "mp/clientserver",
+		Doc:  "Figure 10: client-server message passing (threads = clients + 1 server), Mops/s",
+		Grid: clientServerThreads,
+		Runner: func(s Shard) ([]Sample, error) {
+			p, err := model(s)
+			if err != nil {
+				return nil, err
+			}
+			if s.Threads < 2 {
+				return nil, nil // needs one server and at least one client
+			}
+			ow, rt := clientServer(p, s.Threads-1, s.Config)
+			return []Sample{{Metric: "one-way", Value: ow}, {Metric: "round-trip", Value: rt}}, nil
+		},
+	})
 }
 
-// Figure9 reproduces "One-to-one communication latencies of message
-// passing depending on the distance between the two cores".
-func Figure9(p *arch.Platform, cfg Config) []MPLatency {
-	cfg = cfg.orDefault()
-	var out []MPLatency
-	for _, class := range uncontestedClasses(p) {
-		b := pickAtClass(p, 0, class)
-		if b < 0 {
-			continue
-		}
-		out = append(out, MPLatency{
-			Class:     p.DistNames[class],
-			OneWay:    mpOneWay(p, 0, b, cfg),
-			RoundTrip: mpRoundTrip(p, 0, b, cfg),
-		})
+// clientServerThreads is Figure 10's x-axis — 1, 2, 5 and then every
+// fifth client count below the core count — plus the server thread.
+func clientServerThreads(platform string) []int {
+	p := arch.ByName(platform)
+	if p == nil {
+		return DefaultThreads(platform)
+	}
+	out := []int{2, 3, 6}
+	for n := 10; n < p.NumCores; n += 5 {
+		out = append(out, n+1)
 	}
 	return out
 }
@@ -77,31 +111,6 @@ func mpRoundTrip(p *arch.Platform, a, b int, cfg Config) float64 {
 	})
 	cycles := m.Run()
 	return float64(cycles) / float64(n)
-}
-
-// Figure10 reproduces "Total throughput of client-server communication":
-// one server, a growing number of clients, one-way and round-trip modes.
-func Figure10(p *arch.Platform, cfg Config) Figure {
-	cfg = cfg.orDefault()
-	fig := Figure{
-		Name:     "Figure 10: client-server throughput",
-		Platform: p.Name,
-		XLabel:   "clients",
-		YLabel:   "throughput (Mops/s)",
-	}
-	counts := []int{1, 2, 5}
-	for n := 10; n < p.NumCores; n += 5 {
-		counts = append(counts, n)
-	}
-	oneWay := Series{Label: "one-way"}
-	roundTrip := Series{Label: "round-trip"}
-	for _, n := range counts {
-		ow, rt := clientServer(p, n, cfg)
-		oneWay.Points = append(oneWay.Points, Point{X: n, Y: ow})
-		roundTrip.Points = append(roundTrip.Points, Point{X: n, Y: rt})
-	}
-	fig.Series = append(fig.Series, oneWay, roundTrip)
-	return fig
 }
 
 // poison is the message word clients use to announce they are finished;

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"ssync/internal/bench"
 	"ssync/internal/kvs"
 	"ssync/internal/lockfree"
 	"ssync/internal/locks"
@@ -26,12 +25,8 @@ var nativeAlgs = []locks.Algorithm{locks.TAS, locks.TICKET, locks.MCS, locks.MUT
 
 // nativeOps derives a per-goroutine operation count from the shard
 // config's simulated-cycles deadline.
-func nativeOps(cfg bench.Config) int {
-	deadline := cfg.Deadline
-	if deadline == 0 {
-		deadline = bench.DefaultConfig().Deadline
-	}
-	ops := int(deadline / 20)
+func nativeOps(cfg Config) int {
+	ops := int(cfg.Deadline / 20)
 	if ops < 500 {
 		ops = 500
 	}
@@ -263,7 +258,7 @@ func init() {
 		ID:   "native/mp",
 		Doc:  "host: libssmp-style cache-line channels, ping-pong pairs, Mops/s (messages)",
 		On:   []string{Native},
-		Grid: func(pn string) []int { return atLeast(2, DefaultThreads(pn)) },
+		Grid: func(string) []int { return []int{2, 4, 8} }, // pairs: the native ladder without 1
 		Runner: func(s Shard) ([]Sample, error) {
 			if s.Threads < 2 {
 				return nil, nil // a ping-pong pair needs two goroutines

@@ -1,4 +1,4 @@
-package bench
+package harness
 
 import (
 	"ssync/internal/arch"
@@ -15,32 +15,27 @@ import (
 // "the scope of this solution is limited to high contention and a large
 // number of cores", which the crossover in this experiment exhibits.
 
-// RCLResult compares one thread count.
-type RCLResult struct {
-	Threads  int
-	LockMops float64 // best spin lock, one hot lock
-	RCLMops  float64 // one dedicated server executing the critical sections
-}
-
-// RCLExperiment measures a single hot critical section (read-modify-write
-// of one line) under the best spin lock versus RCL.
-func RCLExperiment(p *arch.Platform, cfg Config) []RCLResult {
-	cfg = cfg.orDefault()
-	var out []RCLResult
-	for _, n := range Figure8Threads(p) {
-		best := 0.0
-		for _, alg := range []simlocks.Alg{simlocks.TICKET, simlocks.CLH, simlocks.MCS} {
-			if v := lockRun(p, alg, n, 1, cfg); v > best {
-				best = v
+func init() {
+	Register(Def{
+		ID:  "rcl/hot",
+		Doc: "§7 Remote Core Locking: one hot critical section, best spin lock vs RCL, Mops/s",
+		Runner: func(s Shard) ([]Sample, error) {
+			p, err := model(s)
+			if err != nil {
+				return nil, err
 			}
-		}
-		out = append(out, RCLResult{
-			Threads:  n,
-			LockMops: best,
-			RCLMops:  rclRun(p, n, cfg),
-		})
-	}
-	return out
+			best := 0.0
+			for _, alg := range []simlocks.Alg{simlocks.TICKET, simlocks.CLH, simlocks.MCS} {
+				if v := lockRun(p, alg, s.Threads, 1, s.Config); v > best {
+					best = v
+				}
+			}
+			return []Sample{
+				{Metric: "best-lock", Value: best},
+				{Metric: "rcl", Value: rclRun(p, s.Threads, s.Config)},
+			}, nil
+		},
+	})
 }
 
 // rclRun dedicates core 0 as the RCL server: clients ship the critical

@@ -3,13 +3,16 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
-	"ssync/internal/bench"
+	"ssync/internal/arch"
 	"ssync/internal/stats"
 )
+
+// ErrGrid marks a run rejected before any shard started: an unknown
+// platform, experiments that run on none of the requested platforms, or a
+// thread count below 1 or above a machine model's core count.
+var ErrGrid = errors.New("harness: invalid grid")
 
 // Options shapes one runner invocation.
 type Options struct {
@@ -25,8 +28,8 @@ type Options struct {
 	Reps int
 	// Warmup is the number of discarded warm-up repetitions per shard.
 	Warmup int
-	// Config scales every run; zero fields fall back to bench defaults.
-	Config bench.Config
+	// Config scales every run; zero fields fall back to the defaults.
+	Config Config
 }
 
 // Result is the aggregate of one grid cell and metric over the measured
@@ -62,7 +65,7 @@ func Run(exps []Experiment, opt Options) ([]Result, error) {
 		for _, e := range exps {
 			names = append(names, e.Name())
 		}
-		return nil, fmt.Errorf("harness: no experiment in %v runs on platforms %v", names, opt.Platforms)
+		return nil, fmt.Errorf("%w: no experiment in %v runs on platforms %v", ErrGrid, names, opt.Platforms)
 	}
 	if opt.Reps < 1 {
 		opt.Reps = 1
@@ -117,13 +120,14 @@ func Run(exps []Experiment, opt Options) ([]Result, error) {
 	return out, errors.Join(errs...)
 }
 
-// buildGrid expands experiments × platforms × thread counts into shards.
+// buildGrid expands experiments × platforms × thread counts into shards,
+// rejecting a thread count no shard could run.
 func buildGrid(exps []Experiment, opt Options) ([]shard, error) {
 	var restrict []string
 	for _, name := range opt.Platforms {
 		c := CanonicalPlatform(name)
 		if c == "" {
-			return nil, fmt.Errorf("harness: unknown platform %q", name)
+			return nil, fmt.Errorf("%w: unknown platform %q", ErrGrid, name)
 		}
 		restrict = append(restrict, c)
 	}
@@ -147,7 +151,14 @@ func buildGrid(exps []Experiment, opt Options) ([]shard, error) {
 			if grid == nil {
 				grid = e.Threads(p)
 			}
+			m := arch.ByName(p)
 			for _, n := range grid {
+				if n < 1 {
+					return nil, fmt.Errorf("%w: %s on %s: %d threads, need at least 1", ErrGrid, e.Name(), p, n)
+				}
+				if m != nil && n > m.NumCores {
+					return nil, fmt.Errorf("%w: %s on %s: %d threads, the model has %d cores", ErrGrid, e.Name(), p, n, m.NumCores)
+				}
 				shards = append(shards, shard{index: len(shards), exp: e, plat: p, n: n})
 			}
 		}
@@ -196,22 +207,4 @@ func runShard(s shard, opt Options) ([]Result, error) {
 		})
 	}
 	return out, nil
-}
-
-// SortResults orders results by experiment, platform, metric and thread
-// count — the order the emitters group by.
-func SortResults(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		a, b := rs[i], rs[j]
-		if a.Experiment != b.Experiment {
-			return a.Experiment < b.Experiment
-		}
-		if a.Platform != b.Platform {
-			return a.Platform < b.Platform
-		}
-		if a.Metric != b.Metric {
-			return strings.Compare(a.Metric, b.Metric) < 0
-		}
-		return a.Threads < b.Threads
-	})
 }

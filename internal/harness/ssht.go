@@ -1,4 +1,4 @@
-package bench
+package harness
 
 import (
 	"ssync/internal/arch"
@@ -13,6 +13,37 @@ import (
 // 10% remove, 64-bit keys and 64-byte payloads, with every lock algorithm
 // and with the message-passing version (one server per three cores, all
 // operations round-trip).
+
+func init() {
+	sshtExperiment := func(id, doc string, buckets, entries int) Def {
+		return Def{
+			ID: id, Doc: doc,
+			Runner: func(s Shard) ([]Sample, error) {
+				p, err := model(s)
+				if err != nil {
+					return nil, err
+				}
+				var out []Sample
+				for _, alg := range simlocks.Algorithms(p) {
+					out = append(out, Sample{
+						Metric: string(alg),
+						Value:  sshtLockRun(p, alg, s.Threads, buckets, entries, s.Config),
+					})
+				}
+				out = append(out, Sample{Metric: "MP", Value: sshtMPRun(p, s.Threads, buckets, entries, s.Config)})
+				return out, nil
+			},
+		}
+	}
+	Register(sshtExperiment("ssht/high",
+		"Figure 11: ssht hash table, 12 buckets × 12 entries (high contention), Mops/s", 12, 12))
+	Register(sshtExperiment("ssht/high-48",
+		"Figure 11: ssht hash table, 12 buckets × 48 entries (high contention), Mops/s", 12, 48))
+	Register(sshtExperiment("ssht/low",
+		"Figure 11: ssht hash table, 512 buckets × 12 entries (low contention), Mops/s", 512, 12))
+	Register(sshtExperiment("ssht/low-48",
+		"Figure 11: ssht hash table, 512 buckets × 48 entries (low contention), Mops/s", 512, 48))
+}
 
 // sshtSim is the hash table laid out in simulated memory: per bucket a
 // lock, the packed key lines (8 keys per cache line) and one payload line
@@ -93,7 +124,6 @@ func opFor(r uint64) int {
 
 // sshtLockRun measures the lock-based ssht throughput in Mops/s.
 func sshtLockRun(p *arch.Platform, alg simlocks.Alg, nThreads, nBuckets, entries int, cfg Config) float64 {
-	cfg = cfg.orDefault()
 	m := memsim.New(p)
 	m.Opt.CostJitter = 0.15
 	cores := p.PlaceThreads(nThreads)
@@ -140,28 +170,22 @@ func sshtLockRun(p *arch.Platform, alg simlocks.Alg, nThreads, nBuckets, entries
 	return p.MopsFrom(total, cycles-warmup)
 }
 
+// splitServers divides the threads of a message-passing run into servers
+// and clients: one quarter serve ("one server per three cores"), and a
+// single thread runs as one client with one server, as in the paper's
+// footnote 10.
+func splitServers(nThreads int) (servers, clients int) {
+	servers = max(nThreads/4, 1)
+	return servers, max(nThreads-servers, 1)
+}
+
 // sshtMPRun measures the message-passing ssht: servers own bucket ranges
 // and execute operations on behalf of clients; every operation is a
-// round-trip. One quarter of the threads act as servers ("one server per
-// three cores"); a single thread runs as one client with one server, as
-// in the paper's footnote 10.
+// round-trip.
 func sshtMPRun(p *arch.Platform, nThreads, nBuckets, entries int, cfg Config) float64 {
-	cfg = cfg.orDefault()
-	nServers := nThreads / 4
-	if nServers < 1 {
-		nServers = 1
-	}
-	nClients := nThreads - nServers
-	if nClients < 1 {
-		nClients = 1
-	}
-	total := nServers + nClients
-	if total > p.NumCores {
-		nClients = p.NumCores - nServers
-		total = nServers + nClients
-	}
+	nServers, nClients := splitServers(nThreads)
 	m := memsim.New(p)
-	cores := p.PlaceThreads(total)
+	cores := p.PlaceThreads(nServers + nClients)
 	serverCores := cores[:nServers]
 	clientCores := cores[nServers:]
 	node := p.NodeOf(cores[0])
@@ -177,8 +201,7 @@ func sshtMPRun(p *arch.Platform, nThreads, nBuckets, entries int, cfg Config) fl
 	stop := warmup + cfg.Deadline
 
 	ops := make([]uint64, nClients)
-	for si, c := range serverCores {
-		si := si
+	for _, c := range serverCores {
 		m.Spawn(c, func(t *memsim.Thread) {
 			done := 0
 			for done < nClients {
@@ -188,7 +211,6 @@ func sshtMPRun(p *arch.Platform, nThreads, nBuckets, entries int, cfg Config) fl
 					continue
 				}
 				b, pos, op := int(msg.W[1]), int(msg.W[2]), int(msg.W[3])
-				_ = si
 				h.access(t, b, pos, op)
 				net.Send(t, from, simmp.Msg{W: [7]uint64{2}})
 			}
@@ -222,43 +244,4 @@ func sshtMPRun(p *arch.Platform, nThreads, nBuckets, entries int, cfg Config) fl
 		sum += o
 	}
 	return p.MopsFrom(sum, stop-warmup)
-}
-
-// SSHTResult is one Figure 11 bar group: the best lock at a thread count,
-// its throughput and scalability, every per-lock value, and the
-// message-passing throughput.
-type SSHTResult struct {
-	Threads     int
-	BestAlg     simlocks.Alg
-	BestMops    float64
-	Scalability float64
-	MPMops      float64
-	PerLock     map[simlocks.Alg]float64
-}
-
-// Figure11 reproduces one panel of Figure 11 (a buckets × entries
-// configuration on one platform).
-func Figure11(p *arch.Platform, nBuckets, entries int, cfg Config) []SSHTResult {
-	var out []SSHTResult
-	bestSingle := 0.0
-	for _, n := range Figure8Threads(p) {
-		res := SSHTResult{Threads: n, BestMops: -1, PerLock: map[simlocks.Alg]float64{}}
-		for _, alg := range simlocks.Algorithms(p) {
-			mops := sshtLockRun(p, alg, n, nBuckets, entries, cfg)
-			res.PerLock[alg] = mops
-			if mops > res.BestMops {
-				res.BestAlg = alg
-				res.BestMops = mops
-			}
-		}
-		res.MPMops = sshtMPRun(p, n, nBuckets, entries, cfg)
-		if n == 1 {
-			bestSingle = res.BestMops
-			res.Scalability = 1
-		} else if bestSingle > 0 {
-			res.Scalability = res.BestMops / bestSingle
-		}
-		out = append(out, res)
-	}
-	return out
 }

@@ -3,15 +3,14 @@ package harness
 import (
 	"math"
 	"testing"
-
-	"ssync/internal/bench"
 )
 
 // tiny keeps every suite experiment to a few milliseconds.
-var tiny = bench.Config{Deadline: 20_000, LatencyOps: 8, Reps: 1}
+var tiny = Config{Deadline: 20_000, LatencyOps: 8, Reps: 1}
 
-// TestSuiteRegistered pins the suite surface: the experiments the seven
-// retired cmd/*bench binaries measured must all be present.
+// TestSuiteRegistered pins the suite surface: the native and store
+// experiments, and the simulated ones TestRegistryComplete maps to the
+// paper's artifacts.
 func TestSuiteRegistered(t *testing.T) {
 	want := []string{
 		"locks/single", "locks/many", "atomics/stress", "ticket/variants",

@@ -1,4 +1,4 @@
-package bench
+package harness
 
 import (
 	"sort"
@@ -22,26 +22,24 @@ import (
 // server and commits with one message per involved server, mirroring
 // internal/tm's native implementation.
 
-// TMResult is one TM measurement.
-type TMResult struct {
-	Threads  int
-	LockMops float64
-	MPMops   float64
-}
-
-// TMExperiment runs the transactional workload on a platform with the
-// given stripe count (16 = high contention, 1024 = low).
-func TMExperiment(p *arch.Platform, nStripes int, cfg Config) []TMResult {
-	cfg = cfg.orDefault()
-	var out []TMResult
-	for _, n := range Figure8Threads(p) {
-		out = append(out, TMResult{
-			Threads:  n,
-			LockMops: tmLockRun(p, n, nStripes, cfg),
-			MPMops:   tmMPRun(p, n, nStripes, cfg),
-		})
+func init() {
+	tmExperiment := func(id, doc string, stripes int) Def {
+		return Def{
+			ID: id, Doc: doc,
+			Runner: func(s Shard) ([]Sample, error) {
+				p, err := model(s)
+				if err != nil {
+					return nil, err
+				}
+				return []Sample{
+					{Metric: "locks", Value: tmLockRun(p, s.Threads, stripes, s.Config)},
+					{Metric: "mp", Value: tmMPRun(p, s.Threads, stripes, s.Config)},
+				}, nil
+			},
+		}
 	}
-	return out
+	Register(tmExperiment("tm/high", "§8 TM2C: 8 stripes (high contention), Mops/s", 8))
+	Register(tmExperiment("tm/low", "§8 TM2C: 1024 stripes (low contention), Mops/s", 1024))
 }
 
 // tmTxShape draws the read and write sets of one transaction.
@@ -115,21 +113,9 @@ func dedupInts(s []int) []int {
 // tmMPRun measures the TM2C flavour: servers own stripes; each read and
 // the commit are round-trips to the owning servers.
 func tmMPRun(p *arch.Platform, nThreads, nStripes int, cfg Config) float64 {
-	nServers := nThreads / 4
-	if nServers < 1 {
-		nServers = 1
-	}
-	nClients := nThreads - nServers
-	if nClients < 1 {
-		nClients = 1
-	}
-	total := nServers + nClients
-	if total > p.NumCores {
-		nClients = p.NumCores - nServers
-		total = nServers + nClients
-	}
+	nServers, nClients := splitServers(nThreads)
 	m := memsim.New(p)
-	cores := p.PlaceThreads(total)
+	cores := p.PlaceThreads(nServers + nClients)
 	serverCores := cores[:nServers]
 	node := p.NodeOf(cores[0])
 	net := simmp.NewNetwork(m, cores, simmp.DefaultOptions(m))

@@ -1,7 +1,6 @@
 package kvs
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -52,11 +51,6 @@ func (r Result) Kops() float64 {
 		return 0
 	}
 	return float64(r.Ops) / r.Duration.Seconds() / 1e3
-}
-
-func (r Result) String() string {
-	return fmt.Sprintf("%d ops in %v (%.1f Kops/s, %d hits, %d misses)",
-		r.Ops, r.Duration.Round(time.Millisecond), r.Kops(), r.Hits, r.Misses)
 }
 
 // Run drives the store with the workload and returns the aggregate result.

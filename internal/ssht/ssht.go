@@ -22,7 +22,7 @@ import (
 // ValueWords is the payload size in 8-byte words. 40 bytes keeps one
 // operation (op, key, value) within a single libssmp cache-line message;
 // the paper's evaluation uses 64-byte payloads, which the simulator-side
-// reproduction (internal/bench) models exactly.
+// reproduction (internal/harness's ssht experiments) models exactly.
 const ValueWords = 5
 
 // Value is one stored payload.
