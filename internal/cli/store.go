@@ -130,19 +130,14 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 		Pipeline:  *pipeline,
 	}
 
-	// experimentFor names a row set: single locked-engine runs keep the
-	// legacy store/<alg> id; engine-qualified runs (and every all-mode
-	// row) are store-engine/<engine>/<alg>, with the lock-free actor
-	// engine dropping the meaningless lock suffix.
+	// experimentFor names a row set by the harness id of the same run:
+	// store-engine/<engine>/<alg>, with the lock-free actor engine
+	// dropping the meaningless lock suffix.
 	experimentFor := func(eng store.Engine) string {
-		switch {
-		case eng == store.EngineActor:
+		if eng == store.EngineActor {
 			return "store-engine/actor"
-		case eng == store.EngineLocked && !allEngines:
-			return "store/" + strings.ToLower(string(algorithm))
-		default:
-			return fmt.Sprintf("store-engine/%s/%s", eng, strings.ToLower(string(algorithm)))
 		}
+		return fmt.Sprintf("store-engine/%s/%s", eng, strings.ToLower(string(algorithm)))
 	}
 
 	// runOne builds a fresh store on eng, preloads it, runs the scenario

@@ -23,7 +23,7 @@ func TestStoreAcceptance(t *testing.T) {
 	}
 	metrics := map[string]bool{}
 	for _, r := range results {
-		if r.Experiment != "store/mcs" || r.Platform != "native" || r.Threads != 4 {
+		if r.Experiment != "store-engine/locked/mcs" || r.Platform != "native" || r.Threads != 4 {
 			t.Fatalf("unexpected result %+v", r)
 		}
 		metrics[r.Metric] = true
@@ -48,7 +48,7 @@ func TestStoreLocalTableAndCSV(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
 	}
-	for _, want := range []string{"store/hclh", "total Kops/s", "shard03 Kops/s"} {
+	for _, want := range []string{"store-engine/locked/hclh", "total Kops/s", "shard03 Kops/s"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
@@ -59,7 +59,7 @@ func TestStoreLocalTableAndCSV(t *testing.T) {
 		t.Fatal("csv run failed")
 	}
 	if !strings.HasPrefix(csvOut, "experiment,platform,threads,metric,") ||
-		!strings.Contains(csvOut, "store/ticket,native,2,shard01 Kops/s,") {
+		!strings.Contains(csvOut, "store-engine/locked/ticket,native,2,shard01 Kops/s,") {
 		t.Fatalf("CSV output malformed:\n%s", csvOut)
 	}
 }

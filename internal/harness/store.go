@@ -9,14 +9,15 @@ import (
 	"ssync/internal/workload"
 )
 
-// This file registers the sharded key-value store (internal/store) as a
-// family of experiments, one per lock algorithm: store/tas, store/ticket,
-// store/mcs, ... Each runs the scenario engine (internal/workload) with
-// a zipfian 95:5 get/put mix against the same store twice — once through
-// LocalConns, no wire ("direct"), and once through the length-prefixed
-// wire protocol over the server's in-process conn ("wire") — so the grid
-// shows both what the shard-lock choice costs and how much of it
-// survives a real request path.
+// This file registers the sharded key-value store (internal/store) as
+// families of experiments: store-engine/<engine>/<alg> for each shard
+// engine and lock algorithm (store-engine/locked/tas, .../ticket, ...),
+// and store-pipe/<alg>. The store-engine runs drive the scenario engine
+// (internal/workload) with a zipfian 95:5 get/put mix against the same
+// store twice — once through LocalConns, no wire ("direct"), and once
+// through the length-prefixed wire protocol over the server's in-process
+// conn ("wire") — so the grid shows both what the shard-lock choice
+// costs and how much of it survives a real request path.
 
 // storeShards is the shard count of the registered experiments; small
 // enough that zipfian traffic meaningfully contends the hot shards.
@@ -65,23 +66,6 @@ func runEngineScenario(s Shard, opt store.Options) ([]Sample, error) {
 }
 
 func init() {
-	for _, alg := range locks.All {
-		alg := alg
-		Register(Def{
-			ID: "store/" + strings.ToLower(string(alg)),
-			Doc: "host: sharded KVS with " + string(alg) +
-				" shard locks, zipfian 95:5 scenario, direct and wire Kops/s",
-			On: []string{Native},
-			Runner: func(s Shard) ([]Sample, error) {
-				return runEngineScenario(s, store.Options{
-					Shards:     storeShards,
-					Lock:       alg,
-					MaxThreads: s.Threads + 2,
-				})
-			},
-		})
-	}
-
 	// store-engine/<engine>[/<alg>]: the paper's paradigm comparison run
 	// end-to-end — the same store, scenario and wire protocol executed by
 	// each shard engine. locked and optimistic sweep the lock algorithm

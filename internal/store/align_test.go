@@ -1,9 +1,11 @@
 package store
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
+	"ssync/internal/locks"
 	"ssync/internal/pad"
 )
 
@@ -14,10 +16,11 @@ import (
 // cross-domain placement.
 
 // TestOptShardLayout: the optimistic engine's shard puts each hot
-// write-side word on its own line, the buckets header and the key order
-// together on the next, and starts the counter stripes line-aligned. The precise offsets matter — before this layout,
-// stripes started at offset 96, so every stripe element straddled two
-// lines and stripe 0 shared one with the live counter.
+// write-side word on its own line, the buckets header on the next, and
+// starts the counter stripes line-aligned. The precise offsets matter —
+// before this layout, stripes started at offset 96, so every stripe
+// element straddled two lines and stripe 0 shared one with the live
+// counter.
 func TestOptShardLayout(t *testing.T) {
 	if s := unsafe.Sizeof(optCounters{}); s != pad.CacheLineSize {
 		t.Errorf("optCounters is %d bytes, want %d", s, pad.CacheLineSize)
@@ -32,16 +35,41 @@ func TestOptShardLayout(t *testing.T) {
 	if o := unsafe.Offsetof(sh.buckets); o != 2*pad.CacheLineSize {
 		t.Errorf("buckets at offset %d, want %d", o, 2*pad.CacheLineSize)
 	}
-	// The key order is read with the buckets by every scan and written
-	// with them by every create and delete: it shares their line.
-	if o := unsafe.Offsetof(sh.order); o != 2*pad.CacheLineSize+unsafe.Sizeof(sh.buckets) {
-		t.Errorf("order at offset %d, want %d (right after buckets, on their line)", o, 2*pad.CacheLineSize+unsafe.Sizeof(sh.buckets))
-	}
 	if o := unsafe.Offsetof(sh.stripes); o%pad.CacheLineSize != 0 {
 		t.Errorf("stripes at offset %d, not line-aligned", o)
 	}
 	if s := unsafe.Sizeof(sh); s%pad.CacheLineSize != 0 {
 		t.Errorf("optShard is %d bytes, not a line multiple", s)
+	}
+}
+
+// TestOptOrderLayout: the store's key order pointer, stored by every
+// create and delete, and its lock, written by every one of their
+// publishes, share no line with any shard's version, which a scan reads
+// twice per shard. optOrder is one line, allocated alone; the lock is
+// whatever object locks.New allocated, so its lines are checked for
+// every algorithm.
+func TestOptOrderLayout(t *testing.T) {
+	if s := unsafe.Sizeof(optOrder{}); s != pad.CacheLineSize {
+		t.Errorf("optOrder is %d bytes, want %d", s, pad.CacheLineSize)
+	}
+	line := func(p uintptr) uintptr { return p / pad.CacheLineSize }
+	for _, alg := range locks.All {
+		e := newOptimisticEngine(Options{Shards: 8, Lock: alg}.withDefaults())
+		versions := map[uintptr]bool{}
+		for i := range e.shards {
+			versions[line(uintptr(unsafe.Pointer(&e.shards[i].version)))] = true
+		}
+		if versions[line(uintptr(unsafe.Pointer(&e.order.cur)))] {
+			t.Errorf("%s: the order pointer shares a line with a shard version", alg)
+		}
+		lk := reflect.ValueOf(e.order.lock)
+		lo := lk.Pointer()
+		for l := line(lo); l <= line(lo+lk.Elem().Type().Size()-1); l++ {
+			if versions[l] {
+				t.Errorf("%s: the order lock shares a line with a shard version", alg)
+			}
+		}
 	}
 }
 

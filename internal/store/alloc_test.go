@@ -17,8 +17,8 @@ import (
 //     the allocation-free form),
 //   - the optimistic engine's Put, whose stored value is immutable so
 //     that readers may alias it: an overwrite is exactly the value copy
-//     and its pointer box, a create adds the copy-on-write bucket and key
-//     order (pinned and bounded below),
+//     and its pointer box, a create adds the cell and the copy-on-write
+//     bucket (pinned and bounded below),
 //   - the wire client's decoded value copy (the parse paths' copy-out
 //     invariant is what makes all the buffer pooling sound).
 //
@@ -45,10 +45,11 @@ const optOverwriteAllocs = 2
 
 // optCreateAllocBound and optDeleteAllocBound bound the optimistic
 // engine's create and delete, each of which rebuilds its bucket
-// copy-on-write (header, hashes, cells) and publishes a new key order
-// (array and pointer box). A create adds the value copy, its box and the
-// cell: 8 objects for a key that sorts mid-order, fewer for one appended
-// into the order's slack. A delete is 5.
+// copy-on-write (header and entries) and edits the store's key order in
+// place, which allocates only when a leaf splits (the new leaf, the
+// directory and its box) or drops (the directory and its box). A create
+// adds the value copy, its box and the cell: 5 objects, 8 with a split.
+// A delete is 2, 4 with a drop.
 const (
 	optCreateAllocBound = 8
 	optDeleteAllocBound = 5
@@ -110,8 +111,8 @@ func TestPointOpAllocs(t *testing.T) {
 			}
 
 			// A create and a delete of keys that sort between the present
-			// ones, so every order publish is a full copy, in a store of one
-			// bucket per shard, so no bucket rebuild is of an empty one.
+			// ones, so leaves fill and split, in a store of one bucket per
+			// shard, so no bucket rebuild is of an empty one.
 			dense := New(Options{Engine: eng, Buckets: 1})
 			defer dense.Close()
 			dh := dense.NewHandle(0)

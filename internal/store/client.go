@@ -203,7 +203,7 @@ func (s *Store) NewLocalConn(node int) *LocalConn {
 // it returns — a batch as one grouped execution on the handle's reused
 // response slice and arena, exactly as ExecViews serves a frame, so
 // direct connections amortize shard locking like the wire path and
-// allocate as little; a single scan on the handle's merge scratch. The
+// allocate as little; a single scan on the handle's scan result. The
 // views — scan entries included — alias that storage: valid until the
 // next Start (TestLocalConnNoBufferAliasing).
 func (c *LocalConn) Start(req Request, b Batch) Reply {

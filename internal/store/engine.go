@@ -14,10 +14,11 @@ import "fmt"
 //     channel mailbox — the message-passing paradigm, internal/mp's
 //     client-server discipline with Go channels as the transport.
 //   - EngineOptimistic publishes immutable copy-on-write buckets of
-//     per-key cells, whose values an overwrite swaps by pointer, so
-//     point reads complete without acquiring the shard lock (two atomic
-//     loads), with a seqlock-style shard version giving scans consistent
-//     snapshots; writers still lock — the optimistic paradigm.
+//     per-key cells, whose values an overwrite swaps by pointer, and
+//     keeps one key order per store, so point reads complete without
+//     acquiring the shard lock (two atomic loads) and a scan is one seek
+//     into the order, validated against seqlock-style shard versions;
+//     writers still lock — the optimistic paradigm.
 type Engine string
 
 // The shard-engine paradigms.
@@ -56,7 +57,8 @@ type shardEngine interface {
 
 // shardAccess is the per-goroutine execution surface of an engine: point
 // ops, per-shard group execution (the batch path's unit of
-// amortization), shard scans, and race-free counter snapshots. A
+// amortization), store scans, shard exports and race-free counter
+// snapshots. A
 // shardAccess must not be shared between goroutines.
 //
 // Point ops take a lookupKey — the zero-copy seam. The key may alias a
@@ -75,15 +77,18 @@ type shardAccess interface {
 	// where execPointOps puts them (*arena, or an allocation each when
 	// arena is nil).
 	execGroup(shard int, ops *batchOps, idxs []int, resps []Response, arena *[]byte)
-	// scanShard appends the shard's entries whose keys start with prefix
-	// to out as one run sorted by key and trimmed to limit (limit <= 0:
-	// all) — the unit Handle's merge consumes. The prefix may alias a
-	// frame like any lookupKey. Keys are the engine's own immutable
-	// strings. A value aliases engine storage where that is immutable
-	// (optimistic) and is otherwise copied, under the engine's exclusion,
-	// onto *arena (locked, actor): either way it is valid until the caller
-	// reuses the arena, and the caller copies out what it keeps.
-	scanShard(shard int, prefix lookupKey, limit int, out []Entry, arena *[]byte) []Entry
+	// scan appends to out the store's entries whose keys start with
+	// prefix, sorted by key and trimmed to limit (limit <= 0: all), and
+	// counts one scan on every shard. The prefix may alias a frame like
+	// any lookupKey. Keys are the engine's own immutable strings. A value
+	// aliases engine storage where that is immutable (optimistic) and is
+	// otherwise copied, under the engine's exclusion, onto the accessor's
+	// scan arena (locked, actor): either way it is valid until the
+	// accessor's next scan, and the caller copies out what it keeps. The
+	// optimistic engine reads the whole store at one instant; the other
+	// two merge per-shard runs (shardRuns), a union of per-shard
+	// snapshots.
+	scan(prefix lookupKey, limit int, out []Entry) []Entry
 	// exportShard walks the shard's buckets from index from, appending
 	// copies of the entries whose hash satisfies pred, and stops early at
 	// a bucket boundary once maxEntries entries or maxBytes encoded bytes

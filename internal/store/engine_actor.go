@@ -28,6 +28,7 @@ type actorEngine struct {
 	stopped chan struct{}
 	once    sync.Once
 	wg      sync.WaitGroup
+	visit   []int // the store's shard visit order, for scans
 }
 
 // actorMailbox is the mailbox depth per shard. Every client blocks for
@@ -87,11 +88,12 @@ type actorReply struct {
 	stats Counters
 }
 
-func newActorEngine(opt Options) *actorEngine {
+func newActorEngine(opt Options, visit []int) *actorEngine {
 	e := &actorEngine{
 		mboxes:  make([]chan actorMsg, opt.Shards),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
+		visit:   visit,
 	}
 	// Shard owners are the one place in the store where "shard X lives
 	// in domain Y" can be made literally true: each owner goroutine pins
@@ -181,7 +183,7 @@ func (e *actorEngine) close() {
 }
 
 func (e *actorEngine) access(int) shardAccess {
-	return &actorAccess{e: e, reply: make(chan actorReply, 1)}
+	return &actorAccess{e: e, reply: make(chan actorReply, 1), sc: shardRuns{visit: e.visit}}
 }
 
 // actorAccess is a client of the shard owners. The reply channel is
@@ -189,6 +191,7 @@ func (e *actorEngine) access(int) shardAccess {
 type actorAccess struct {
 	e     *actorEngine
 	reply chan actorReply
+	sc    shardRuns
 }
 
 // call ships one message and waits for the reply. Both waits also
@@ -242,6 +245,11 @@ func (a *actorAccess) del(shard int, hash uint64, key lookupKey) bool {
 // locked engine's one-acquisition-per-shard batch rule.
 func (a *actorAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []Response, arena *[]byte) {
 	a.call(shard, actorMsg{kind: actGroup, ops: ops, idxs: idxs, resps: resps, arena: arena})
+}
+
+// scan merges one run per shard, each one message to its owner.
+func (a *actorAccess) scan(prefix lookupKey, limit int, out []Entry) []Entry {
+	return a.sc.scan(prefix, limit, out, a.scanShard)
 }
 
 // scanShard ships the walk, the sort and the value copies to the owner

@@ -12,13 +12,15 @@ type lockedEngine struct {
 	opt    Options
 	shards []shardTable
 	guards []locks.Lock
+	visit  []int // the store's shard visit order, for scans
 }
 
-func newLockedEngine(opt Options) *lockedEngine {
+func newLockedEngine(opt Options, visit []int) *lockedEngine {
 	e := &lockedEngine{
 		opt:    opt,
 		shards: make([]shardTable, opt.Shards),
 		guards: make([]locks.Lock, opt.Shards),
+		visit:  visit,
 	}
 	lopt := locks.Options{MaxThreads: opt.MaxThreads, Nodes: opt.Nodes}
 	for i := range e.shards {
@@ -29,17 +31,18 @@ func newLockedEngine(opt Options) *lockedEngine {
 }
 
 func (e *lockedEngine) access(node int) shardAccess {
-	return &lockedAccess{e: e, toks: make([]*locks.Token, e.opt.Shards), node: node}
+	return &lockedAccess{e: e, toks: make([]*locks.Token, e.opt.Shards), node: node, sc: shardRuns{visit: e.visit}}
 }
 
 func (e *lockedEngine) close() {}
 
 // lockedAccess carries the per-goroutine lock tokens (the queue locks'
-// qnode state is per-goroutine).
+// qnode state is per-goroutine) and the scan workspace.
 type lockedAccess struct {
 	e    *lockedEngine
 	toks []*locks.Token
 	node int
+	sc   shardRuns
 }
 
 func (a *lockedAccess) lock(i int) {
@@ -76,6 +79,11 @@ func (a *lockedAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []R
 	defer a.unlock(shard)
 	tbl := &a.e.shards[shard]
 	execPointOps(ops, idxs, resps, arena, tbl.get, tbl.put, tbl.del)
+}
+
+// scan merges one run per shard, each taken under its shard lock.
+func (a *lockedAccess) scan(prefix lookupKey, limit int, out []Entry) []Entry {
+	return a.sc.scan(prefix, limit, out, a.scanShard)
 }
 
 func (a *lockedAccess) scanShard(shard int, prefix lookupKey, limit int, out []Entry, arena *[]byte) []Entry {

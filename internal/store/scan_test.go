@@ -16,8 +16,9 @@ import (
 
 // The scan path under its oracles: a sorted-map reference for what a
 // scan returns, the optimistic engine's key order against the cells its
-// buckets hold, scanners racing writers, one shard's snapshot under
-// overwrites, the merge's table, and the allocation gate.
+// buckets hold, scanners racing writers, snapshots under overwrites
+// within one shard and across two, the merge's table, and the
+// allocation gate.
 
 // scanFuzzKey maps a byte to one of 39 keys of one to three letters of
 // "abc", so that keys share prefixes of every length and every shard
@@ -41,9 +42,11 @@ var scanLimits = []int{0, 1, 16, 100}
 // scans — runs on every engine beside a sorted-map reference. Every scan
 // must match the reference exactly, through all three scan surfaces
 // (Handle.Scan, a batch's arena path, ExecView's encoding), for prefixes
-// that match nothing, one key and so one shard, a band, or everything,
-// and after every step the optimistic engine's published key order must
-// be exactly the cells its buckets hold, sorted by key.
+// that match nothing, one key and so one shard, a band, or everything.
+// On the optimistic engine each scan is also answered by one optimistic
+// pass and by the locked pass alone, and after every step the store's
+// key order must be exactly the cells the shards' buckets hold, sorted
+// by key, in non-empty leaves of at most orderLeafCap cells.
 func FuzzScanModel(f *testing.F) {
 	rng := xrand.New(25)
 	for _, n := range []int{0, 8, 64, 256, 1024} {
@@ -53,6 +56,15 @@ func FuzzScanModel(f *testing.F) {
 		}
 		f.Add(seed)
 	}
+	// Every key put, scanned and deleted: the order's leaves fill, split
+	// and drop.
+	var fill []byte
+	for _, op := range []byte{0, 6, 3, 6} {
+		for b := 0; b < 256; b++ {
+			fill = append(fill, op, byte(b))
+		}
+	}
+	f.Add(fill)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, eng := range Engines {
 			s := New(Options{Shards: 4, Buckets: 4, Engine: eng})
@@ -117,57 +129,64 @@ func runScanModel(t *testing.T, s *Store, data []byte) {
 				t.Fatal(err)
 			}
 			sameEntries(t, what+" (ExecView)", resp.Entries, want)
+			if a, ok := h.acc.(*optAccess); ok {
+				got, ok := a.tryScan(keyOf(prefix), limit, nil)
+				if !ok {
+					t.Fatalf("%s: the optimistic pass failed to validate in a quiescent store", what)
+				}
+				sameEntries(t, what+" (optimistic pass)", got, want)
+				sameEntries(t, what+" (locked pass)", a.lockedScan(keyOf(prefix), limit, nil), want)
+			}
 		}
 		if e, ok := s.eng.(*optimisticEngine); ok {
-			for i := range e.shards {
-				order, live := e.orderAndKeys(i)
-				if !equalStrings(order, live) {
-					t.Fatalf("step %d: shard %d key order %q, its buckets hold %q", step, i, order, live)
-				}
+			if err := e.checkOrder(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
 			}
 		}
 	}
 }
 
-// orderAndKeys returns shard i's published key order and the keys its
-// published buckets hold, sorted — the order's invariant is that the two
-// are equal whenever the shard is quiescent, and hold the same cells. A
-// bucket's key whose cell the order does not hold comes back marked. A
+// checkOrder reports how the store's key order breaks its invariant, in
+// a quiescent store: it holds exactly the cells the shards' buckets hold,
+// sorted by key, in non-empty leaves of at most orderLeafCap cells. A
 // test-only accessor.
-func (e *optimisticEngine) orderAndKeys(i int) (order, live []string) {
-	sh := &e.shards[i]
-	inOrder := map[*oCell]bool{}
-	if p := sh.order.Load(); p != nil {
-		for _, c := range *p {
-			order = append(order, c.key)
-			inOrder[c] = true
+func (e *optimisticEngine) checkOrder() error {
+	var order, live []*oCell
+	for i, leaf := range e.order.cur.Load().leaves {
+		n := leaf.len()
+		if n < 1 || n > orderLeafCap {
+			return fmt.Errorf("order leaf %d holds %d cells, want 1 to %d", i, n, orderLeafCap)
+		}
+		for j := 0; j < n; j++ {
+			order = append(order, leaf.cells[j].Load())
 		}
 	}
-	for b := range sh.buckets {
-		if bk := sh.buckets[b].Load(); bk != nil {
-			for _, c := range bk.cells {
-				if inOrder[c] {
-					live = append(live, c.key)
-				} else {
-					live = append(live, c.key+" (cell not in the order)")
+	for i := range e.shards {
+		for b := range e.shards[i].buckets {
+			if bk := e.shards[i].buckets[b].Load(); bk != nil {
+				for _, en := range bk.entries {
+					live = append(live, en.cell)
 				}
 			}
 		}
 	}
-	sort.Strings(live)
-	return order, live
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+	sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
+	keys := func(cells []*oCell) []string {
+		out := make([]string, len(cells))
+		for i, c := range cells {
+			out[i] = c.key
+		}
+		return out
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	if len(order) != len(live) {
+		return fmt.Errorf("key order %q, the buckets hold %q", keys(order), keys(live))
+	}
+	for i := range order {
+		if order[i] != live[i] {
+			return fmt.Errorf("key order %q, the buckets hold %q: entry %d is not the buckets' cell", keys(order), keys(live), i)
 		}
 	}
-	return true
+	return nil
 }
 
 // modelScan is the reference: the model's keys under prefix, sorted,
@@ -207,7 +226,9 @@ func sameEntries(t *testing.T, what string, got, want []Entry) {
 // most limit long; each value one that was written for its key; and a
 // stable key must never be missing from the window the scan covers —
 // everything under the prefix when the result is short of the limit,
-// everything up to its last key when it is not.
+// everything up to its last key when it is not. On the optimistic
+// engine every third pass is its locked pass, which must neither
+// deadlock with the creators' order edits nor answer worse.
 func TestScanUnderWriters(t *testing.T) {
 	const keys, writers, scanners = 80, 2, 2
 	passes := 40 // per scanner; the writers write until the scanners are done
@@ -256,10 +277,13 @@ func TestScanUnderWriters(t *testing.T) {
 						for _, prefix := range []string{"k-", "k-0", "k-03", "k-07"} {
 							for _, limit := range []int{0, 5, 16} {
 								var got []Entry
-								if (pass+r)%2 == 0 {
+								var err error
+								switch a, opt := h.acc.(*optAccess); {
+								case opt && pass%3 == 2:
+									got = a.lockedScan(keyOf(prefix), limit, nil)
+								case (pass+r)%2 == 0:
 									got = h.Scan(prefix, limit)
-								} else {
-									var err error
+								default:
 									if got, err = conn.Scan(prefix, limit); err != nil {
 										t.Error(err)
 										return
@@ -283,59 +307,97 @@ func TestScanUnderWriters(t *testing.T) {
 
 // TestScanSnapshotUnderOverwrites holds a shard's scan to one instant
 // while the keys it returns are overwritten, on every engine (run it with
-// -race; CI's engine-matrix leg does). A writer overwrites two keys of
-// one shard in turn — a=n, b=n, a=n+1, … — so at every instant
-// b ≤ a ≤ b+1, and every scan of their prefix must read exactly that.
-// TestScanUnderWriters cannot see a torn scan: any mix of the values it
-// writes is a mix it accepts.
+// -race; CI's engine-matrix leg does): scanSnapshot with two keys of one
+// shard. TestScanUnderWriters cannot see a torn scan: any mix of the
+// values it writes is a mix it accepts.
 func TestScanSnapshotUnderOverwrites(t *testing.T) {
-	const scans = 20000
 	for _, eng := range Engines {
 		eng := eng
 		t.Run(string(eng), func(t *testing.T) {
 			t.Parallel()
-			s := New(Options{Shards: 4, Engine: eng, MaxThreads: 4})
-			defer s.Close()
-			a, b := "ow-a", ""
-			for i := 0; b == ""; i++ {
-				if k := fmt.Sprintf("ow-b%d", i); s.shardOf(hashKey(k)) == s.shardOf(hashKey(a)) {
-					b = k
-				}
-			}
-			h := s.NewHandle(0)
-			h.Put(a, []byte("0"))
-			h.Put(b, []byte("0"))
-			var done atomic.Bool
-			var writing sync.WaitGroup
-			writing.Add(1)
-			go func() {
-				defer writing.Done()
-				h := s.NewHandle(0)
-				for n := 1; !done.Load(); n++ {
-					v := []byte(strconv.Itoa(n))
-					h.Put(a, v)
-					h.Put(b, v)
-				}
-			}()
-			defer writing.Wait()
-			defer done.Store(true)
-			for i := 0; i < scans; i++ {
-				got := h.Scan("ow-", 0)
-				if len(got) != 2 {
-					t.Fatalf("scan returned %d entries, want %s and %s", len(got), a, b)
-				}
-				va, erra := strconv.Atoi(string(got[0].Value))
-				vb, errb := strconv.Atoi(string(got[1].Value))
-				if erra != nil || errb != nil || vb > va || va > vb+1 {
-					t.Fatalf("scan %d read %s=%s, %s=%s: no instant held both", i, a, got[0].Value, b, got[1].Value)
-				}
-			}
+			scanSnapshot(t, eng, []int{0, 0})
 		})
 	}
 }
 
-// TestMergeRuns pins the one k-way merge a store runs over its shards'
-// runs (keep nil: the shards partition the keys) and a routed client
+// TestScanSnapshotAcrossShards is TestScanSnapshotUnderOverwrites with
+// one key in each of the four shards, on the optimistic engine, whose
+// scan reads the whole store at one instant. (The locked and actor
+// engines promise a union of per-shard snapshots, which this would
+// tear.) With three keys or more, a scan that validates any one shard but
+// not the others can be torn.
+func TestScanSnapshotAcrossShards(t *testing.T) {
+	scanSnapshot(t, EngineOptimistic, []int{0, 1, 2, 3})
+}
+
+// scanSnapshot checks every scan of a four-shard store on eng against
+// one instant. Key i is the first "ow-<i>-<j>" in shard shards[i], and a
+// writer overwrites the keys in turn — key 0 = n, key 1 = n, …, key 0 =
+// n+1, … — so at every instant their values, in key order, never rise
+// and fall by at most one in all: v0 ≥ v1 ≥ … ≥ vlast ≥ v0-1. The
+// fillers after every key but the last stretch the walk, and with it the
+// time a write has to tear a scan that does not hold one instant.
+func scanSnapshot(t *testing.T, eng Engine, shards []int) {
+	const scans, fillers = 20000, 32
+	s := New(Options{Shards: 4, Engine: eng, MaxThreads: 4})
+	defer s.Close()
+	h := s.NewHandle(0)
+	keys := make([]string, len(shards))
+	index := map[string]int{}
+	for i, sh := range shards {
+		for j := 0; keys[i] == ""; j++ {
+			if k := fmt.Sprintf("ow-%d-%d", i, j); s.shardOf(hashKey(k)) == sh {
+				keys[i] = k
+			}
+		}
+		index[keys[i]] = i
+		h.Put(keys[i], []byte("0"))
+		for f := 0; f < fillers && i < len(shards)-1; f++ {
+			h.Put(fmt.Sprintf("ow-%d-f%02d", i, f), nil)
+		}
+	}
+	var done atomic.Bool
+	var writing sync.WaitGroup
+	writing.Add(1)
+	go func() {
+		defer writing.Done()
+		h := s.NewHandle(0)
+		for n := 1; !done.Load(); n++ {
+			v := []byte(strconv.Itoa(n))
+			for _, k := range keys {
+				h.Put(k, v)
+			}
+		}
+	}()
+	defer writing.Wait()
+	defer done.Store(true)
+	vals := make([]int, len(keys))
+	for i := 0; i < scans; i++ {
+		got := h.Scan("ow-", 0)
+		if want := len(keys) + fillers*(len(keys)-1); len(got) != want {
+			t.Fatalf("scan returned %d entries, want %d", len(got), want)
+		}
+		var read []string
+		for _, e := range got {
+			if j, ok := index[e.Key]; ok {
+				v, err := strconv.Atoi(string(e.Value))
+				if err != nil {
+					t.Fatalf("scan %d: %s=%q", i, e.Key, e.Value)
+				}
+				vals[j] = v
+				read = append(read, fmt.Sprintf("%s=%s", e.Key, e.Value))
+			}
+		}
+		for j := 1; j < len(vals); j++ {
+			if vals[j] > vals[j-1] || vals[j] < vals[0]-1 {
+				t.Fatalf("scan %d read %v: no instant held them all", i, read)
+			}
+		}
+	}
+}
+
+// TestMergeRuns pins the one k-way merge the locked and actor engines
+// run over their shards' runs (keep nil: the shards partition the keys) and a routed client
 // runs over its members' shares (keep picks the owner's copy of a key
 // two members returned). An entry's value names the run it came from.
 func TestMergeRuns(t *testing.T) {

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"ssync/internal/hashkit"
@@ -76,15 +75,13 @@ func (k lookupKey) prefixOf(s string) bool {
 	return len(s) >= len(k.s) && s[:len(k.s)] == k.s
 }
 
-// seek returns the index of the first of the cells, sorted by key, whose
-// key does not sort before k: where a prefix scan of k starts, or where
-// k goes in the order. Like eq, it compares without converting a
-// frame-aliasing key.
-func (k lookupKey) seek(cells []*oCell) int {
+// after reports whether k sorts after the stored key s. Like eq, it
+// compares without converting a frame-aliasing key.
+func (k lookupKey) after(s string) bool {
 	if k.b != nil {
-		return sort.Search(len(cells), func(i int) bool { return cells[i].key >= string(k.b) })
+		return s < string(k.b)
 	}
-	return sort.Search(len(cells), func(i int) bool { return cells[i].key >= k.s })
+	return s < k.s
 }
 
 // hash is FNV-1a over the key bytes, identical for both representations.
@@ -302,9 +299,9 @@ type Options struct {
 	// shard→domain assignment drives three things: the actor engine pins
 	// each shard-owner goroutine to its shard's domain, the server pins
 	// connection goroutines round-robin over the domains (and takes the
-	// domain's memory node as the NUMA hint), and every engine's full
-	// shard sweeps (ExecBatch's group loop, Scan) walk shards
-	// domain-major so adjacent visits share an LLC.
+	// domain's memory node as the NUMA hint), and the full shard sweeps
+	// (ExecBatch's group loop, the locked and actor engines' Scan) walk
+	// shards domain-major so adjacent visits share an LLC.
 	Placement *topo.Placement
 }
 
@@ -353,11 +350,11 @@ func New(opt Options) *Store {
 	}
 	switch opt.Engine {
 	case EngineActor:
-		s.eng = newActorEngine(opt)
+		s.eng = newActorEngine(opt, s.visit)
 	case EngineOptimistic:
 		s.eng = newOptimisticEngine(opt)
 	default:
-		s.eng = newLockedEngine(opt)
+		s.eng = newLockedEngine(opt, s.visit)
 	}
 	return s
 }
@@ -463,19 +460,8 @@ type Handle struct {
 	resps []Response
 	arena []byte
 	kept  []Entry
-	sc    scanScratch
-}
-
-// scanScratch is a handle's prefix-scan workspace, reused across scans:
-// the shards' sorted runs back to back, the merge's view of each run,
-// the arena the locked and actor engines copy run values onto, and the
-// merged result. Everything in it is rewritten by the handle's next
-// scan.
-type scanScratch struct {
-	runs   []Entry
-	heads  [][]Entry
-	arena  []byte
-	merged []Entry
+	// scanned is the last scan's result, rewritten by the next.
+	scanned []Entry
 }
 
 // NewHandle creates an accessor; node is the NUMA hint for hierarchical
@@ -550,8 +536,8 @@ func (h *Handle) Delete(key string) bool {
 // (get/put/delete) are grouped by shard and each touched shard executes
 // its whole group in one engine visit — one lock acquisition (locked),
 // one mailbox round trip (actor), one write-lock hold for the group's
-// writes (optimistic). Scans still visit all shards one at a time,
-// outside the grouped execution, and merge their runs (Scan). resps[i]
+// writes (optimistic). Scans run after the grouped execution, one
+// engine scan each (Scan). resps[i]
 // is the response to reqs[i]; a batch is a performance unit, not a
 // transaction — sub-ops linearize individually, and ops for one shard
 // apply in batch order. The responses are the caller's: one slice, one
@@ -661,13 +647,13 @@ func (h *Handle) execOps(idxs []int, subset bool, resps []Response, arena *[]byt
 	// an owning copy of their own.
 	for _, i := range scans {
 		var entries []Entry
-		switch merged := h.scan(ops.scan(i)); {
-		case len(merged) == 0:
+		switch found := h.scan(ops.scan(i)); {
+		case len(found) == 0:
 		case arena == nil:
-			entries = ownEntries(merged)
+			entries = ownEntries(found)
 		default:
 			lo := len(h.kept)
-			h.kept = copyEntries(h.kept, arena, merged)
+			h.kept = copyEntries(h.kept, arena, found)
 			entries = h.kept[lo:len(h.kept):len(h.kept)]
 		}
 		resps[i] = Response{Status: StatusOK, Entries: entries}
@@ -722,45 +708,64 @@ func execPointOps(ops *batchOps, idxs []int, resps []Response, arena *[]byte,
 }
 
 // Scan returns up to limit entries whose keys start with prefix, sorted
-// by key. It visits the shards one at a time (one engine visit each), so
-// the result is a union of per-shard snapshots, not a global atomic
-// snapshot — the usual contract of a sharded range read. limit <= 0 means
-// unlimited. The result is the caller's: one slice, and every value in
-// one arena — two allocations however many entries match.
+// by key. On the optimistic engine the result is the store as it stood
+// at one instant; the locked and actor engines visit the shards one at a
+// time (one engine visit each), so there it is a union of per-shard
+// snapshots — the usual contract of a sharded range read. limit <= 0
+// means unlimited. The result is the caller's: one slice, and every
+// value in one arena — two allocations however many entries match.
 func (h *Handle) Scan(prefix string, limit int) []Entry {
 	return ownEntries(h.scan(keyOf(prefix), limit))
 }
 
-// scan is the one scan path: every shard contributes one sorted run of
-// at most limit entries — in the domain-major visit order, which the
-// merge makes irrelevant to the result — and the runs are merged until
-// limit. The result lives in the handle's scan scratch, values included
-// (or aliasing the optimistic engine's immutable ones), until its next
-// scan; what a caller keeps it copies.
+// scan is the one scan path: the engine's store scan, into the handle's
+// reused result slice. The result, values included (copies in the
+// accessor's scan arena, or aliases of the optimistic engine's immutable
+// ones), is valid until the handle's next scan; what a caller keeps it
+// copies.
 func (h *Handle) scan(prefix lookupKey, limit int) []Entry {
-	sc := &h.sc
+	h.scanned = h.acc.scan(prefix, limit, recycle(h.scanned))
+	return h.scanned
+}
+
+// shardRuns is the scan of an engine that keeps no store-wide key order
+// (locked, actor), and an accessor's workspace for it: every shard, in
+// the store's visit order, contributes one sorted run of at most limit
+// entries — the values copied onto arena under the engine's exclusion —
+// and MergeRuns merges the runs until limit, so the visit order never
+// changes the result. Everything in it is rewritten by the accessor's
+// next scan.
+type shardRuns struct {
+	visit []int
+	runs  []Entry
+	heads [][]Entry
+	arena []byte
+}
+
+func (sc *shardRuns) scan(prefix lookupKey, limit int, out []Entry,
+	scanShard func(shard int, prefix lookupKey, limit int, out []Entry, arena *[]byte) []Entry) []Entry {
 	runs, heads := recycle(sc.runs), sc.heads[:0]
 	sc.arena = recycle(sc.arena)
-	for _, i := range h.s.visit {
+	for _, i := range sc.visit {
 		lo := len(runs)
-		runs = h.acc.scanShard(i, prefix, limit, runs, &sc.arena)
+		runs = scanShard(i, prefix, limit, runs, &sc.arena)
 		// A run stays valid if a later shard's append moves runs: the
 		// old array is only ever read again through this head.
 		heads = append(heads, runs[lo:])
 	}
-	sc.merged = MergeRuns(recycle(sc.merged), heads, limit, nil)
-	// The merge copied out what it took; the runs must not keep values
-	// the engine has since replaced reachable until the next scan.
+	out = MergeRuns(out, heads, limit, nil)
+	// The merge copied out what it took; the runs must not keep keys the
+	// engine has since deleted reachable until the next scan.
 	clear(runs)
 	clear(heads)
 	sc.runs, sc.heads = runs, heads
-	return sc.merged
+	return out
 }
 
 // MergeRuns appends to dst the k-way merge of runs, each sorted by key,
 // and stops once limit entries have been appended (limit <= 0: all) —
-// the one merge every scan goes through: a store's over its shards'
-// runs, a routed client's over its members' shares. It advances runs
+// the merge of the locked and actor engines' scans over their shards'
+// runs, and of a routed client's over its members' shares. It advances runs
 // past what it takes. With keep set, a key at the head of several runs
 // is taken once: from the first run for which keep(key, run) reports
 // true, else from the first run holding it. keep is nil when no key can

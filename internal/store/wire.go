@@ -367,7 +367,7 @@ func ownedBatch(views []ResponseView) []Response {
 
 // entries is the owning copy of a scan view's entry list. Entries a
 // transport carried decoded may alias its scratch (in process, the
-// handle's scan merge) just as raw ones alias a frame, so they are
+// handle's scan result) just as raw ones alias a frame, so they are
 // copied out too: one slice and one value arena (ownEntries). Raw
 // entries are decoded without one string and one slice allocation per
 // entry: the raw entry bytes are copied out twice up front — once as the
