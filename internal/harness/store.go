@@ -10,9 +10,10 @@ import (
 )
 
 // This file registers the sharded key-value store (internal/store) as
-// families of experiments: store-engine/<engine>/<alg> for each shard
-// engine and lock algorithm (store-engine/locked/tas, .../ticket, ...),
-// and store-pipe/<alg>. The store-engine runs drive the scenario engine
+// families of experiments: store/<alg> on the default shard engine,
+// store-engine/<engine>/<alg> for each shard engine and lock algorithm
+// (store-engine/locked/tas, .../ticket, ...), and store-pipe/<alg>. The
+// store and store-engine runs drive the scenario engine
 // (internal/workload) with a zipfian 95:5 get/put mix against the same
 // store twice — once through LocalConns, no wire ("direct"), and once
 // through the length-prefixed wire protocol over the server's in-process
@@ -66,6 +67,25 @@ func runEngineScenario(s Shard, opt store.Options) ([]Sample, error) {
 }
 
 func init() {
+	// store/<alg>: the store on its default shard engine (locked), one
+	// experiment per lock algorithm.
+	for _, alg := range locks.All {
+		alg := alg
+		Register(Def{
+			ID: "store/" + strings.ToLower(string(alg)),
+			Doc: "host: sharded KVS with " + string(alg) +
+				" shard locks, zipfian 95:5 scenario, direct and wire Kops/s",
+			On: []string{Native},
+			Runner: func(s Shard) ([]Sample, error) {
+				return runEngineScenario(s, store.Options{
+					Shards:     storeShards,
+					Lock:       alg,
+					MaxThreads: s.Threads + 2,
+				})
+			},
+		})
+	}
+
 	// store-engine/<engine>[/<alg>]: the paper's paradigm comparison run
 	// end-to-end — the same store, scenario and wire protocol executed by
 	// each shard engine. locked and optimistic sweep the lock algorithm

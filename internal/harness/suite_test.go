@@ -17,6 +17,8 @@ func TestSuiteRegistered(t *testing.T) {
 		"cc/latency", "mp/pair", "mp/clientserver",
 		"ssht/high", "ssht/low", "tm/high", "tm/low", "kvs/set", "kvs/get", "rcl/hot",
 		"native/locks", "native/lockfree", "native/ssht", "native/kvs", "native/tm", "native/mp",
+		"store/tas", "store/ttas", "store/ticket", "store/array", "store/mutex",
+		"store/mcs", "store/clh", "store/hclh", "store/hticket",
 		"store-engine/locked/tas", "store-engine/locked/ttas", "store-engine/locked/ticket",
 		"store-engine/locked/array", "store-engine/locked/mutex", "store-engine/locked/mcs",
 		"store-engine/locked/clh", "store-engine/locked/hclh", "store-engine/locked/hticket",
