@@ -161,7 +161,7 @@ func TestForeignBatchNotExecutedLocally(t *testing.T) {
 					entries = append(entries, store.Entry{Key: k, Value: []byte("v-" + k)})
 				}
 			}
-			onNode0 := func(f func(cl *store.Client)) {
+			onNode0 := func(f func(cl store.BatchConn)) {
 				t.Helper()
 				cl := c.Server(0).PipeClient()
 				defer cl.Close()
@@ -184,7 +184,7 @@ func TestForeignBatchNotExecutedLocally(t *testing.T) {
 				}
 			}
 
-			onNode0(func(cl *store.Client) {
+			onNode0(func(cl store.BatchConn) {
 				created, err := cl.MPut(entries)
 				if err != nil || created != len(entries) {
 					t.Fatalf("MPut via node 0: created %d of %d, err %v", created, len(entries), err)
@@ -194,13 +194,13 @@ func TestForeignBatchNotExecutedLocally(t *testing.T) {
 			if n := h1.Len(); n != len(keys) {
 				t.Fatalf("node 1 holds %d keys, want %d", n, len(keys))
 			}
-			onNode0(func(cl *store.Client) {
+			onNode0(func(cl store.BatchConn) {
 				if got, err := cl.Scan("", 0); err != nil || len(got) != 0 {
 					t.Fatalf("node 0's local scan returned %d entries (err %v), want none", len(got), err)
 				}
 			})
 
-			onNode0(func(cl *store.Client) {
+			onNode0(func(cl store.BatchConn) {
 				vals, err := cl.MGet(keys)
 				if err != nil {
 					t.Fatal(err)
@@ -213,7 +213,7 @@ func TestForeignBatchNotExecutedLocally(t *testing.T) {
 			})
 			assertUntouched("a foreign MGet")
 
-			onNode0(func(cl *store.Client) {
+			onNode0(func(cl store.BatchConn) {
 				resps, err := cl.ExecBatch([]store.Request{
 					{Op: store.OpDelete, Key: keys[0]},
 					{Op: store.OpPut, Key: keys[1], Value: []byte("again")},

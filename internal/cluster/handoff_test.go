@@ -16,8 +16,9 @@ import "testing"
 //     copy-apply (land the snapshot on B) → commit (atomically: re-ship
 //     the dirty delta, purge A's arc, flip the ring, drop the tracker).
 //     copy-read and copy-apply are separate steps because the real copy
-//     reads under a shard lock and applies over the wire later — the
-//     window the dirty tracker exists for.
+//     exports a chunk under the source's shard locks and applies it to
+//     the target's store in a later step — the window the dirty tracker
+//     exists for.
 //   - client op: the first attempt lands on a nondeterministically
 //     chosen node (a client with a stale ring sends to the wrong one);
 //     each attempt atomically checks ownership against the current ring

@@ -16,7 +16,8 @@ import (
 //	            from here on, writes landing in a moving arc are
 //	            recorded while the bulk copy runs underneath.
 //	copying:    each move's arcs stream source → target in bounded
-//	            chunks over the migration wire frames. The walk is a
+//	            chunks, exported from the source store and applied to
+//	            the target store through direct handles. The walk is a
 //	            point-in-time sweep; concurrent writes behind its
 //	            cursor are exactly what the tracker catches.
 //	forwarding/ the sources are quiesced (each filter's write lock
@@ -102,12 +103,6 @@ func (c *Cluster) migrate(old, next *Ring, mo migOptions) error {
 		c.updateClients(next)
 		return nil
 	}
-	for _, m := range moves {
-		if len(m.arcs) > store.MaxMigrateArcs {
-			return fmt.Errorf("cluster: move %d→%d spans %d arcs (wire max %d)",
-				m.from, m.to, len(m.arcs), store.MaxMigrateArcs)
-		}
-	}
 
 	// Distinct source ids, sorted: the trackers are installed per
 	// source, and the commit step locks the filters in this order.
@@ -129,22 +124,19 @@ func (c *Cluster) migrate(old, next *Ring, mo migOptions) error {
 		f.mu.Unlock()
 	}
 
-	// The driver speaks the migration frames over its own lock-step
-	// connections; those frames bypass the routers by design.
-	conns := map[int]*store.Client{}
-	conn := func(id int) *store.Client {
-		if cl := conns[id]; cl != nil {
-			return cl
+	// The driver works on the nodes' stores directly, one handle per
+	// node, never through a server: the copies must land on targets the
+	// ring does not route to yet, and the commit holds the source filters'
+	// write locks in-process anyway.
+	handles := map[int]*store.Handle{}
+	handle := func(id int) *store.Handle {
+		h := handles[id]
+		if h == nil {
+			h = c.node(id).store.NewHandle(0)
+			handles[id] = h
 		}
-		cl := c.node(id).server.PipeClient()
-		conns[id] = cl
-		return cl
+		return h
 	}
-	defer func() {
-		for _, cl := range conns {
-			_ = cl.Close()
-		}
-	}()
 
 	clearTrackers := func() {
 		for _, id := range sources {
@@ -157,37 +149,26 @@ func (c *Cluster) migrate(old, next *Ring, mo migOptions) error {
 	abort := func(err error) error {
 		clearTrackers()
 		// Drop the partial copies: the ring is unchanged, so the targets
-		// must not keep keys it does not assign them. Direct handles —
-		// the wire would route these through nothing useful.
+		// must not keep keys it does not assign them.
 		for _, m := range moves {
-			c.node(m.to).store.NewHandle(0).PurgeRange(m.arcs)
+			handle(m.to).PurgeRange(m.arcs)
 		}
 		return err
 	}
 
-	// COPYING: stream every move while traffic flows.
+	// COPYING: stream every move while traffic flows, in chunks of at
+	// most mo.chunk entries and MaxFrame/2 bytes.
 	chunks := 0
 	for _, m := range moves {
-		src, dst := conn(m.from), conn(m.to)
-		cursor := uint64(0)
-		for {
-			entries, nextCursor, done, err := src.MigExport(cursor, mo.chunk, m.arcs)
-			if err != nil {
-				return abort(fmt.Errorf("cluster: export %d→%d: %w", m.from, m.to, err))
-			}
+		src, dst := handle(m.from), handle(m.to)
+		for cursor, done := uint64(0), false; !done; {
+			var entries []store.Entry
+			entries, cursor, done = src.ExportRange(cursor, mo.chunk, store.MaxFrame/2, m.arcs)
 			chunks++
 			if mo.failAfter > 0 && chunks >= mo.failAfter {
 				return abort(fmt.Errorf("cluster: migration killed after %d chunks (fault injection)", chunks))
 			}
-			if len(entries) > 0 {
-				if _, err := dst.MigApply(entries, nil); err != nil {
-					return abort(fmt.Errorf("cluster: apply %d→%d: %w", m.from, m.to, err))
-				}
-			}
-			if done {
-				break
-			}
-			cursor = nextCursor
+			dst.ApplyMigration(entries, nil)
 		}
 	}
 
@@ -207,27 +188,21 @@ func (c *Cluster) migrate(old, next *Ring, mo migOptions) error {
 	}
 	for _, m := range moves {
 		f := c.node(m.from).filter
-		srcH := c.node(m.from).store.NewHandle(0)
+		src, dst := handle(m.from), handle(m.to)
 		var puts []store.Entry
 		var dels []string
 		for k := range f.mig.dirty { // no tracker lock needed: recorders are drained
 			if !store.ArcsContain(m.arcs, store.KeyPos(k)) {
 				continue
 			}
-			if v, ok := srcH.Get(k); ok {
+			if v, ok := src.Get(k); ok {
 				puts = append(puts, store.Entry{Key: k, Value: v})
 			} else {
 				dels = append(dels, k)
 			}
 		}
-		dst := conn(m.to)
-		if len(puts)+len(dels) > 0 {
-			if _, err := dst.MigApply(puts, dels); err != nil {
-				unlock()
-				return abort(fmt.Errorf("cluster: delta %d→%d: %w", m.from, m.to, err))
-			}
-		}
-		if err := reconcile(srcH, dst, m.arcs, mo.slots); err != nil {
+		dst.ApplyMigration(puts, dels)
+		if err := reconcile(src, dst, m.arcs, mo.slots); err != nil {
 			unlock()
 			return abort(fmt.Errorf("cluster: reconcile %d→%d: %w", m.from, m.to, err))
 		}
@@ -237,7 +212,7 @@ func (c *Cluster) migrate(old, next *Ring, mo migOptions) error {
 	// executes at a source under the new ring or at a target under the
 	// old one.
 	for _, m := range moves {
-		c.node(m.from).store.NewHandle(0).PurgeRange(m.arcs)
+		handle(m.from).PurgeRange(m.arcs)
 	}
 	c.ring.Store(next)
 	for _, id := range sources {
@@ -248,69 +223,55 @@ func (c *Cluster) migrate(old, next *Ring, mo migOptions) error {
 	return nil
 }
 
-// reconcile is the anti-entropy check of one move: source (read through
-// a direct handle — its filter is write-locked) and target (over the
-// wire) exchange per-slot XOR digests of the moved arcs. A mismatch
-// triggers one bounded repair — both sides re-export the arcs (never
-// the whole store), the diff ships to the target, and the digests are
-// compared once more.
-func reconcile(srcH *store.Handle, dst *store.Client, arcs []store.Arc, slots int) error {
-	match := func() (bool, error) {
-		want := srcH.DigestRange(arcs, slots)
-		got, err := dst.MigDigest(arcs, slots)
-		if err != nil {
-			return false, err
-		}
+// reconcile is the anti-entropy check of one move: source (its filter
+// is write-locked) and target compare per-slot XOR digests of the moved
+// arcs. A mismatch triggers one bounded repair — both sides re-export
+// the arcs (never the whole store), the diff lands on the target, and
+// the digests are compared once more.
+func reconcile(src, dst *store.Handle, arcs []store.Arc, slots int) error {
+	match := func() bool {
+		want, got := src.DigestRange(arcs, slots), dst.DigestRange(arcs, slots)
 		for i := range want {
 			if want[i] != got[i] {
-				return false, nil
+				return false
 			}
 		}
-		return true, nil
+		return true
 	}
-	ok, err := match()
-	if err != nil || ok {
-		return err
+	if match() {
+		return nil
 	}
 	srcSet := map[string][]byte{}
-	for cursor, done := uint64(0), false; !done; {
-		var chunk []store.Entry
-		chunk, cursor, done = srcH.ExportRange(cursor, store.MaxBatchOps, store.MaxFrame, arcs)
-		for _, e := range chunk {
-			srcSet[e.Key] = e.Value
-		}
-	}
+	exportAll(src, arcs, func(e store.Entry) { srcSet[e.Key] = e.Value })
 	var dels []string
-	for cursor, done := uint64(0), false; !done; {
-		chunk, next, d, err := dst.MigExport(cursor, store.MaxBatchOps, arcs)
-		if err != nil {
-			return err
+	exportAll(dst, arcs, func(e store.Entry) {
+		v, ok := srcSet[e.Key]
+		switch {
+		case !ok:
+			dels = append(dels, e.Key) // target-only key: drop it
+		case string(v) == string(e.Value):
+			delete(srcSet, e.Key) // already in agreement
 		}
-		for _, e := range chunk {
-			v, ok := srcSet[e.Key]
-			if !ok {
-				dels = append(dels, e.Key) // target-only key: drop it
-				continue
-			}
-			if string(v) == string(e.Value) {
-				delete(srcSet, e.Key) // already in agreement
-			}
-		}
-		cursor, done = next, d
-	}
+	})
 	var puts []store.Entry
 	for k, v := range srcSet {
 		puts = append(puts, store.Entry{Key: k, Value: v})
 	}
-	if _, err := dst.MigApply(puts, dels); err != nil {
-		return err
-	}
-	ok, err = match()
-	if err != nil {
-		return err
-	}
-	if !ok {
+	dst.ApplyMigration(puts, dels)
+	if !match() {
 		return errors.New("cluster: digests still differ after repair")
 	}
 	return nil
+}
+
+// exportAll calls fn on every entry of h whose ring position lies in
+// arcs.
+func exportAll(h *store.Handle, arcs []store.Arc, fn func(store.Entry)) {
+	for cursor, done := uint64(0), false; !done; {
+		var chunk []store.Entry
+		chunk, cursor, done = h.ExportRange(cursor, store.MaxBatchOps, store.MaxFrame, arcs)
+		for _, e := range chunk {
+			fn(e)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -102,13 +103,19 @@ func TestClusterResizeDataIntegrity(t *testing.T) {
 					t.Fatalf("client Get(%q) after resizes: (%q, %v, %v)", k, v, ok, err)
 				}
 			}
-			// And a full scan still returns exactly the key set.
+			// And a full scan still returns exactly the key set, in key
+			// order, each key once with its value.
 			es, err := cl.Scan("resize-", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(es) != len(want) {
 				t.Fatalf("scan returned %d entries, want %d", len(es), len(want))
+			}
+			for i, e := range es {
+				if k := fmt.Sprintf("resize-%05d", i); e.Key != k || string(e.Value) != want[k] {
+					t.Fatalf("scan entry %d = (%q, %q), want (%q, %q)", i, e.Key, e.Value, k, want[k])
+				}
 			}
 		})
 	}
@@ -242,6 +249,86 @@ func TestClusterMigrationKilledMidCopy(t *testing.T) {
 		t.Fatalf("post-abort AddNode reused id %d, want 4", id)
 	}
 	checkPartition(t, c, want)
+}
+
+// arcEntries returns every entry of h in arcs, by key.
+func arcEntries(h *store.Handle, arcs []store.Arc) map[string]string {
+	m := map[string]string{}
+	exportAll(h, arcs, func(e store.Entry) { m[e.Key] = string(e.Value) })
+	return m
+}
+
+// TestReconcileRepair drives reconcile's repair path on its own. The
+// target starts with three kinds of divergence inside the moved arcs —
+// a key only it holds, a stale value, a key it misses — plus a key
+// outside them; reconcile must leave the target holding exactly the
+// source's arcs and must not touch anything else. A target whose
+// engine has stopped applying writes cannot converge, and reconcile
+// must say so rather than let the commit go ahead.
+func TestReconcileRepair(t *testing.T) {
+	arcs := []store.Arc{{Lo: 0, Hi: 1 << 62}, {Lo: 3 << 62, Hi: 1 << 60}} // the second wraps
+	var in, out []string
+	for i := 0; len(in) < 64 || len(out) < 2; i++ {
+		k := fmt.Sprintf("rec-%04d", i)
+		if store.ArcsContain(arcs, store.KeyPos(k)) {
+			in = append(in, k)
+		} else {
+			out = append(out, k)
+		}
+	}
+	// load fills src with in[1:] and out[0], and dst with the same arcs
+	// content diverged: in[0] only on dst, in[1] stale, in[2] missing,
+	// plus out[1] outside the arcs.
+	load := func(eng store.Engine) (src, dst *store.Store) {
+		opt := store.Options{Shards: 2, Buckets: 8, Engine: eng, Lock: locks.MCS, MaxThreads: 4, Nodes: 1}
+		src, dst = store.New(opt), store.New(opt)
+		t.Cleanup(src.Close)
+		t.Cleanup(dst.Close)
+		sh, dh := src.NewHandle(0), dst.NewHandle(0)
+		for _, k := range append(in[1:], out[0]) {
+			sh.Put(k, []byte("v-"+k))
+		}
+		for _, k := range in[3:] {
+			dh.Put(k, []byte("v-"+k))
+		}
+		dh.Put(in[0], []byte("target-only"))
+		dh.Put(in[1], []byte("stale"))
+		dh.Put(out[1], []byte("outside"))
+		return src, dst
+	}
+
+	for _, eng := range store.Engines {
+		eng := eng
+		t.Run(string(eng), func(t *testing.T) {
+			src, dst := load(eng)
+			sh, dh := src.NewHandle(0), dst.NewHandle(0)
+			want := arcEntries(sh, arcs)
+			if err := reconcile(sh, dh, arcs, 64); err != nil {
+				t.Fatalf("reconcile: %v", err)
+			}
+			if got := arcEntries(dh, arcs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("target arcs after repair = %v, want %v", got, want)
+			}
+			if v, ok := dh.Get(out[1]); !ok || string(v) != "outside" {
+				t.Fatalf("key outside the arcs: (%q, %v), want (\"outside\", true)", v, ok)
+			}
+			if n := dh.Len(); n != len(want)+1 {
+				t.Fatalf("target holds %d entries, want %d", n, len(want)+1)
+			}
+			if got := arcEntries(sh, arcs); !reflect.DeepEqual(got, want) {
+				t.Fatal("reconcile changed the source")
+			}
+		})
+	}
+	t.Run("target-stopped", func(t *testing.T) {
+		// A closed actor engine executes nothing and exports nothing, so
+		// the repair lands nowhere and the digests still differ.
+		src, dst := load(store.EngineActor)
+		dst.Close()
+		if err := reconcile(src.NewHandle(0), dst.NewHandle(0), arcs, 64); err == nil {
+			t.Fatal("reconcile reported a target that applies nothing as repaired")
+		}
+	})
 }
 
 // TestRemoveNodeErrors: membership guard rails.

@@ -117,8 +117,8 @@ func MigrateBench(cfg MigrateBenchConfig) (MigrateBenchResult, error) {
 			Engine: cfg.Engine,
 			Lock:   cfg.Lock,
 			// Headroom beyond the clients: mesh forwarding conns and the
-			// migration driver also touch the shards (matters to ARRAY
-			// locks, which MaxThreads sizes).
+			// migration driver's direct handles also touch the shards
+			// (matters to ARRAY locks, which MaxThreads sizes).
 			MaxThreads: cfg.Clients + 8,
 		},
 	})

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sync"
 
@@ -106,79 +105,6 @@ func (c *Client) exchange(body []byte, err error) ([]byte, error) {
 	}
 	c.rbuf = rbody[:0]
 	return rbody, nil
-}
-
-// migRoundTrip sends one migration frame and decodes its response.
-func (c *Client) migRoundTrip(req MigrateRequest) (MigrateResponse, error) {
-	rbody, err := c.exchange(AppendMigrateRequest(c.ebuf[:0], req))
-	if err != nil {
-		return MigrateResponse{}, err
-	}
-	resp, err := ParseMigrateResponse(req.Op, rbody)
-	if err == nil {
-		err = serverErr(resp.Status, resp.Msg)
-	}
-	if err != nil {
-		return MigrateResponse{}, err
-	}
-	return resp, nil
-}
-
-// MigExport requests one chunk of the server's entries whose ring
-// positions fall in arcs, resuming from cursor (0 starts the walk; pass
-// the returned cursor until done).
-func (c *Client) MigExport(cursor uint64, max int, arcs []Arc) (entries []Entry, next uint64, done bool, err error) {
-	if max <= 0 || max > MaxBatchOps {
-		max = MaxBatchOps
-	}
-	resp, err := c.migRoundTrip(MigrateRequest{Op: OpMigExport, Cursor: cursor, Max: uint16(max), Arcs: arcs})
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return resp.Entries, resp.Next, resp.Done, nil
-}
-
-// MigDigest fetches the server's order-independent checksums for arcs.
-func (c *Client) MigDigest(arcs []Arc, slots int) ([]uint64, error) {
-	if slots <= 0 || slots > MaxDigestSlots {
-		return nil, ErrBadSlots
-	}
-	resp, err := c.migRoundTrip(MigrateRequest{Op: OpMigDigest, Slots: uint16(slots), Arcs: arcs})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Digests) != slots {
-		return nil, fmt.Errorf("store: digest count %d, want %d", len(resp.Digests), slots)
-	}
-	return resp.Digests, nil
-}
-
-// MigApply lands migrated entries and deletes on the server's local
-// store (bypassing any Router), chunked under the frame and count
-// bounds; it returns the number of ops applied.
-func (c *Client) MigApply(puts []Entry, dels []string) (int, error) {
-	applied := 0
-	for _, chunk := range mputChunks(puts) {
-		if len(chunk) == 0 {
-			continue
-		}
-		resp, err := c.migRoundTrip(MigrateRequest{Op: OpMigApply, Puts: chunk})
-		if err != nil {
-			return applied, err
-		}
-		applied += int(resp.Applied)
-	}
-	for _, chunk := range mgetChunks(dels) {
-		if len(chunk) == 0 {
-			continue
-		}
-		resp, err := c.migRoundTrip(MigrateRequest{Op: OpMigApply, Dels: chunk})
-		if err != nil {
-			return applied, err
-		}
-		applied += int(resp.Applied)
-	}
-	return applied, nil
 }
 
 // LocalConn is the in-process transport of the client Core: a Handle

@@ -9,6 +9,20 @@ import "ssync/internal/hashkit"
 // assigns owners by — so "the keys node B is about to own" is a set of
 // arcs, and no layer above ever enumerates keys to describe a range.
 
+// Arc is a half-open interval (Lo, Hi] of ring positions with modular
+// wraparound: Lo=6,Hi=2 covers (6..max] and [0..2]. Lo == Hi is the
+// empty arc and contains nothing.
+type Arc struct {
+	Lo, Hi uint64
+}
+
+// Contains reports whether ring position pos lies in (a.Lo, a.Hi],
+// wrapping modulo 2^64.
+func (a Arc) Contains(pos uint64) bool {
+	d := pos - a.Lo
+	return d != 0 && d <= a.Hi-a.Lo
+}
+
 // KeyPos returns key's ring position: Mix64 of its FNV-1a hash. This is
 // the position consistent-hash ownership is decided on, and the
 // position migration arcs select.
@@ -27,8 +41,9 @@ func ArcsContain(arcs []Arc, pos uint64) bool {
 	return false
 }
 
-// entryWireSize is the encoded size of one entry in an export/apply
-// frame — the byte budget exportShard walks against.
+// entryWireSize is the size of one entry as a scan response encodes it
+// (key and value with their length prefixes) — the unit of the byte
+// budget an export chunk walks against.
 func entryWireSize(key string, value []byte) int {
 	return 2 + len(key) + 4 + len(value)
 }
@@ -81,15 +96,11 @@ func (h *Handle) ExportRange(cursor uint64, maxEntries, maxBytes int, arcs []Arc
 // position picks and XORs in a digest of key and value. Two stores
 // holding the same entries for the arcs produce identical digests
 // regardless of insertion order or layout, so owner and ex-owner
-// compare a migrated range by exchanging slots×8 bytes instead of the
-// range itself; a mismatched slot narrows repair to the keys mapping to
-// it.
+// compare a migrated range by comparing slots checksums instead of the
+// entries themselves.
 func (h *Handle) DigestRange(arcs []Arc, slots int) []uint64 {
 	if slots <= 0 {
 		slots = 1
-	}
-	if slots > MaxDigestSlots {
-		slots = MaxDigestSlots
 	}
 	digests := make([]uint64, slots)
 	cursor, done := uint64(0), false
@@ -128,10 +139,10 @@ func EntryDigest(key string, value []byte) uint64 {
 
 // ApplyMigration lands a migrated delta on the local store — puts then
 // deletes — through the batch path (one engine visit per touched
-// shard). It returns the number of ops applied. This is the sink of
-// OpMigApply: it writes directly, never consulting any Router, because
-// migration is precisely the window where a node legitimately holds
-// keys the ring does not (yet) assign it.
+// shard). It returns the number of ops applied. This is the sink of a
+// resize's copy, delta and repair: it writes directly, never consulting
+// any Router, because migration is precisely the window where a node
+// legitimately holds keys the ring does not (yet) assign it.
 func (h *Handle) ApplyMigration(puts []Entry, dels []string) int {
 	reqs := make([]Request, 0, len(puts)+len(dels))
 	for _, e := range puts {

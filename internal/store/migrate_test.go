@@ -166,3 +166,25 @@ func TestPurgeAndApply(t *testing.T) {
 		})
 	}
 }
+
+func TestArcContains(t *testing.T) {
+	plain := Arc{Lo: 100, Hi: 200}
+	for pos, want := range map[uint64]bool{100: false, 101: true, 200: true, 201: false, 50: false} {
+		if plain.Contains(pos) != want {
+			t.Errorf("(100,200].Contains(%d) = %v, want %v", pos, !want, want)
+		}
+	}
+	// A wrapping arc covers the 2^64 seam.
+	wrap := Arc{Lo: ^uint64(0) - 10, Hi: 10}
+	for pos, want := range map[uint64]bool{^uint64(0) - 10: false, ^uint64(0): true, 0: true, 10: true, 11: false, 500: false} {
+		if wrap.Contains(pos) != want {
+			t.Errorf("wrap.Contains(%d) = %v, want %v", pos, !want, want)
+		}
+	}
+	// The empty arc contains nothing.
+	for _, pos := range []uint64{0, 7, ^uint64(0)} {
+		if (Arc{Lo: 7, Hi: 7}).Contains(pos) {
+			t.Errorf("empty arc contains %d", pos)
+		}
+	}
+}

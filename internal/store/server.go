@@ -17,7 +17,7 @@ import (
 // exactly one connection between Get and Put, and nothing a request
 // handler produces may alias it past the response write — engines copy
 // on insert, parse paths copy out, and RequestView.Owned exists for
-// anything (forwarding, migration) that must outlive the frame.
+// anything (forwarding) that must outlive the frame.
 var connScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledBuf is the largest buffer a frame pool (or a handle's value
@@ -58,9 +58,10 @@ type Server struct {
 // Router intercepts point ops so a layer above the store (the cluster's
 // per-node migration filter) can decide where each executes: locally
 // through the handle, or forwarded to the node that owns the key now.
-// Scans and the migration frames bypass it — scans are fanned out by
-// clients and always read the local store, and migration streaming must
-// reach the local store even (especially) when the ring says the keys
+// Scans bypass it: they are fanned out by clients and always read the
+// local store. A resize's copies bypass the server altogether — the
+// migration driver writes the target store through a Handle, since it
+// must reach a node even (especially) when the ring says the keys
 // belong elsewhere.
 //
 // A Router is handed views: keys and values alias the connection's
@@ -184,12 +185,12 @@ func (sv *Server) ServeConn(conn io.ReadWriter) error {
 				resps = h.ExecViews(views)
 			}
 			out = appendBatchBounded(out, views, resps)
-		} else if len(inner) > 0 && inner[0] >= OpMigExport && inner[0] <= OpForward {
-			mreq, err := ParseMigrateRequest(inner)
+		} else if len(inner) > 0 && inner[0] == OpForward {
+			freq, err := ParseMigrateRequest(inner)
 			if err != nil {
 				return sv.reject(bw, out, err) // out keeps the echoed tag
 			}
-			out, err = sv.executeMigrate(h, mreq, out)
+			out, err = sv.forward(h, freq, out)
 			if err != nil {
 				return err
 			}
@@ -332,40 +333,16 @@ func (h *Handle) ExecView(req RequestView, out []byte) ([]byte, error) {
 	return AppendResponse(out, req.Op, Response{Status: StatusError, Msg: ErrBadOp.Error()})
 }
 
-// executeMigrate serves the migration frames. EXPORT, DIGEST and APPLY
-// hit the local store directly — never the Router — because the
-// migration driver deliberately reads and writes nodes the ring does
-// not route to. FORWARD goes through the Router when one is installed
-// (the whole point of the frame); without one the op just executes
-// locally, which keeps a store-only deployment honest.
-func (sv *Server) executeMigrate(h *Handle, mreq MigrateRequest, out []byte) ([]byte, error) {
-	switch mreq.Op {
-	case OpMigExport:
-		// Budget the chunk so the response frame cannot overflow: entries
-		// stop at a bucket boundary under the byte cap, with headroom for
-		// the tag, status, cursor and one bucket of overshoot.
-		entries, next, done := h.ExportRange(mreq.Cursor, int(mreq.Max), MaxFrame/2, mreq.Arcs)
-		resp := MigrateResponse{Status: StatusOK, Done: done, Next: next, Entries: entries}
-		enc, err := AppendMigrateResponse(out, mreq.Op, resp)
-		if err != nil {
-			enc, err = AppendMigrateResponse(out, mreq.Op, MigrateResponse{Status: StatusError, Msg: err.Error()})
-		}
-		return enc, err
-	case OpMigDigest:
-		digests := h.DigestRange(mreq.Arcs, int(mreq.Slots))
-		return AppendMigrateResponse(out, mreq.Op, MigrateResponse{Status: StatusOK, Digests: digests})
-	case OpMigApply:
-		applied := h.ApplyMigration(mreq.Puts, mreq.Dels)
-		return AppendMigrateResponse(out, mreq.Op, MigrateResponse{Status: StatusOK, Applied: uint32(applied)})
-	case OpForward:
-		in := mreq.Inner
-		view := RequestView{Op: in.Op, Key: []byte(in.Key), Value: in.Value}
-		if sv.router != nil {
-			return sv.router.Route(h, view, int(mreq.Hops), out)
-		}
-		return h.ExecView(view, out)
+// forward serves a forwarded point op: through the Router when one is
+// installed (the whole point of the frame), or locally without one,
+// which keeps a store-only deployment honest.
+func (sv *Server) forward(h *Handle, freq MigrateRequest, out []byte) ([]byte, error) {
+	in := freq.Inner
+	view := RequestView{Op: in.Op, Key: []byte(in.Key), Value: in.Value}
+	if sv.router != nil {
+		return sv.router.Route(h, view, int(freq.Hops), out)
 	}
-	return out, ErrBadOp
+	return h.ExecView(view, out)
 }
 
 // trimToFrame drops trailing scan entries until the encoded response

@@ -188,7 +188,7 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 // connection, until its next ReadFrame. It is the server hot path's
 // decode shape, scalar frames and batch sub-requests alike; the owning
 // Request (string key, copied value) exists for everything that must
-// outlive the frame: router forwarding, migration payloads.
+// outlive the frame: router forwarding.
 type RequestView struct {
 	Op    byte
 	Key   []byte // aliases the frame; the scan prefix for OpScan

@@ -1,386 +1,80 @@
 package store
 
-import (
-	"encoding/binary"
-	"errors"
-)
+import "errors"
 
-// Migration extensions of the wire protocol: the frames that move a key
-// range between nodes while traffic keeps flowing. Three frames drive
-// the handoff itself and one carries ops across the ownership flip:
-//
-//	OpMigExport  op uint8, cursor uint64, max uint16,
-//	             narcs uint16, narcs × (lo uint64, hi uint64)
-//	response:    done uint8, next uint64, count uint16,
-//	             count × (keyLen uint16, key, valLen uint32, val)
-//
-//	OpMigDigest  op uint8, slots uint16,
-//	             narcs uint16, narcs × (lo uint64, hi uint64)
-//	response:    count uint16, count × digest uint64
-//
-//	OpMigApply   op uint8, nputs uint16, nputs × (keyLen uint16, key,
-//	             valLen uint32, val), ndels uint16, ndels × (keyLen
-//	             uint16, key)
-//	response:    applied uint32
+// The forwarding frame of the wire protocol: it carries a point op
+// across an ownership flip, from a node that no longer (or does not yet)
+// own the key to the node that does.
 //
 //	OpForward    op uint8, hops uint8, inner scalar request body
 //	response:    the inner op's plain scalar response
 //
-// An arc is a half-open interval (lo, hi] of ring positions (mixed key
-// hashes) with modular wraparound, so one arc spans the 2^64 wrap; an
-// empty arc (lo == hi) is rejected. EXPORT walks the ex-owner's table
-// in whole-bucket steps — cursor is an opaque resume token, done=1 means
-// the range is exhausted (and next must be 0). DIGEST folds every entry
-// in the arcs into slots order-independent checksums so owner and
-// ex-owner compare a range without shipping it. APPLY lands entries
-// directly on the serving node's local store, bypassing any installed
-// Router — the one frame allowed to write to a node that does not own
-// the keys yet. FORWARD wraps a point op that arrived at a node which
-// no longer (or does not yet) own the key; hops bounds re-forwarding so
-// routing disagreements cannot loop. Like the batch frames, parsers are
-// strict and canonical: anything that parses re-encodes byte-identically.
+// hops bounds re-forwarding so routing disagreements cannot loop. Like
+// the batch frames, the parser is strict and canonical: anything that
+// parses re-encodes byte-identically.
 
-// Migration opcodes (batch ones are 5..8 in wire_batch.go).
-const (
-	// OpMigExport streams one chunk of a key range off its ex-owner.
-	OpMigExport byte = iota + OpTagged + 1
-	// OpMigDigest returns order-independent range checksums.
-	OpMigDigest
-	// OpMigApply lands migrated entries/deletes on the local store.
-	OpMigApply
-	// OpForward wraps a point op routed on behalf of another node.
-	OpForward
-)
+// OpForward wraps a point op routed on behalf of another node (the
+// batch opcodes are 5..8 in wire_batch.go).
+const OpForward byte = OpTagged + 1
 
-// Migration protocol bounds.
-const (
-	// MaxMigrateArcs bounds the arcs of one export/digest frame.
-	MaxMigrateArcs = 4096
-	// MaxDigestSlots bounds the checksum slots of one digest frame.
-	MaxDigestSlots = 4096
-	// MaxForwardHops bounds re-forwarding of one op. Forwarding re-reads
-	// the shared ring at every hop, so two hops settle any single resize;
-	// the cap only exists to turn a routing bug into an error instead of
-	// a loop.
-	MaxForwardHops = 8
-)
+// MaxForwardHops bounds re-forwarding of one op. Forwarding re-reads
+// the shared ring at every hop, so two hops settle any single resize;
+// the cap only exists to turn a routing bug into an error instead of a
+// loop.
+const MaxForwardHops = 8
 
-// Migration wire-format errors.
+// Forwarding wire-format errors.
 var (
-	ErrBadArc      = errors.New("store: empty migration arc")
-	ErrTooManyArcs = errors.New("store: too many migration arcs")
-	ErrBadSlots    = errors.New("store: digest slot count out of range")
-	ErrForwardOp   = errors.New("store: forwarded op must be a point op")
-	ErrHopLimit    = errors.New("store: forward hop limit exceeded")
-	ErrBadCursor   = errors.New("store: final export chunk carries a cursor")
+	ErrForwardOp = errors.New("store: forwarded op must be a point op")
+	ErrHopLimit  = errors.New("store: forward hop limit exceeded")
 )
 
-// Arc is a half-open interval (Lo, Hi] of ring positions with modular
-// wraparound: Lo=6,Hi=2 covers (6..max] and [0..2]. Lo == Hi is the
-// empty arc and is rejected on the wire.
-type Arc struct {
-	Lo, Hi uint64
-}
-
-// Contains reports whether ring position pos lies in (a.Lo, a.Hi],
-// wrapping modulo 2^64.
-func (a Arc) Contains(pos uint64) bool {
-	d := pos - a.Lo
-	return d != 0 && d <= a.Hi-a.Lo
-}
-
-// MigrateRequest is one decoded migration request. Fields beyond Op are
-// per-opcode: Cursor/Max/Arcs for EXPORT, Slots/Arcs for DIGEST,
-// Puts/Dels for APPLY, Hops/Inner for FORWARD.
+// MigrateRequest is one decoded forwarding request: the point op Inner,
+// which has taken Hops forwarding hops so far.
 type MigrateRequest struct {
-	Op     byte
-	Cursor uint64   // OpMigExport: resume token (0 starts the walk)
-	Max    uint16   // OpMigExport: max entries in the response chunk
-	Slots  uint16   // OpMigDigest: checksum slot count
-	Arcs   []Arc    // OpMigExport, OpMigDigest
-	Puts   []Entry  // OpMigApply
-	Dels   []string // OpMigApply
-	Hops   byte     // OpForward: hops taken so far
-	Inner  Request  // OpForward: the forwarded point op
+	Op    byte    // OpForward
+	Hops  byte    // hops taken so far
+	Inner Request // the forwarded point op
 }
 
-// MigrateResponse is one decoded migration response. Forwarded ops
-// answer with the inner op's plain scalar Response, not this type.
-type MigrateResponse struct {
-	Status  byte
-	Msg     string   // StatusError detail
-	Done    bool     // OpMigExport: range exhausted
-	Next    uint64   // OpMigExport: resume token (0 when done)
-	Entries []Entry  // OpMigExport
-	Digests []uint64 // OpMigDigest
-	Applied uint32   // OpMigApply
-}
-
-func appendArcs(dst []byte, arcs []Arc) ([]byte, error) {
-	if len(arcs) == 0 || len(arcs) > MaxMigrateArcs {
-		return dst, ErrTooManyArcs
-	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(arcs)))
-	for _, a := range arcs {
-		if a.Lo == a.Hi {
-			return dst, ErrBadArc
-		}
-		dst = binary.BigEndian.AppendUint64(dst, a.Lo)
-		dst = binary.BigEndian.AppendUint64(dst, a.Hi)
-	}
-	return dst, nil
-}
-
-func (p *parser) arcs() []Arc {
-	n := int(p.u16())
-	if p.err == nil && (n == 0 || n > MaxMigrateArcs) {
-		p.err = ErrTooManyArcs
-	}
-	var arcs []Arc
-	for i := 0; i < n && p.err == nil; i++ {
-		a := Arc{Lo: p.u64(), Hi: p.u64()}
-		if p.err == nil && a.Lo == a.Hi {
-			p.err = ErrBadArc
-		}
-		arcs = append(arcs, a)
-	}
-	return arcs
-}
-
-func appendEntries16(dst []byte, entries []Entry) ([]byte, error) {
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(entries)))
-	for _, e := range entries {
-		var err error
-		if dst, err = appendKey(dst, e.Key); err != nil {
-			return dst, err
-		}
-		if len(e.Value) > MaxValueLen {
-			return dst, ErrValueTooLong
-		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.Value)))
-		dst = append(dst, e.Value...)
-	}
-	return dst, nil
-}
-
-func (p *parser) entries16(max int) []Entry {
-	n := int(p.u16())
-	if p.err == nil && n > max {
-		p.err = ErrBatchTooLarge
-	}
-	var entries []Entry
-	for i := 0; i < n && p.err == nil; i++ {
-		k := string(p.bytes16())
-		v := append([]byte(nil), p.bytes32(MaxValueLen)...)
-		entries = append(entries, Entry{Key: k, Value: v})
-	}
-	return entries
-}
+// isPointOp reports whether op may be forwarded.
+func isPointOp(op byte) bool { return op == OpGet || op == OpPut || op == OpDelete }
 
 // AppendMigrateRequest encodes req onto dst.
 func AppendMigrateRequest(dst []byte, req MigrateRequest) ([]byte, error) {
 	dst = append(dst, req.Op)
-	switch req.Op {
-	case OpMigExport:
-		if req.Max == 0 {
-			return dst, ErrBatchTooLarge
-		}
-		dst = binary.BigEndian.AppendUint64(dst, req.Cursor)
-		dst = binary.BigEndian.AppendUint16(dst, req.Max)
-		return appendArcs(dst, req.Arcs)
-	case OpMigDigest:
-		if req.Slots == 0 || req.Slots > MaxDigestSlots {
-			return dst, ErrBadSlots
-		}
-		dst = binary.BigEndian.AppendUint16(dst, req.Slots)
-		return appendArcs(dst, req.Arcs)
-	case OpMigApply:
-		if len(req.Puts)+len(req.Dels) > MaxBatchOps {
-			return dst, ErrBatchTooLarge
-		}
-		var err error
-		if dst, err = appendEntries16(dst, req.Puts); err != nil {
-			return dst, err
-		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Dels)))
-		for _, k := range req.Dels {
-			if dst, err = appendKey(dst, k); err != nil {
-				return dst, err
-			}
-		}
-		return dst, nil
-	case OpForward:
-		if req.Hops > MaxForwardHops {
-			return dst, ErrHopLimit
-		}
-		switch req.Inner.Op {
-		case OpGet, OpPut, OpDelete:
-		default:
-			return dst, ErrForwardOp
-		}
-		dst = append(dst, req.Hops)
-		return AppendRequest(dst, req.Inner)
-	default:
+	switch {
+	case req.Op != OpForward:
 		return dst, ErrBadOp
+	case req.Hops > MaxForwardHops:
+		return dst, ErrHopLimit
+	case !isPointOp(req.Inner.Op):
+		return dst, ErrForwardOp
 	}
+	dst = append(dst, req.Hops)
+	return AppendRequest(dst, req.Inner)
 }
 
-// ParseMigrateRequest decodes one migration request body, rejecting
-// unknown opcodes, empty arcs, truncation and trailing garbage.
+// ParseMigrateRequest decodes one forwarding request body, rejecting
+// other opcodes, a hop count over the cap, a non-point inner op,
+// truncation and trailing garbage.
 func ParseMigrateRequest(body []byte) (MigrateRequest, error) {
 	p := parser{buf: body}
 	var req MigrateRequest
 	req.Op = p.u8()
-	switch req.Op {
-	case OpMigExport:
-		req.Cursor = p.u64()
-		req.Max = p.u16()
-		if p.err == nil && req.Max == 0 {
-			p.err = ErrBatchTooLarge
-		}
-		req.Arcs = p.arcs()
-	case OpMigDigest:
-		req.Slots = p.u16()
-		if p.err == nil && (req.Slots == 0 || req.Slots > MaxDigestSlots) {
-			p.err = ErrBadSlots
-		}
-		req.Arcs = p.arcs()
-	case OpMigApply:
-		req.Puts = p.entries16(MaxBatchOps)
-		n := int(p.u16())
-		if p.err == nil && len(req.Puts)+n > MaxBatchOps {
-			p.err = ErrBatchTooLarge
-		}
-		for i := 0; i < n && p.err == nil; i++ {
-			req.Dels = append(req.Dels, string(p.bytes16()))
-		}
-	case OpForward:
-		req.Hops = p.u8()
-		if p.err == nil && req.Hops > MaxForwardHops {
-			p.err = ErrHopLimit
-		}
-		req.Inner = p.request()
-		switch req.Inner.Op {
-		case OpGet, OpPut, OpDelete:
-		default:
-			if p.err == nil {
-				p.err = ErrForwardOp
-			}
-		}
-	default:
-		if p.err == nil {
-			p.err = ErrBadOp
-		}
+	if p.err == nil && req.Op != OpForward {
+		p.err = ErrBadOp
+	}
+	req.Hops = p.u8()
+	if p.err == nil && req.Hops > MaxForwardHops {
+		p.err = ErrHopLimit
+	}
+	req.Inner = p.request()
+	if p.err == nil && !isPointOp(req.Inner.Op) {
+		p.err = ErrForwardOp
 	}
 	if err := p.finish(); err != nil {
 		return MigrateRequest{}, err
 	}
 	return req, nil
-}
-
-// AppendMigrateResponse encodes resp for a migration request with
-// opcode op (OpMigExport, OpMigDigest or OpMigApply; forwarded ops use
-// AppendResponse with the inner opcode).
-func AppendMigrateResponse(dst []byte, op byte, resp MigrateResponse) ([]byte, error) {
-	dst = append(dst, resp.Status)
-	if resp.Status == StatusError {
-		msg := resp.Msg
-		if len(msg) > MaxKeyLen {
-			msg = msg[:MaxKeyLen]
-		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(msg)))
-		return append(dst, msg...), nil
-	}
-	if resp.Status != StatusOK {
-		return dst, ErrBadOp
-	}
-	switch op {
-	case OpMigExport:
-		if resp.Done {
-			if resp.Next != 0 {
-				return dst, ErrBadCursor
-			}
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = binary.BigEndian.AppendUint64(dst, resp.Next)
-		if len(resp.Entries) > MaxBatchOps {
-			return dst, ErrBatchTooLarge
-		}
-		return appendEntries16(dst, resp.Entries)
-	case OpMigDigest:
-		if len(resp.Digests) == 0 || len(resp.Digests) > MaxDigestSlots {
-			return dst, ErrBadSlots
-		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(resp.Digests)))
-		for _, d := range resp.Digests {
-			dst = binary.BigEndian.AppendUint64(dst, d)
-		}
-		return dst, nil
-	case OpMigApply:
-		return binary.BigEndian.AppendUint32(dst, resp.Applied), nil
-	default:
-		return dst, ErrBadOp
-	}
-}
-
-// ParseMigrateResponse decodes one migration response body for a
-// request with opcode op.
-func ParseMigrateResponse(op byte, body []byte) (MigrateResponse, error) {
-	p := parser{buf: body}
-	var resp MigrateResponse
-	resp.Status = p.u8()
-	switch {
-	case resp.Status == StatusError:
-		resp.Msg = string(p.bytes16())
-	case resp.Status == StatusOK:
-		switch op {
-		case OpMigExport:
-			switch flag := p.u8(); flag {
-			case 0:
-			case 1:
-				resp.Done = true
-			default:
-				if p.err == nil {
-					p.err = ErrBadOp
-				}
-			}
-			resp.Next = p.u64()
-			if p.err == nil && resp.Done && resp.Next != 0 {
-				p.err = ErrBadCursor
-			}
-			resp.Entries = p.entries16(MaxBatchOps)
-		case OpMigDigest:
-			n := int(p.u16())
-			if p.err == nil && (n == 0 || n > MaxDigestSlots) {
-				p.err = ErrBadSlots
-			}
-			for i := 0; i < n && p.err == nil; i++ {
-				resp.Digests = append(resp.Digests, p.u64())
-			}
-		case OpMigApply:
-			resp.Applied = p.u32()
-		default:
-			if p.err == nil {
-				p.err = ErrBadOp
-			}
-		}
-	default:
-		if p.err == nil {
-			p.err = ErrBadOp
-		}
-	}
-	if err := p.finish(); err != nil {
-		return MigrateResponse{}, err
-	}
-	return resp, nil
-}
-
-func (p *parser) u64() uint64 {
-	b := p.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
 }

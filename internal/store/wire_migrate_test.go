@@ -7,37 +7,11 @@ import (
 	"testing"
 )
 
-func TestArcContains(t *testing.T) {
-	plain := Arc{Lo: 100, Hi: 200}
-	for pos, want := range map[uint64]bool{100: false, 101: true, 200: true, 201: false, 50: false} {
-		if plain.Contains(pos) != want {
-			t.Errorf("(100,200].Contains(%d) = %v, want %v", pos, !want, want)
-		}
-	}
-	// A wrapping arc covers the 2^64 seam.
-	wrap := Arc{Lo: ^uint64(0) - 10, Hi: 10}
-	for pos, want := range map[uint64]bool{^uint64(0) - 10: false, ^uint64(0): true, 0: true, 10: true, 11: false, 500: false} {
-		if wrap.Contains(pos) != want {
-			t.Errorf("wrap.Contains(%d) = %v, want %v", pos, !want, want)
-		}
-	}
-	// The empty arc contains nothing.
-	for _, pos := range []uint64{0, 7, ^uint64(0)} {
-		if (Arc{Lo: 7, Hi: 7}).Contains(pos) {
-			t.Errorf("empty arc contains %d", pos)
-		}
-	}
-}
-
 func TestMigrateRequestRoundTrip(t *testing.T) {
 	reqs := []MigrateRequest{
-		{Op: OpMigExport, Cursor: 0, Max: 128, Arcs: []Arc{{Lo: 1, Hi: 9}}},
-		{Op: OpMigExport, Cursor: 42, Max: 1, Arcs: []Arc{{Lo: 9, Hi: 1}, {Lo: 100, Hi: 200}}},
-		{Op: OpMigDigest, Slots: 64, Arcs: []Arc{{Lo: 5, Hi: 4}}},
-		{Op: OpMigApply, Puts: []Entry{{Key: "k", Value: []byte("v")}, {Key: "", Value: nil}}, Dels: []string{"gone"}},
-		{Op: OpMigApply},
 		{Op: OpForward, Hops: 2, Inner: Request{Op: OpPut, Key: "k", Value: []byte("v")}},
 		{Op: OpForward, Inner: Request{Op: OpGet, Key: "k"}},
+		{Op: OpForward, Hops: MaxForwardHops, Inner: Request{Op: OpDelete, Key: "gone"}},
 	}
 	for _, req := range reqs {
 		body, err := AppendMigrateRequest(nil, req)
@@ -54,81 +28,40 @@ func TestMigrateRequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMigrateResponseRoundTrip(t *testing.T) {
-	cases := []struct {
-		op   byte
-		resp MigrateResponse
-	}{
-		{OpMigExport, MigrateResponse{Status: StatusOK, Next: 7, Entries: []Entry{{Key: "k", Value: []byte("v")}}}},
-		{OpMigExport, MigrateResponse{Status: StatusOK, Done: true}},
-		{OpMigDigest, MigrateResponse{Status: StatusOK, Digests: []uint64{1, 0, 0xDEAD}}},
-		{OpMigApply, MigrateResponse{Status: StatusOK, Applied: 99}},
-		{OpMigApply, MigrateResponse{Status: StatusError, Msg: "boom"}},
-	}
-	for _, c := range cases {
-		body, err := AppendMigrateResponse(nil, c.op, c.resp)
-		if err != nil {
-			t.Fatalf("encode %+v: %v", c.resp, err)
-		}
-		got, err := ParseMigrateResponse(c.op, body)
-		if err != nil {
-			t.Fatalf("parse %+v: %v", c.resp, err)
-		}
-		if !reflect.DeepEqual(got, c.resp) {
-			t.Fatalf("round trip mangled %+v into %+v", c.resp, got)
-		}
-	}
-}
-
 func TestMigrateRejects(t *testing.T) {
-	// Empty arcs, zero arcs, zero chunk size, bad digest slots.
-	if _, err := AppendMigrateRequest(nil, MigrateRequest{Op: OpMigExport, Max: 8, Arcs: []Arc{{Lo: 3, Hi: 3}}}); !errors.Is(err, ErrBadArc) {
-		t.Errorf("empty arc: err = %v, want ErrBadArc", err)
-	}
-	if _, err := AppendMigrateRequest(nil, MigrateRequest{Op: OpMigExport, Max: 8}); !errors.Is(err, ErrTooManyArcs) {
-		t.Errorf("no arcs: err = %v, want ErrTooManyArcs", err)
-	}
-	if _, err := AppendMigrateRequest(nil, MigrateRequest{Op: OpMigExport, Arcs: []Arc{{Lo: 1, Hi: 2}}}); !errors.Is(err, ErrBatchTooLarge) {
-		t.Errorf("max=0: err = %v, want ErrBatchTooLarge", err)
-	}
-	if _, err := AppendMigrateRequest(nil, MigrateRequest{Op: OpMigDigest, Slots: MaxDigestSlots + 1, Arcs: []Arc{{Lo: 1, Hi: 2}}}); !errors.Is(err, ErrBadSlots) {
-		t.Errorf("oversized slots: err = %v, want ErrBadSlots", err)
-	}
-	// Forwarded scans and over-hopped forwards are refused.
+	// Forwarded scans and over-hopped forwards are refused, encoded or
+	// parsed.
 	if _, err := AppendMigrateRequest(nil, MigrateRequest{Op: OpForward, Inner: Request{Op: OpScan, Key: "p"}}); !errors.Is(err, ErrForwardOp) {
 		t.Errorf("forwarded scan: err = %v, want ErrForwardOp", err)
+	}
+	if _, err := ParseMigrateRequest([]byte{OpForward, 0, OpScan, 0, 1, 'p', 0, 0, 0, 0}); !errors.Is(err, ErrForwardOp) {
+		t.Errorf("parsed forwarded scan: err = %v, want ErrForwardOp", err)
 	}
 	if _, err := AppendMigrateRequest(nil, MigrateRequest{Op: OpForward, Hops: MaxForwardHops + 1, Inner: Request{Op: OpGet, Key: "k"}}); !errors.Is(err, ErrHopLimit) {
 		t.Errorf("hop overflow: err = %v, want ErrHopLimit", err)
 	}
-	// Scalar and batch bodies are not migration frames.
+	if _, err := ParseMigrateRequest([]byte{OpForward, MaxForwardHops + 1, OpGet, 0, 1, 'k'}); !errors.Is(err, ErrHopLimit) {
+		t.Errorf("parsed hop overflow: err = %v, want ErrHopLimit", err)
+	}
+	// Scalar and batch bodies are not forwarding frames.
+	if _, err := AppendMigrateRequest(nil, MigrateRequest{Op: OpGet, Inner: Request{Op: OpGet, Key: "k"}}); !errors.Is(err, ErrBadOp) {
+		t.Errorf("non-forward opcode: err = %v, want ErrBadOp", err)
+	}
 	for _, body := range [][]byte{{OpGet, 0, 1, 'k'}, {OpBatch, 0, 0}, {}} {
 		if _, err := ParseMigrateRequest(body); err == nil {
-			t.Errorf("body % x parsed as a migration request", body)
+			t.Errorf("body % x parsed as a forwarding request", body)
 		}
 	}
 	// Truncation and trailing garbage die like the batch frames.
-	good, err := AppendMigrateRequest(nil, MigrateRequest{Op: OpMigExport, Max: 8, Arcs: []Arc{{Lo: 1, Hi: 2}}})
+	good, err := AppendMigrateRequest(nil, MigrateRequest{Op: OpForward, Hops: 1, Inner: Request{Op: OpPut, Key: "k", Value: []byte("v")}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ParseMigrateRequest(good[:len(good)-1]); !errors.Is(err, ErrTruncated) {
-		t.Errorf("truncated export: err = %v, want ErrTruncated", err)
+		t.Errorf("truncated forward: err = %v, want ErrTruncated", err)
 	}
 	if _, err := ParseMigrateRequest(append(append([]byte(nil), good...), 'X')); !errors.Is(err, ErrTrailingBytes) {
 		t.Errorf("trailing bytes: err = %v, want ErrTrailingBytes", err)
-	}
-	// A final export chunk cannot carry a resume cursor.
-	if _, err := AppendMigrateResponse(nil, OpMigExport, MigrateResponse{Status: StatusOK, Done: true, Next: 9}); !errors.Is(err, ErrBadCursor) {
-		t.Errorf("done with cursor: err = %v, want ErrBadCursor", err)
-	}
-	body := []byte{StatusOK, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0}
-	if _, err := ParseMigrateResponse(OpMigExport, body); !errors.Is(err, ErrBadCursor) {
-		t.Errorf("parsed done-with-cursor: err = %v, want ErrBadCursor", err)
-	}
-	// Migration responses have no NOTFOUND shape.
-	if _, err := ParseMigrateResponse(OpMigApply, []byte{StatusNotFound}); err == nil {
-		t.Error("NotFound migration response must be rejected")
 	}
 }
 
@@ -137,10 +70,10 @@ func TestMigrateRejects(t *testing.T) {
 // re-encode byte-identically and re-parse to the same request.
 func FuzzParseMigrateRequest(f *testing.F) {
 	seeds := []MigrateRequest{
-		{Op: OpMigExport, Cursor: 3, Max: 16, Arcs: []Arc{{Lo: 9, Hi: 1}}},
-		{Op: OpMigDigest, Slots: 8, Arcs: []Arc{{Lo: 1, Hi: 2}, {Lo: 4, Hi: 5}}},
-		{Op: OpMigApply, Puts: []Entry{{Key: "k", Value: []byte("v")}}, Dels: []string{"d"}},
 		{Op: OpForward, Hops: 1, Inner: Request{Op: OpDelete, Key: "k"}},
+		{Op: OpForward, Inner: Request{Op: OpGet, Key: "k"}},
+		{Op: OpForward, Hops: 2, Inner: Request{Op: OpPut, Key: "k", Value: []byte("v")}},
+		{Op: OpForward, Hops: MaxForwardHops, Inner: Request{Op: OpPut, Key: "", Value: []byte("v")}},
 	}
 	for _, s := range seeds {
 		body, err := AppendMigrateRequest(nil, s)
@@ -149,7 +82,7 @@ func FuzzParseMigrateRequest(f *testing.F) {
 		}
 		f.Add(body)
 	}
-	f.Add([]byte{OpMigExport, 0xFF})
+	f.Add([]byte{OpForward, 0xFF})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := ParseMigrateRequest(body)
@@ -158,40 +91,17 @@ func FuzzParseMigrateRequest(f *testing.F) {
 		}
 		enc, err := AppendMigrateRequest(nil, req)
 		if err != nil {
-			t.Fatalf("parsed migrate request fails to encode: %+v: %v", req, err)
+			t.Fatalf("parsed forward request fails to encode: %+v: %v", req, err)
 		}
 		if !bytes.Equal(enc, body) {
 			t.Fatalf("non-canonical encoding:\nparsed %+v\nfrom % x\nre-enc % x", req, body, enc)
 		}
 		again, err := ParseMigrateRequest(enc)
 		if err != nil {
-			t.Fatalf("re-encoded migrate request fails to parse: %v", err)
+			t.Fatalf("re-encoded forward request fails to parse: %v", err)
 		}
 		if !reflect.DeepEqual(req, again) {
 			t.Fatalf("round trip drifted: %+v vs %+v", req, again)
-		}
-	})
-}
-
-// FuzzParseMigrateResponse holds the response parser to the same
-// standard; the opcode context comes from the fuzzer too.
-func FuzzParseMigrateResponse(f *testing.F) {
-	f.Add(OpMigExport, []byte{StatusOK, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 1, 0, 1, 'k', 0, 0, 0, 1, 'v'})
-	f.Add(OpMigExport, []byte{StatusOK, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(OpMigDigest, []byte{StatusOK, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5})
-	f.Add(OpMigApply, []byte{StatusOK, 0, 0, 0, 3})
-	f.Add(OpMigApply, []byte{StatusError, 0, 2, 'n', 'o'})
-	f.Fuzz(func(t *testing.T, op byte, body []byte) {
-		resp, err := ParseMigrateResponse(op, body)
-		if err != nil {
-			return
-		}
-		enc, err := AppendMigrateResponse(nil, op, resp)
-		if err != nil {
-			t.Fatalf("parsed migrate response fails to encode: %+v: %v", resp, err)
-		}
-		if !bytes.Equal(enc, body) {
-			t.Fatalf("non-canonical response:\nparsed %+v\nfrom % x\nre-enc % x", resp, body, enc)
 		}
 	})
 }
