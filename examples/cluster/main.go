@@ -50,7 +50,7 @@ func main() {
 		Pipeline: 8,
 	}
 	start := time.Now()
-	results, err := workload.Run(scenario, func(int) (workload.Conn, error) {
+	results, err := workload.Run(scenario, func(int) (workload.PipeConn, error) {
 		return store.Driver{C: c.Dial(8)}, nil
 	})
 	if err != nil {

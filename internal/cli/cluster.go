@@ -178,7 +178,7 @@ func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 	runOne := func(n int) ([]workload.PhaseResult, []uint64, time.Duration, error) {
 		c := cluster.New(cluster.Options{Nodes: n, Vnodes: *vnodes, Store: storeOpt, Place: policy})
 		defer c.Close()
-		dial := func(int) (workload.Conn, error) {
+		dial := func(int) (workload.PipeConn, error) {
 			return store.Driver{C: c.Dial(*pipeline)}, nil
 		}
 		if *preload > 0 {

@@ -149,7 +149,7 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 		st := store.New(o)
 		defer st.Close()
 		srv := store.NewServer(st, 2)
-		dial := func(c int) (workload.Conn, error) {
+		dial := func(c int) (workload.PipeConn, error) {
 			switch {
 			case *local:
 				return store.Driver{C: st.NewLocalConn(c % 2)}, nil
@@ -212,7 +212,7 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 		o.Engine = engines[0]
 		base := store.New(o)
 		baseSrv := store.NewServer(base, 2)
-		baseDial := func(c int) (workload.Conn, error) {
+		baseDial := func(c int) (workload.PipeConn, error) {
 			return store.Driver{C: baseSrv.PipeClient()}, nil
 		}
 		baseScenario := scenario

@@ -16,9 +16,6 @@ type Options struct {
 	// Vnodes is the ring's virtual-point count per node. Default
 	// DefaultVnodes.
 	Vnodes int
-	// NumaNodes is forwarded to each node's wire server (connection
-	// striping for hierarchical locks). Default 2.
-	NumaNodes int
 	// Store configures every node's store (engine, lock algorithm,
 	// shards); each node gets an independent store built from it.
 	Store store.Options
@@ -40,8 +37,11 @@ func (o Options) withDefaults() Options {
 	if o.Vnodes < 1 {
 		o.Vnodes = DefaultVnodes
 	}
-	if o.NumaNodes < 1 {
-		o.NumaNodes = 2
+	// Each member's wire server stripes its connections over the NUMA
+	// nodes the member's hierarchical locks are built for; default the
+	// count as locks.Options does.
+	if o.Store.Nodes < 1 {
+		o.Store.Nodes = 2
 	}
 	return o
 }
@@ -110,7 +110,7 @@ func (c *Cluster) newNode(id int) *node {
 		sopt.Placement = c.place.ForNode(id)
 	}
 	st := store.New(sopt)
-	n := &node{id: id, store: st, server: store.NewServer(st, c.opt.NumaNodes)}
+	n := &node{id: id, store: st, server: store.NewServer(st, sopt.Nodes)}
 	n.filter = newNodeFilter(c, n)
 	n.server.SetRouter(n.filter)
 	return n

@@ -191,7 +191,7 @@ func booksBalance(t *testing.T, b backend) {
 			Phases:    workload.RampSteady(clients, opsPerClient),
 			Batch:     batch,
 			Pipeline:  batch / 2,
-		}, func(i int) (workload.Conn, error) { return store.Driver{C: b.dial(i, 4)}, nil })
+		}, func(i int) (workload.PipeConn, error) { return store.Driver{C: b.dial(i, 4)}, nil })
 		if err != nil {
 			t.Fatal(err)
 		}

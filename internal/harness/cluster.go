@@ -56,7 +56,7 @@ func runClusterScenario(s Shard, nodes int, eng store.Engine) ([]Sample, error) 
 			Batch:    4,
 			Pipeline: 8,
 		}
-		results, err := workload.Run(scenario, func(int) (workload.Conn, error) {
+		results, err := workload.Run(scenario, func(int) (workload.PipeConn, error) {
 			return store.Driver{C: c.Dial(8)}, nil
 		})
 		c.Close()

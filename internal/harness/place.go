@@ -47,7 +47,7 @@ func runPlacedScenario(s Shard, eng store.Engine, pl *topo.Placement, dist workl
 		Phases:  workload.RampSteady(s.Threads, ops),
 		Batch:   4,
 	}
-	results, err := workload.Run(scenario, func(int) (workload.Conn, error) {
+	results, err := workload.Run(scenario, func(int) (workload.PipeConn, error) {
 		return store.Driver{C: srv.PipeAsyncClient(4)}, nil
 	})
 	if err != nil {

@@ -43,7 +43,7 @@ func runEngineScenario(s Shard, opt store.Options) ([]Sample, error) {
 	for _, mode := range []string{"direct", "wire"} {
 		st := store.New(opt)
 		srv := store.NewServer(st, 2)
-		dial := func(c int) (workload.Conn, error) {
+		dial := func(c int) (workload.PipeConn, error) {
 			if mode == "direct" {
 				return store.Driver{C: st.NewLocalConn(c % 2)}, nil
 			}
@@ -150,7 +150,7 @@ func init() {
 						MaxThreads: s.Threads + 2,
 					})
 					srv := store.NewServer(st, 2)
-					dial := func(c int) (workload.Conn, error) {
+					dial := func(c int) (workload.PipeConn, error) {
 						return store.Driver{C: srv.PipeAsyncClient(cell.depth)}, nil
 					}
 					scenario := workload.Scenario{

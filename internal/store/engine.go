@@ -85,9 +85,9 @@ type shardAccess interface {
 	// otherwise copied, under the engine's exclusion, onto the accessor's
 	// scan arena (locked, actor): either way it is valid until the
 	// accessor's next scan, and the caller copies out what it keeps. The
-	// optimistic engine reads the whole store at one instant; the other
-	// two merge per-shard runs (shardRuns), a union of per-shard
-	// snapshots.
+	// optimistic engine reads the whole store at one instant; the locked
+	// and actor engines merge one run per shard, each taken in one visit
+	// (tableAccess.scan), a union of per-shard snapshots.
 	scan(prefix lookupKey, limit int, out []Entry) []Entry
 	// exportShard walks the shard's buckets from index from, appending
 	// copies of the entries whose hash satisfies pred, and stops early at

@@ -1,8 +1,9 @@
 // Package store is the system-level payoff of the paper's synchronization
 // study: a sharded concurrent key-value store whose N independent shards
 // are executed by a pluggable ShardEngine — lock-guarded bucket tables
-// (any libslock algorithm), message-passing shard actors, or
-// optimistic-read shards with seqlock-style versioned gets. Where
+// (any libslock algorithm), the same tables owned by message-passing
+// shard actors, or optimistic shards whose gets take no lock and whose
+// scans validate seqlock-style shard versions. Where
 // internal/ssht reproduces the paper's hash-table *microbenchmark* and
 // internal/kvs mimics Memcached's locking anatomy, this package is the
 // store a service would actually build on: string keys, byte-slice
@@ -119,10 +120,10 @@ type segment struct {
 }
 
 // Counters tallies the operations a shard has executed. How a snapshot
-// stays race-free is the engine's business: the locked engine counts
-// under the shard lock, the actor engine's counters are owned by the
-// shard goroutine and snapshotted through its mailbox, and the
-// optimistic engine counts with per-field atomics.
+// stays race-free is the engine's business: the locked and actor
+// engines count inside the visit that runs the op, under the shard lock
+// or on the shard's owner, and snapshot the counters in a visit of their
+// own; the optimistic engine counts with per-field atomics.
 type Counters struct {
 	Gets    uint64 `json:"gets"`
 	Puts    uint64 `json:"puts"`
@@ -300,8 +301,9 @@ type Options struct {
 	// each shard-owner goroutine to its shard's domain, the server pins
 	// connection goroutines round-robin over the domains (and takes the
 	// domain's memory node as the NUMA hint), and the full shard sweeps
-	// (ExecBatch's group loop, the locked and actor engines' Scan) walk
-	// shards domain-major so adjacent visits share an LLC.
+	// (ExecBatch's group loop, the per-shard runs of a locked or actor
+	// store's Scan) walk shards domain-major so adjacent visits share an
+	// LLC.
 	Placement *topo.Placement
 }
 
@@ -348,13 +350,10 @@ func New(opt Options) *Store {
 			s.visit[i] = i
 		}
 	}
-	switch opt.Engine {
-	case EngineActor:
-		s.eng = newActorEngine(opt, s.visit)
-	case EngineOptimistic:
+	if opt.Engine == EngineOptimistic {
 		s.eng = newOptimisticEngine(opt)
-	default:
-		s.eng = newLockedEngine(opt, s.visit)
+	} else {
+		s.eng = newTableEngine(opt, s.visit, s.domains)
 	}
 	return s
 }
@@ -726,40 +725,6 @@ func (h *Handle) Scan(prefix string, limit int) []Entry {
 func (h *Handle) scan(prefix lookupKey, limit int) []Entry {
 	h.scanned = h.acc.scan(prefix, limit, recycle(h.scanned))
 	return h.scanned
-}
-
-// shardRuns is the scan of an engine that keeps no store-wide key order
-// (locked, actor), and an accessor's workspace for it: every shard, in
-// the store's visit order, contributes one sorted run of at most limit
-// entries — the values copied onto arena under the engine's exclusion —
-// and MergeRuns merges the runs until limit, so the visit order never
-// changes the result. Everything in it is rewritten by the accessor's
-// next scan.
-type shardRuns struct {
-	visit []int
-	runs  []Entry
-	heads [][]Entry
-	arena []byte
-}
-
-func (sc *shardRuns) scan(prefix lookupKey, limit int, out []Entry,
-	scanShard func(shard int, prefix lookupKey, limit int, out []Entry, arena *[]byte) []Entry) []Entry {
-	runs, heads := recycle(sc.runs), sc.heads[:0]
-	sc.arena = recycle(sc.arena)
-	for _, i := range sc.visit {
-		lo := len(runs)
-		runs = scanShard(i, prefix, limit, runs, &sc.arena)
-		// A run stays valid if a later shard's append moves runs: the
-		// old array is only ever read again through this head.
-		heads = append(heads, runs[lo:])
-	}
-	out = MergeRuns(out, heads, limit, nil)
-	// The merge copied out what it took; the runs must not keep keys the
-	// engine has since deleted reachable until the next scan.
-	clear(runs)
-	clear(heads)
-	sc.runs, sc.heads = runs, heads
-	return out
 }
 
 // MergeRuns appends to dst the k-way merge of runs, each sorted by key,

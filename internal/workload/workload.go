@@ -11,24 +11,10 @@ import (
 	"ssync/internal/xrand"
 )
 
-// Conn is what a workload client drives. store.Driver adapts every
-// connection kind to it: store.LocalConn (a handle, no wire),
-// store.Client and store.AsyncClient (the wire protocol, over the
-// in-process buffered connection or any net.Conn) and the routed
-// cluster.Client. Scan reports how many entries it returned. A Conn is
-// used by one goroutine at a time.
-type Conn interface {
-	Get(key string) (value []byte, found bool, err error)
-	Put(key string, value []byte) (created bool, err error)
-	Delete(key string) (existed bool, err error)
-	Scan(prefix string, limit int) (entries int, err error)
-	Close() error
-}
-
 // OpKind tags one logical operation of an op group.
 type OpKind uint8
 
-// The op kinds the engine draws, mirroring the Conn surface.
+// The op kinds the engine draws, mirroring the PipeConn surface.
 const (
 	KindGet OpKind = iota
 	KindPut
@@ -73,17 +59,25 @@ type Pending interface {
 	Wait() (Outcome, error)
 }
 
-// PipeConn is the optional batched/pipelined surface of a Conn: Issue
-// starts a whole op group without waiting for its results, so a client
-// can keep several groups in flight (the in-flight window) and the
-// backend can execute a group as one batch (one message, one lock
-// acquisition per touched shard). A backend that can only batch — or
-// only run ops one at a time — still satisfies the contract by
-// resolving the work before Issue returns; only true pipelining
-// overlaps it.
+// PipeConn is what a workload client drives. store.Driver adapts every
+// connection kind to it: store.LocalConn (a handle, no wire),
+// store.Client and store.AsyncClient (the wire protocol, over the
+// in-process buffered connection or any net.Conn) and the routed
+// cluster.Client. Issue starts a whole op group without waiting for its
+// results, so a client can keep several groups in flight (the in-flight
+// window) and the backend can execute a group as one batch (one
+// message, one lock acquisition per touched shard). A backend that can
+// only batch — or only run ops one at a time — still satisfies the
+// contract by resolving the work before Issue returns; only true
+// pipelining overlaps it. Scan reports how many entries it returned. A
+// PipeConn is used by one goroutine at a time.
 type PipeConn interface {
-	Conn
+	Get(key string) (value []byte, found bool, err error)
+	Put(key string, value []byte) (created bool, err error)
+	Delete(key string) (existed bool, err error)
+	Scan(prefix string, limit int) (entries int, err error)
 	Issue(ops []Op) Pending
+	Close() error
 }
 
 // Mix is an operation mix in percent; the fields must sum to 100.
@@ -170,11 +164,11 @@ type Scenario struct {
 	Phases []Phase
 	// Seed makes client RNG streams reproducible. 0 is a fixed default.
 	Seed uint64
-	// Batch groups this many consecutive ops into one multi-op request
-	// when the connection supports it (PipeConn). Default 1 = scalar ops.
+	// Batch groups this many consecutive ops into one Issue. Default 1:
+	// one op per group.
 	Batch int
-	// Pipeline is how many op groups a client keeps in flight when the
-	// connection supports it (PipeConn). Default 1 = lock-step.
+	// Pipeline is how many op groups a client keeps in flight. Default
+	// 1 = lock-step.
 	Pipeline int
 }
 
@@ -244,7 +238,7 @@ func Key(i uint64) string { return fmt.Sprintf("key-%08d", i) }
 // backend connection; each phase dials its clients fresh and closes them,
 // like real traffic arriving and leaving. Clients that fail stop early;
 // Run reports every failure joined, alongside the completed phases.
-func Run(s Scenario, dial func(client int) (Conn, error)) ([]PhaseResult, error) {
+func Run(s Scenario, dial func(client int) (PipeConn, error)) ([]PhaseResult, error) {
 	s = s.withDefaults()
 	if s.Preload > 0 {
 		c, err := dial(0)
@@ -271,17 +265,12 @@ func Run(s Scenario, dial func(client int) (Conn, error)) ([]PhaseResult, error)
 	return results, errors.Join(errs...)
 }
 
-// clientTally is one client's counters, merged after the phase.
-type clientTally struct {
-	ops, hits, misses, created, scanned uint64
-	err                                 error
-}
-
-func runPhase(s Scenario, phaseIdx int, ph Phase, dial func(int) (Conn, error)) (PhaseResult, error) {
+func runPhase(s Scenario, phaseIdx int, ph Phase, dial func(int) (PipeConn, error)) (PhaseResult, error) {
 	if ph.Clients < 1 || ph.Ops < 1 {
 		return PhaseResult{Name: ph.Name}, fmt.Errorf("workload: phase needs positive clients and ops")
 	}
-	tallies := make([]clientTally, ph.Clients)
+	tallies := make([]Outcome, ph.Clients)
+	cerrs := make([]error, ph.Clients)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for c := 0; c < ph.Clients; c++ {
@@ -289,24 +278,23 @@ func runPhase(s Scenario, phaseIdx int, ph Phase, dial func(int) (Conn, error)) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tallies[c] = runClient(s, phaseIdx, ph, c, dial)
+			tallies[c], cerrs[c] = runClient(s, phaseIdx, ph, c, dial)
 		}()
 	}
 	wg.Wait()
-	res := PhaseResult{Name: ph.Name, Clients: ph.Clients, Duration: time.Since(start)}
+	var total Outcome
 	var errs []error
 	for c := range tallies {
-		t := &tallies[c]
-		res.Ops += t.ops
-		res.Hits += t.hits
-		res.Misses += t.misses
-		res.Created += t.created
-		res.Scanned += t.scanned
-		if t.err != nil {
-			errs = append(errs, fmt.Errorf("client %d: %w", c, t.err))
+		total.Add(tallies[c])
+		if cerrs[c] != nil {
+			errs = append(errs, fmt.Errorf("client %d: %w", c, cerrs[c]))
 		}
 	}
-	return res, errors.Join(errs...)
+	return PhaseResult{
+		Name: ph.Name, Clients: ph.Clients, Duration: time.Since(start),
+		Ops: total.Ops, Hits: total.Hits, Misses: total.Misses,
+		Created: total.Created, Scanned: total.Scanned,
+	}, errors.Join(errs...)
 }
 
 // drawOp draws one logical operation from the scenario's distribution
@@ -332,89 +320,27 @@ func drawOp(s Scenario, rng *xrand.Rand, value []byte) Op {
 	}
 }
 
-func runClient(s Scenario, phaseIdx int, ph Phase, c int, dial func(int) (Conn, error)) clientTally {
-	var t clientTally
+// runClient is one client's loop: it draws op groups of up to Batch ops,
+// keeps up to Pipeline groups in flight through PipeConn.Issue, and
+// waits for the oldest group only when the window is full — so a deep
+// window over a slow transport overlaps round trips instead of paying
+// them one by one. It stops issuing at the first error and reports what
+// the groups in flight completed.
+func runClient(s Scenario, phaseIdx int, ph Phase, c int, dial func(int) (PipeConn, error)) (total Outcome, err error) {
 	conn, err := dial(c)
 	if err != nil {
-		t.err = err
-		return t
+		return total, err
 	}
 	defer conn.Close()
 	rng := xrand.New(s.Seed + uint64(phaseIdx)*0x9e3779b97f4a7c15 + uint64(c)*0x2545f4914f6cdd1d)
 	value := payload(s.ValueSize, uint64(c))
-	if pc, ok := conn.(PipeConn); ok && (s.Batch > 1 || s.Pipeline > 1) {
-		runPipelined(s, ph, pc, rng, value, &t)
-		return t
-	}
-	for i := 0; i < ph.Ops; i++ {
-		op := drawOp(s, rng, value)
-		switch op.Kind {
-		case KindGet:
-			_, found, err := conn.Get(op.Key)
-			if err != nil {
-				t.err = err
-				return t
-			}
-			if found {
-				t.hits++
-			} else {
-				t.misses++
-			}
-		case KindPut:
-			created, err := conn.Put(op.Key, op.Value)
-			if err != nil {
-				t.err = err
-				return t
-			}
-			if created {
-				t.created++
-			}
-		case KindDelete:
-			if _, err := conn.Delete(op.Key); err != nil {
-				t.err = err
-				return t
-			}
-		case KindScan:
-			n, err := conn.Scan(op.Key, op.Limit)
-			if err != nil {
-				t.err = err
-				return t
-			}
-			t.scanned += uint64(n)
-		}
-		t.ops++
-	}
-	return t
-}
-
-// runPipelined is the batched/pipelined client loop: it draws op groups
-// of up to Batch ops, keeps up to Pipeline groups in flight through
-// PipeConn.Issue, and waits for the oldest group only when the window is
-// full — so a deep window over a slow transport overlaps round trips
-// instead of paying them one by one.
-func runPipelined(s Scenario, ph Phase, pc PipeConn, rng *xrand.Rand, value []byte, t *clientTally) {
 	window := make([]Pending, 0, s.Pipeline)
-	var total Outcome
-	defer func() { // one bridge from Outcome to the engine's tally
-		t.ops += total.Ops
-		t.hits += total.Hits
-		t.misses += total.Misses
-		t.created += total.Created
-		t.scanned += total.Scanned
-	}()
-	settle := func(p Pending) bool {
-		out, err := p.Wait()
+	settle := func(p Pending) {
+		out, werr := p.Wait()
 		total.Add(out)
-		if err != nil && t.err == nil {
-			t.err = err
+		if err == nil {
+			err = werr
 		}
-		return t.err == nil
-	}
-	drain := func() {
-		for _, p := range window {
-			settle(p)
-		}
-		window = window[:0]
 	}
 	for left := ph.Ops; left > 0; {
 		n := s.Batch
@@ -427,22 +353,24 @@ func runPipelined(s Scenario, ph Phase, pc PipeConn, rng *xrand.Rand, value []by
 			group[j] = drawOp(s, rng, value)
 		}
 		if len(window) == s.Pipeline {
-			oldest := window[0]
+			settle(window[0])
 			window = append(window[:0], window[1:]...)
-			if !settle(oldest) {
-				drain()
-				return
+			if err != nil {
+				break
 			}
 		}
-		window = append(window, pc.Issue(group))
+		window = append(window, conn.Issue(group))
 	}
-	drain()
+	for _, p := range window {
+		settle(p)
+	}
+	return total, err
 }
 
 // Preload inserts keys 0..n-1 with valueSize-byte payloads over conn —
 // the population step callers run before measuring, so warm-up writes
 // never pollute measured counters.
-func Preload(c Conn, n, valueSize int) error {
+func Preload(c PipeConn, n, valueSize int) error {
 	if valueSize <= 0 {
 		valueSize = 64
 	}

@@ -7,13 +7,19 @@ import (
 	"testing"
 )
 
-// memConn is a trivial thread-safe backend for engine tests.
+// memConn is a trivial thread-safe backend for engine tests. Its Issue
+// resolves the group before returning, which PipeConn's contract allows,
+// and records the group and the window it was issued into.
 type memConn struct {
 	mu     *sync.Mutex
 	m      map[string][]byte
 	closed bool
 	failAt int // fail the Nth op with errBoom (0 = never)
 	ops    int
+
+	groups      [][]Op // every issued group
+	inFlight    int
+	maxInFlight int
 }
 
 var errBoom = errors.New("boom")
@@ -87,8 +93,8 @@ type memBackend struct {
 
 func newMemBackend() *memBackend { return &memBackend{m: map[string][]byte{}} }
 
-func (b *memBackend) dial(failAt int) func(int) (Conn, error) {
-	return func(int) (Conn, error) {
+func (b *memBackend) dial(failAt int) func(int) (PipeConn, error) {
+	return func(int) (PipeConn, error) {
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		c := &memConn{mu: &b.mu, m: b.m, failAt: failAt}
@@ -177,7 +183,7 @@ func TestRunReportsClientErrors(t *testing.T) {
 }
 
 func TestRunDialError(t *testing.T) {
-	dial := func(i int) (Conn, error) {
+	dial := func(i int) (PipeConn, error) {
 		return nil, fmt.Errorf("refused %d", i)
 	}
 	if _, err := Run(Scenario{Preload: 1, Phases: []Phase{{Name: "p", Clients: 1, Ops: 1}}}, dial); err == nil {
@@ -236,16 +242,8 @@ func TestPhaseValidation(t *testing.T) {
 	}
 }
 
-// pipeMemConn wraps memConn with a recording PipeConn surface.
-type pipeMemConn struct {
-	*memConn
-	groups      [][]Op // every issued group
-	inFlight    int
-	maxInFlight int
-}
-
 type memPending struct {
-	c   *pipeMemConn
+	c   *memConn
 	out Outcome
 	err error
 }
@@ -255,7 +253,7 @@ func (p *memPending) Wait() (Outcome, error) {
 	return p.out, p.err
 }
 
-func (c *pipeMemConn) Issue(ops []Op) Pending {
+func (c *memConn) Issue(ops []Op) Pending {
 	c.groups = append(c.groups, append([]Op(nil), ops...))
 	c.inFlight++
 	if c.inFlight > c.maxInFlight {
@@ -266,7 +264,7 @@ func (c *pipeMemConn) Issue(ops []Op) Pending {
 		out.Ops++
 		switch op.Kind {
 		case KindGet:
-			_, found, err := c.memConn.Get(op.Key)
+			_, found, err := c.Get(op.Key)
 			if err != nil {
 				return &memPending{c: c, err: err}
 			}
@@ -276,7 +274,7 @@ func (c *pipeMemConn) Issue(ops []Op) Pending {
 				out.Misses++
 			}
 		case KindPut:
-			created, err := c.memConn.Put(op.Key, op.Value)
+			created, err := c.Put(op.Key, op.Value)
 			if err != nil {
 				return &memPending{c: c, err: err}
 			}
@@ -284,11 +282,11 @@ func (c *pipeMemConn) Issue(ops []Op) Pending {
 				out.Created++
 			}
 		case KindDelete:
-			if _, err := c.memConn.Delete(op.Key); err != nil {
+			if _, err := c.Delete(op.Key); err != nil {
 				return &memPending{c: c, err: err}
 			}
 		case KindScan:
-			n, err := c.memConn.Scan(op.Key, op.Limit)
+			n, err := c.Scan(op.Key, op.Limit)
 			if err != nil {
 				return &memPending{c: c, err: err}
 			}
@@ -298,34 +296,25 @@ func (c *pipeMemConn) Issue(ops []Op) Pending {
 	return &memPending{c: c, out: out}
 }
 
-// TestPipelinedEngine drives the batched/pipelined client loop against
-// a recording PipeConn: groups are Batch-sized, at most Pipeline are in
-// flight, every op is accounted, and the op stream matches the scalar
-// engine's for the same seed.
+// TestPipelinedEngine drives the client loop against a recording
+// PipeConn: groups are Batch-sized, at most Pipeline are in flight,
+// every op is accounted, and the op stream is the same for the same seed
+// whatever the batch and pipeline settings.
 func TestPipelinedEngine(t *testing.T) {
 	const clients, ops = 1, 203 // odd op count: final short group
-	run := func(batch, pipeline int) (*pipeMemConn, PhaseResult) {
+	run := func(batch, pipeline int) (*memConn, PhaseResult) {
 		b := newMemBackend()
-		var pc *pipeMemConn
-		dial := func(int) (Conn, error) {
-			b.mu.Lock()
-			defer b.mu.Unlock()
-			c := &memConn{mu: &b.mu, m: b.m}
-			b.conns = append(b.conns, c)
-			pc = &pipeMemConn{memConn: c}
-			return pc, nil
-		}
 		res, err := Run(Scenario{
 			Keys: 64, Preload: 32, Seed: 7,
 			Mix:      Mix{Get: 60, Put: 30, Scan: 10},
 			Phases:   []Phase{{Name: "p", Clients: clients, Ops: ops}},
 			Batch:    batch,
 			Pipeline: pipeline,
-		}, dial)
+		}, b.dial(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pc, res[0]
+		return b.conns[len(b.conns)-1], res[0]
 	}
 
 	pc, res := run(8, 4)
@@ -347,13 +336,15 @@ func TestPipelinedEngine(t *testing.T) {
 		t.Fatalf("window overflowed: %d groups in flight, cap 4", pc.maxInFlight)
 	}
 
-	// Same seed through the scalar engine: identical logical op stream.
+	// Batch = Pipeline = 1: one op per group, one group in flight, and
+	// the same logical op stream.
 	scalar, sres := run(1, 1)
-	if len(scalar.groups) != 0 {
-		t.Fatalf("scalar run must not touch Issue, got %d groups", len(scalar.groups))
+	if len(scalar.groups) != ops || scalar.maxInFlight != 1 {
+		t.Fatalf("lock-step run issued %d groups with up to %d in flight, want %d and 1",
+			len(scalar.groups), scalar.maxInFlight, ops)
 	}
 	if sres.Hits != res.Hits || sres.Misses != res.Misses || sres.Created != res.Created || sres.Scanned != res.Scanned {
-		t.Fatalf("batched tallies diverge from scalar: %+v vs %+v", res, sres)
+		t.Fatalf("batched tallies diverge from lock-step: %+v vs %+v", res, sres)
 	}
 
 	// Pipeline-only (batch 1): every group is a single op.
@@ -363,8 +354,9 @@ func TestPipelinedEngine(t *testing.T) {
 	}
 }
 
-// TestPipelinedFallback: a plain Conn without the PipeConn surface
-// still runs scenarios that ask for batching — scalar, lock-step.
+// TestPipelinedFallback: a connection that resolves each group inside
+// Issue, as a LocalConn does, runs scenarios that ask for batching and
+// pipelining; every op is accounted.
 func TestPipelinedFallback(t *testing.T) {
 	b := newMemBackend()
 	res, err := Run(Scenario{
@@ -384,18 +376,11 @@ func TestPipelinedFallback(t *testing.T) {
 // the client and surfaces through Run.
 func TestPipelinedErrorPropagation(t *testing.T) {
 	b := newMemBackend()
-	dial := func(int) (Conn, error) {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		c := &memConn{mu: &b.mu, m: b.m, failAt: 30}
-		b.conns = append(b.conns, c)
-		return &pipeMemConn{memConn: c}, nil
-	}
 	res, err := Run(Scenario{
 		Keys:   32,
 		Phases: []Phase{{Name: "p", Clients: 1, Ops: 500}},
 		Batch:  4, Pipeline: 2,
-	}, dial)
+	}, b.dial(30))
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want errBoom", err)
 	}
