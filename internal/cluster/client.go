@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -168,14 +169,22 @@ func (t *topology) ownsCopy(key string, j int) bool { return t.ring.Owner(key) =
 // all dispatched before anything is awaited, so they overlap through
 // the per-node windows — and each scan in it is fanned out to every
 // member; the flight records which group positions every frame answers.
-// A node that owns the whole group gets it as it stands, no copy.
-func (c *Client) Start(req store.Request, b store.Batch) store.Reply {
+// A node that owns the whole group gets it as it stands, no copy. The
+// frames, positions and owner-ordered requests are fl's (Ready, Order,
+// Sub): a recycled flight carries a group without allocating.
+func (c *Client) Start(fl *store.Flight, req store.Request, b store.Batch) store.Reply {
 	t := c.topo.Load()
+	members := t.ring.members
 	if b.Op == 0 {
 		if req.Op != store.OpScan {
-			return t.owner(req.Key).Start(req, b)
+			return t.owner(req.Key).Start(fl, req, b)
 		}
-		b = store.Batch{Op: store.OpBatch, Reqs: []store.Request{req}}
+		// A lone scan is the whole group: its fan's frames answer it in
+		// order, with no positions.
+		fl = fl.Ready(len(members))
+		fl.Merge = t.merge
+		t.fan(fl.Frames, req)
+		return store.Reply{Flight: fl}
 	}
 	rs := getGroups(len(t.conns))
 	defer rs.release()
@@ -190,7 +199,7 @@ func (c *Client) Start(req store.Request, b store.Batch) store.Reply {
 			return store.Reply{Err: store.ErrBatchOp}
 		}
 	}
-	members, n := t.ring.members, len(b.Reqs)
+	n := len(b.Reqs)
 	nframes, whole := len(rs.scans)*len(members), false
 	for _, idxs := range rs.groups {
 		if len(idxs) > 0 {
@@ -199,12 +208,14 @@ func (c *Client) Start(req store.Request, b store.Batch) store.Reply {
 		}
 	}
 	// The frames are sized up front and filled where they lie: each holds
-	// its future, which its connection's reader resolves in place.
-	fl := &store.Flight{Frames: make([]store.Frame, nframes), Merge: t.merge}
+	// its future, which its connection's reader resolves in place. So do
+	// the positions and the requests, which the frames slice.
+	fl = fl.Ready(nframes)
+	fl.Merge = t.merge
 	var order []int         // the group's positions, frame by frame
 	var sub []store.Request // the point requests, in that order
 	if !whole {
-		order, sub = make([]int, 0, n), make([]store.Request, 0, n-len(rs.scans))
+		order, sub = slices.Grow(fl.Order[:0], n), slices.Grow(fl.Sub[:0], n-len(rs.scans))
 	}
 	k := 0 // the next frame to fill
 	for node, idxs := range rs.groups {
@@ -225,14 +236,23 @@ func (c *Client) Start(req store.Request, b store.Batch) store.Reply {
 	}
 	for _, i := range rs.scans {
 		order = append(order, i)
-		fr := &fl.Frames[k]
-		fr.At, fr.Fan, fr.Limit = order[len(order)-1:], len(members), int(b.Reqs[i].Limit)
-		for _, node := range members {
-			t.conns[node].Submit(&fl.Frames[k].Fut, b.Reqs[i], store.Batch{})
-			k++
-		}
+		fl.Frames[k].At = order[len(order)-1:]
+		t.fan(fl.Frames[k:k+len(members)], b.Reqs[i])
+		k += len(members)
+	}
+	if !whole {
+		fl.Order, fl.Sub = order, sub
 	}
 	return store.Reply{Flight: fl}
+}
+
+// fan submits scan to every member, member j's share into frames[j],
+// and marks frames[0] as the head of the fan.
+func (t *topology) fan(frames []store.Frame, scan store.Request) {
+	frames[0].Fan, frames[0].Limit = len(frames), int(scan.Limit)
+	for j, node := range t.ring.members {
+		t.conns[node].Submit(&frames[j].Fut, scan, store.Batch{})
+	}
 }
 
 var _ store.BatchConn = (*Client)(nil)

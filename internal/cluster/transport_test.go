@@ -30,9 +30,6 @@ type transport struct {
 	// connection, over peers that read every frame and answer none; nil
 	// for a row without a window.
 	mute func(t *testing.T, depth int) store.BatchConn
-	// issue is the row's exact object count for Driver.Issue(ops).Wait():
-	// one op, a group of any size and hit count, a group with a scan.
-	issue [3]float64
 	// local marks the row without a wire: no frame bound to overflow, and
 	// views that alias the engine's own memory, so every engine is audited.
 	local bool
@@ -48,27 +45,27 @@ type backend struct {
 }
 
 var transports = []transport{
-	{name: "in-process", local: true, issue: [3]float64{1, 2, 2}, open: func(t *testing.T, opts store.Options) backend {
+	{name: "in-process", local: true, open: func(t *testing.T, opts store.Options) backend {
 		s := openStore(t, opts)
 		return backend{[]*store.Store{s}, func(i, _ int) store.BatchConn { return s.NewLocalConn(i % 2) }}
 	}},
-	{name: "lock-step", issue: [3]float64{1, 2, 2}, open: func(t *testing.T, opts store.Options) backend {
+	{name: "lock-step", open: func(t *testing.T, opts store.Options) backend {
 		s := openStore(t, opts)
 		srv := store.NewServer(s, 2)
 		return backend{[]*store.Store{s}, func(int, int) store.BatchConn { return srv.PipeClient() }}
 	}},
-	{name: "windowed", issue: [3]float64{2, 3, 3}, open: func(t *testing.T, opts store.Options) backend {
+	{name: "windowed", open: func(t *testing.T, opts store.Options) backend {
 		s := openStore(t, opts)
 		srv := store.NewServer(s, 2)
 		return backend{[]*store.Store{s}, func(_, depth int) store.BatchConn { return srv.PipeAsyncClient(depth) }}
 	}, mute: func(t *testing.T, depth int) store.BatchConn { return store.NewAsyncClient(mutePeer(t), depth) }},
-	routed(1, [3]float64{2, 4, 6}),
-	routed(3, [3]float64{2, 6, 6}),
+	routed(1),
+	routed(3),
 }
 
 // routed is the row of a cluster of nodes behind a routing client.
-func routed(nodes int, issue [3]float64) transport {
-	return transport{name: fmt.Sprintf("routed-%d", nodes), issue: issue,
+func routed(nodes int) transport {
+	return transport{name: fmt.Sprintf("routed-%d", nodes),
 		open: func(t *testing.T, opts store.Options) backend {
 			c := newTestCluster(t, nodes, opts)
 			b := backend{dial: func(_, depth int) store.BatchConn { return c.Dial(depth) }}

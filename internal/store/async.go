@@ -342,20 +342,13 @@ func (c *AsyncClient) Submit(f *Future, req Request, b Batch) *Future {
 	return c.submit(f, req.Op, false, nil, func(dst []byte) ([]byte, error) { return AppendRequest(dst, req) })
 }
 
-// asyncFlight is a windowed group's whole in-flight state in one heap
-// object: the flight and its one frame, future included.
-type asyncFlight struct {
-	Flight
-	frame [1]Frame
-}
-
 // Start is the windowed transport: the group goes out as one tagged
-// frame and the reply is the flight carrying its future.
-func (c *AsyncClient) Start(req Request, b Batch) Reply {
-	fl := new(asyncFlight)
-	c.Submit(&fl.frame[0].Fut, req, b)
-	fl.Frames = fl.frame[:]
-	return Reply{Flight: &fl.Flight}
+// frame and the reply is the flight carrying its future — fl, or a new
+// one when fl is nil.
+func (c *AsyncClient) Start(fl *Flight, req Request, b Batch) Reply {
+	fl = fl.Ready(1)
+	c.Submit(&fl.Frames[0].Fut, req, b)
+	return Reply{Flight: fl}
 }
 
 // GetAsync submits a get; the future's response is StatusOK with the

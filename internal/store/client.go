@@ -71,8 +71,8 @@ func (c *Client) Close() error {
 
 // Start is the lock-step transport: one request frame out, one response
 // frame in, decoded on the caller's goroutine into views over rbuf —
-// valid until the next Start.
-func (c *Client) Start(req Request, b Batch) Reply {
+// valid until the next Start. The group is resolved, so fl goes unused.
+func (c *Client) Start(_ *Flight, req Request, b Batch) Reply {
 	var rbody []byte
 	var err error
 	if b.Op != 0 {
@@ -131,8 +131,9 @@ func (s *Store) NewLocalConn(node int) *LocalConn {
 // direct connections amortize shard locking like the wire path and
 // allocate as little; a single scan on the handle's scan result. The
 // views — scan entries included — alias that storage: valid until the
-// next Start (TestLocalConnNoBufferAliasing).
-func (c *LocalConn) Start(req Request, b Batch) Reply {
+// next Start (TestLocalConnNoBufferAliasing). The group is resolved, so
+// fl goes unused.
+func (c *LocalConn) Start(_ *Flight, req Request, b Batch) Reply {
 	if b.Op != 0 {
 		resps := c.h.execReqs(b.Reqs)
 		if cap(c.views) < len(resps) {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"ssync/internal/workload"
@@ -11,10 +12,11 @@ import (
 // one function, Start, that begins a request group — a single Request
 // (a scalar frame) or a Batch (one batch frame) — and returns a Reply
 // holding either the group's responses or the Flight still carrying
-// them. The in-process LocalConn and the lock-step Client resolve a
-// group before Start returns; the windowed AsyncClient puts one frame in
-// flight; the routed cluster.Client splits a group per ring owner over
-// windowed connections. Everything above Start is written once, here:
+// them — the flight Start was handed, filled, or a new one when it was
+// handed none. The in-process LocalConn and the lock-step Client resolve
+// a group before Start returns; the windowed AsyncClient puts one frame
+// in flight; the routed cluster.Client splits a group per ring owner
+// over windowed connections. Everything above Start is written once, here:
 // the blocking surface with its chunking and overflow refetch, Issue,
 // the outcome tally and the server-error wrap.
 //
@@ -37,12 +39,20 @@ type Reply struct {
 }
 
 // Flight is a started group still on the wire: the frames it went out
-// as, each holding the future its responses arrive on.
+// as, each holding the future its responses arrive on. Issue hands
+// Start a recycled one, whose arrays keep their capacity and whose
+// every element is zero; the blocking surface hands it nil.
 type Flight struct {
 	Frames []Frame
 	// Merge folds a fanned-out scan's per-member shares (in frame order)
 	// into one sorted, limit-trimmed result. Routed transports set it.
 	Merge func(shares [][]Entry, limit int) []Entry
+	// Order and Sub are the storage a routed transport splits a group
+	// into: the group positions its frames answer, frame by frame (each
+	// Frame.At slices Order), and the point requests in that order (each
+	// frame's sub-batch slices Sub).
+	Order []int
+	Sub   []Request
 
 	// Set by Issue, whose tally runs at Wait: who refetches a degraded
 	// sub-response, and the requests to refetch from.
@@ -50,10 +60,22 @@ type Flight struct {
 	reqs []Request
 }
 
+// Ready readies fl to carry n frames and returns it: a recycled flight
+// reuses its frame array, whose frames are zero; a nil one — the
+// blocking surface's — is allocated.
+func (fl *Flight) Ready(n int) *Flight {
+	if fl == nil {
+		fl = new(Flight)
+	}
+	fl.Frames = slices.Grow(fl.Frames[:0], n)[:n]
+	return fl
+}
+
 // Frame is one request frame of a Flight. It holds its Future, which the
 // connection's reader resolves in place: a Frame is filled where it
 // lies (AsyncClient.Submit into &frame.Fut) and never copied or moved
-// afterwards.
+// afterwards. A recycled flight zeroes its frames in place once every
+// future has been awaited.
 type Frame struct {
 	Fut Future
 	// At[j] is the group position the frame's response j answers; nil
@@ -180,12 +202,14 @@ func replyViews(batch bool, op byte, reqs []Request, body []byte, dst []Response
 // types embed it. It holds no state of its own, so it is as safe for
 // concurrent use as the transport underneath.
 type Core struct {
-	start func(req Request, b Batch) Reply
+	start func(fl *Flight, req Request, b Batch) Reply
 }
 
 // NewCore builds the surface over a transport's Start. Start gets a
-// single request (b.Op == 0) or one batch, never both.
-func NewCore(start func(req Request, b Batch) Reply) Core { return Core{start: start} }
+// single request (b.Op == 0) or one batch, never both. A transport that
+// leaves the group in flight fills fl — fl.Ready(n) — and returns it as
+// Reply.Flight; with fl nil, Ready allocates one.
+func NewCore(start func(fl *Flight, req Request, b Batch) Reply) Core { return Core{start: start} }
 
 // serverErr is the error a StatusError response stands for (nil for any
 // other status): the one place a server's message becomes a Go error.
@@ -213,7 +237,7 @@ func (c *Core) roundTrip(req Request) (resp Response, err error) {
 		resp = views[0].Owned()
 		return nil
 	}
-	rep := c.start(req, Batch{})
+	rep := c.start(nil, req, Batch{})
 	switch {
 	case rep.Flight != nil:
 		err = rep.Flight.gather(false, own)
@@ -236,7 +260,7 @@ type started struct {
 }
 
 func (c *Core) begin(b Batch) started {
-	rep := c.start(Request{}, b)
+	rep := c.start(nil, Request{}, b)
 	st := started{b: b, err: rep.Err, fl: rep.Flight}
 	if st.fl == nil && st.err == nil {
 		st.resps = ownedBatch(rep.Views)
@@ -423,28 +447,34 @@ func chunkBy[T any](items []T, size func(T) int) [][]T {
 // scalar request, several as one batch. On a transport that resolves at
 // start the returned Pending already holds the tally; otherwise it holds
 // the flight, and Wait gathers and tallies it. Either way the tally
-// reads the views and copies nothing out of them.
+// reads the views and copies nothing out of them. The group's whole
+// state — the pending, its requests and its flight — comes from
+// groupPool, and allocates nothing once the pool is warm.
+//
+//ssync:pooled the state is the returned Pending's until its Wait succeeds, which puts it back
 func (c *Core) Issue(ops []workload.Op) workload.Pending {
+	g := groupPool.Get().(*group)
 	var req Request
 	var b Batch
 	if len(ops) == 1 {
 		req.from(&ops[0])
 	} else {
-		b = Batch{Op: OpBatch, Reqs: make([]Request, len(ops))}
+		g.reqs = slices.Grow(g.reqs[:0], len(ops))[:len(ops)]
 		for i := range ops {
-			b.Reqs[i].from(&ops[i])
+			g.reqs[i].from(&ops[i])
 		}
+		b = Batch{Op: OpBatch, Reqs: g.reqs}
 	}
-	rep := c.start(req, b)
-	if fl := rep.Flight; fl != nil {
-		fl.core, fl.reqs = c, b.Reqs
-		return &pending{fl: fl}
+	rep := c.start(&g.fl, req, b)
+	switch {
+	case rep.Flight != nil:
+		g.fl.core, g.fl.reqs = c, b.Reqs
+	case rep.Err != nil:
+		g.err = rep.Err
+	default:
+		g.err = c.tally(&g.out, b.Reqs, req.Op, nil, rep.Views)
 	}
-	p := &pending{err: rep.Err}
-	if p.err == nil {
-		p.err = c.tally(&p.out, b.Reqs, req.Op, nil, rep.Views)
-	}
-	return p
+	return &g.pending
 }
 
 // from sets r to the wire request for one workload op. It fills r in
@@ -464,22 +494,61 @@ func (r *Request) from(op *workload.Op) {
 }
 
 // pending is the one workload.Pending: a group resolved at start carries
-// its finished tally, any other the flight Wait tallies.
+// its finished tally, any other its flight (g.fl, with its core set),
+// which Wait tallies. It is dead once Wait returns.
 type pending struct {
 	out workload.Outcome
 	err error
-	fl  *Flight
+	g   *group
+}
+
+// group is one op group's whole state, recycled through groupPool: the
+// pending Issue returns, the group's request slice and the flight its
+// transport fills, every array kept with its capacity. The pending owns
+// it from Issue to the end of a successful Wait, which zeroes it and
+// puts it back. A failed group is left to the collector instead: gather
+// stops at the first error, and the connection's reader or shutdown may
+// still resolve the group's later futures.
+type group struct {
+	pending
+	reqs []Request
+	fl   Flight
+}
+
+var groupPool = sync.Pool{New: func() any {
+	g := new(group)
+	g.g = g
+	return g
+}}
+
+// release zeroes g in place — frames, futures and all, every reference
+// to the caller's keys, values and response frames dropped — and puts it
+// back in the pool. Every future of the flight has been awaited and
+// released, so no reader or waiter touches the frames any more.
+func (g *group) release() {
+	fl := &g.fl
+	clear(g.reqs)
+	clear(fl.Frames)
+	clear(fl.Sub)
+	g.reqs = g.reqs[:0]
+	*fl = Flight{Frames: fl.Frames[:0], Order: fl.Order[:0], Sub: fl.Sub[:0]}
+	g.out = workload.Outcome{}
+	groupPool.Put(g)
 }
 
 // Wait implements workload.Pending.
 func (p *pending) Wait() (workload.Outcome, error) {
-	if fl := p.fl; fl != nil {
-		p.fl = nil
+	g := p.g
+	if fl := &g.fl; fl.core != nil {
 		p.err = fl.gather(true, func(fr *Frame, views []ResponseView) error {
 			return fl.core.tally(&p.out, fl.reqs, fr.Fut.op, fr.At, views)
 		})
 	}
-	return p.out, p.err
+	out, err := p.out, p.err
+	if err == nil {
+		g.release()
+	}
+	return out, err
 }
 
 // tally counts one frame's answers into out — the one place responses

@@ -27,14 +27,14 @@ func TestIssueErrorCountsAnswered(t *testing.T) {
 
 	for _, tc := range []struct {
 		name  string
-		start func(Request, Batch) Reply
+		start func(*Flight, Request, Batch) Reply
 		ops   []workload.Op
 		want  workload.Outcome
 	}{
-		{"one op refused", func(Request, Batch) Reply { return Reply{Views: []ResponseView{refused}} }, gets[:1], workload.Outcome{}},
-		{"one op, transport error", func(Request, Batch) Reply { return Reply{Err: broken} }, gets[:1], workload.Outcome{}},
-		{"group, transport error", func(Request, Batch) Reply { return Reply{Err: broken} }, gets, workload.Outcome{}},
-		{"group, third op refused", func(Request, Batch) Reply {
+		{"one op refused", func(*Flight, Request, Batch) Reply { return Reply{Views: []ResponseView{refused}} }, gets[:1], workload.Outcome{}},
+		{"one op, transport error", func(*Flight, Request, Batch) Reply { return Reply{Err: broken} }, gets[:1], workload.Outcome{}},
+		{"group, transport error", func(*Flight, Request, Batch) Reply { return Reply{Err: broken} }, gets, workload.Outcome{}},
+		{"group, third op refused", func(*Flight, Request, Batch) Reply {
 			return Reply{Views: []ResponseView{ok, {Status: StatusNotFound}, refused, ok}}
 		}, gets, workload.Outcome{Ops: 2, Hits: 1, Misses: 1}},
 		{"one op in flight on a closed connection", closed.Start, gets[:1], workload.Outcome{}},
@@ -48,10 +48,10 @@ func TestIssueErrorCountsAnswered(t *testing.T) {
 	}
 }
 
-// TestPendingSize keeps the one Pending in the 64-byte size class: it is
-// the whole heap cost of a group resolved at start, and on
-// wire-point-lockstep (one op per group) half of alloc_bytes_per_op,
-// which the benchmark bounds at 2 %.
+// TestPendingSize keeps the one Pending within 64 bytes: the tally, the
+// error and the pointer to its group's recycled state. What else a group
+// needs — its requests and its flight — hangs off that pointer instead
+// of widening the pending.
 func TestPendingSize(t *testing.T) {
 	if size := unsafe.Sizeof(pending{}); size > 64 {
 		t.Fatalf("pending is %d bytes, want <= 64: it carries a tally, an error and one pointer, nothing else", size)

@@ -54,7 +54,9 @@ func (o *Outcome) Add(p Outcome) {
 // arrive and reports the group's outcome. When Wait returns an error the
 // Outcome counts the ops answered before it and never the op that
 // failed: zero if the group's frame never came back, the leading ops if
-// a later one was refused.
+// a later one was refused. Wait is called exactly once: a Pending is
+// dead once Wait returns, and an implementation may hand its state to
+// the next group Issue starts.
 type Pending interface {
 	Wait() (Outcome, error)
 }
