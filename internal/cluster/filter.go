@@ -49,17 +49,18 @@ type migTracker struct {
 	dirty map[string]struct{}
 }
 
-// record notes a write under key. The key is frame bytes; it becomes a
-// string only if it lands in a moving arc and has to be remembered.
-func (t *migTracker) record(op byte, key []byte) {
-	if op != store.OpPut && op != store.OpDelete {
+// record notes a write. Its position comes from the view's own hash,
+// the one its owner was decided by; the key is frame bytes and becomes
+// a string only if it lands in a moving arc and has to be remembered.
+func (t *migTracker) record(req *store.RequestView) {
+	if req.Op != store.OpPut && req.Op != store.OpDelete {
 		return
 	}
-	if !store.ArcsContain(t.arcs, store.KeyPosBytes(key)) {
+	if !store.ArcsContain(t.arcs, hashkit.Mix64(req.Hash())) {
 		return
 	}
 	t.mu.Lock()
-	t.dirty[string(key)] = struct{}{}
+	t.dirty[string(req.Key)] = struct{}{}
 	t.mu.Unlock()
 }
 
@@ -70,12 +71,13 @@ func (f *nodeFilter) Route(h *store.Handle, req store.RequestView, hops int, out
 	// while holding mu exclusively, so an op that sees the old ring has
 	// executed (and been dirty-tracked) before the flip, and an op that
 	// sees the new one executes after the delta shipped. The owner is
-	// decided from the frame bytes; nothing is copied to execute here.
-	owner := f.c.ring.Load().OwnerHash(hashkit.FNV1aBytes(req.Key))
+	// decided from the frame bytes; nothing is copied to execute here,
+	// and the engine places the key by the hash the owner was found by.
+	owner := f.c.ring.Load().OwnerHash(req.Hash())
 	if owner == f.n.id {
 		out, err := h.ExecView(req, out)
 		if f.mig != nil {
-			f.mig.record(req.Op, req.Key)
+			f.mig.record(&req)
 		}
 		f.mu.RUnlock()
 		return out, err
@@ -111,14 +113,16 @@ var batchSplitPool = sync.Pool{New: func() any { return new(batchSplit) }}
 // (submitted together, awaited together) after it is released. Scans
 // always read the local store. A frame with no local sub-op executes
 // nothing here — this node must never apply a write it does not own.
+// Each point op's key is hashed once, on its view, for the owner check,
+// the engine's placement and the dirty tracking alike.
 func (f *nodeFilter) RouteBatch(h *store.Handle, reqs []store.RequestView) []store.Response {
 	sc := batchSplitPool.Get().(*batchSplit)
 	local, remote, owners := sc.local[:0], sc.remote[:0], sc.owners[:0]
 	f.mu.RLock()
 	ring := f.c.ring.Load()
-	for i, r := range reqs {
-		if r.Op >= store.OpGet && r.Op <= store.OpDelete {
-			if owner := ring.OwnerHash(hashkit.FNV1aBytes(r.Key)); owner != f.n.id {
+	for i := range reqs {
+		if r := &reqs[i]; r.Op >= store.OpGet && r.Op <= store.OpDelete {
+			if owner := ring.OwnerHash(r.Hash()); owner != f.n.id {
 				remote, owners = append(remote, i), append(owners, owner)
 				continue
 			}
@@ -128,7 +132,7 @@ func (f *nodeFilter) RouteBatch(h *store.Handle, reqs []store.RequestView) []sto
 	resps := h.ExecViewsOnly(reqs, local)
 	if f.mig != nil {
 		for _, i := range local {
-			f.mig.record(reqs[i].Op, reqs[i].Key)
+			f.mig.record(&reqs[i])
 		}
 	}
 	f.mu.RUnlock()

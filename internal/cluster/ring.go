@@ -25,6 +25,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"ssync/internal/hashkit"
@@ -35,8 +36,14 @@ import (
 // built with a non-positive one. More virtual points smooth the arc
 // lengths between nodes: with v points per node the expected imbalance
 // shrinks like 1/sqrt(v), and 128 keeps every node within roughly ±10%
-// of fair share while lookups stay a short binary search.
+// of fair share. A lookup does not grow with v: it is one jump-table
+// load plus a walk over the few points in one slot (see ownerAt).
 const DefaultVnodes = 128
+
+// slotsPerPoint sizes a ring's jump table: about this many slots per
+// point, rounded up to a power of two, so most slots hold no point at
+// all and a lookup's forward walk stops at its first comparison.
+const slotsPerPoint = 4
 
 // point is one virtual node on the ring.
 type point struct {
@@ -58,6 +65,10 @@ type Ring struct {
 	members []int // sorted ascending, distinct
 	vnodes  int
 	points  []point
+	// jump is ownerAt's index over points: slot s holds the index of the
+	// first point at or past ring position s<<shift.
+	jump  []uint32
+	shift uint
 }
 
 // NewRing builds a ring over members 0..nodes-1 with vnodes virtual
@@ -107,7 +118,26 @@ func NewRingOf(members []int, vnodes int) *Ring {
 		}
 		return a.node < b.node // deterministic tie-break, node order
 	})
+	r.buildJump()
 	return r
+}
+
+// buildJump fills the ring's jump table, once: rings are immutable. The
+// slot of a position is its top bits, and every slot starts its walk at
+// the first point not below the slot's start — the point sort.Search
+// would find for that start.
+func (r *Ring) buildJump() {
+	b := uint(bits.Len(uint(len(r.points)*slotsPerPoint - 1)))
+	r.shift = 64 - b
+	r.jump = make([]uint32, 1<<b)
+	i := 0
+	for s := range r.jump {
+		start := uint64(s) << r.shift
+		for i < len(r.points) && r.points[i].hash < start {
+			i++
+		}
+		r.jump[s] = uint32(i)
+	}
 }
 
 // pointHash places virtual point v of node n on the ring. The FNV hash
@@ -172,9 +202,16 @@ func (r *Ring) OwnerHash(h uint64) int {
 }
 
 // ownerAt returns the member owning ring position pos (already
-// remixed) — the primitive Owner and the arc-diff below share.
+// remixed) — the one lookup Owner, OwnerHash and the arc-diff below
+// share. The owner is the first point at or past pos, ties going to the
+// lowest node: pos's slot gives the first point at or past the slot's
+// start, and no point before it can qualify, so the answer is at most a
+// short walk forward.
 func (r *Ring) ownerAt(pos uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= pos })
+	i := int(r.jump[pos>>r.shift])
+	for i < len(r.points) && r.points[i].hash < pos {
+		i++
+	}
 	if i == len(r.points) {
 		i = 0 // wrap: positions past the last point belong to the first
 	}

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"testing"
 
 	"ssync/internal/store"
 	"ssync/internal/workload"
+	"ssync/internal/xrand"
 )
 
 // TestRingDeterministic: two rings built with the same parameters route
@@ -188,5 +191,92 @@ func TestDiffArcs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// searchOwner is the reference lookup ownerAt must equal: a binary
+// search for the first point at or past pos, wrapping past the last.
+func searchOwner(r *Ring, pos uint64) int {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= pos })
+	if i == len(r.points) {
+		i = 0
+	}
+	return r.points[i].node
+}
+
+// TestRingOwnerMatchesSearch: the jump-table lookup returns exactly the
+// point a binary search over the sorted points returns — at random
+// positions, at every point's hash and its two neighbours (where a walk
+// that stops one point early or late shows), at both ends of the
+// position space (the wrap), and on a hand-built ring whose points tie
+// and crowd into one slot (ties go to the lowest node).
+func TestRingOwnerMatchesSearch(t *testing.T) {
+	positions := 1 << 20
+	if testing.Short() {
+		positions = 1 << 14
+	}
+	bases := map[string]*Ring{
+		"1x1":   NewRing(1, 1),
+		"4x128": NewRing(4, 0),
+		"holes": NewRingOf([]int{0, 2, 3, 5, 8, 9, 12}, 0),
+	}
+	rings := map[string]*Ring{"ties": tiedRing()}
+	for name, r := range bases {
+		rings[name] = r
+		rings[name+"+add"] = r.Add(r.MaxID() + 1)
+		rings[name+"-first"] = r.Without(r.Members()[0])
+		rings[name+"-last"] = r.Without(r.MaxID())
+	}
+	rings["holes+fill"] = bases["holes"].Add(1)
+	for name, r := range rings {
+		t.Run(name, func(t *testing.T) {
+			check := func(pos uint64) {
+				if got, want := r.ownerAt(pos), searchOwner(r, pos); got != want {
+					t.Fatalf("position %#x: owner %d, binary search says %d", pos, got, want)
+				}
+			}
+			check(0)
+			check(math.MaxUint64)
+			for _, p := range r.points {
+				check(p.hash - 1)
+				check(p.hash)
+				check(p.hash + 1)
+			}
+			rng := xrand.New(uint64(len(r.points)))
+			for i := 0; i < positions; i++ {
+				check(rng.Uint64())
+			}
+		})
+	}
+}
+
+// tiedRing is a ring no member set produces: points that share a hash
+// (one at position 0, one at the top of the space) and a run of points
+// crowded into one jump slot, sorted the way NewRingOf sorts them.
+func tiedRing() *Ring {
+	r := &Ring{members: []int{0, 1, 2, 3}, vnodes: 3, points: []point{
+		{0, 1}, {0, 2}, {7, 0}, {7, 1}, {7, 3}, {8, 2}, {9, 0},
+		{1 << 40, 3}, {1 << 63, 1}, {math.MaxUint64, 0}, {math.MaxUint64, 3},
+	}}
+	r.buildJump()
+	return r
+}
+
+// BenchmarkRingOwner is the routed path's per-key placement cost on the
+// default 4-node ring: hashing the key and finding its owner, the work
+// the benchmark's cluster.ring_owner_ns_per_key times.
+func BenchmarkRingOwner(b *testing.B) {
+	r := NewRing(4, DefaultVnodes)
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = workload.Key(uint64(i))
+	}
+	b.ResetTimer()
+	owners := 0
+	for i := 0; i < b.N; i++ {
+		owners += r.Owner(keys[i&(len(keys)-1)])
+	}
+	if owners < 0 {
+		b.Fatal("negative owner")
 	}
 }

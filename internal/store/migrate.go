@@ -28,9 +28,6 @@ func (a Arc) Contains(pos uint64) bool {
 // position migration arcs select.
 func KeyPos(key string) uint64 { return hashkit.Mix64(hashKey(key)) }
 
-// KeyPosBytes is KeyPos for a key still in its request frame.
-func KeyPosBytes(key []byte) uint64 { return hashkit.Mix64(hashkit.FNV1aBytes(key)) }
-
 // ArcsContain reports whether any arc contains ring position pos.
 func ArcsContain(arcs []Arc, pos uint64) bool {
 	for _, a := range arcs {

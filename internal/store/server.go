@@ -297,13 +297,21 @@ func (sv *Server) pipeConn() net.Conn {
 // frame-aliasing byte slice all the way into the engine, a get's value
 // is appended by the engine straight into the response buffer behind a
 // status byte and length placeholder, and a scan is encoded from the
-// handle's merge scratch.
+// handle's merge scratch. A point op is placed by req.Hash(), so a
+// router that hashed the key to check its owner hands that hash on.
 func (h *Handle) ExecView(req RequestView, out []byte) ([]byte, error) {
+	var hash uint64
+	var sh int
+	if req.Op >= OpGet && req.Op <= OpDelete {
+		hash = req.Hash()
+		sh = h.s.shardOf(hash)
+	}
+	key := keyBytes(req.Key)
 	switch req.Op {
 	case OpGet:
 		mark := len(out)
 		out = append(out, StatusOK, 0, 0, 0, 0)
-		ext, ok := h.GetBytes(req.Key, out)
+		ext, ok := h.acc.get(sh, hash, key, out)
 		if !ok {
 			return append(ext[:mark], StatusNotFound), nil
 		}
@@ -317,17 +325,17 @@ func (h *Handle) ExecView(req RequestView, out []byte) ([]byte, error) {
 		return ext, nil
 	case OpPut:
 		created := byte(0)
-		if h.PutBytes(req.Key, req.Value) {
+		if h.acc.put(sh, hash, key, req.Value) {
 			created = 1
 		}
 		return append(out, StatusOK, created), nil
 	case OpDelete:
-		if h.DeleteBytes(req.Key) {
+		if h.acc.del(sh, hash, key) {
 			return append(out, StatusOK), nil
 		}
 		return append(out, StatusNotFound), nil
 	case OpScan:
-		entries := h.scan(keyBytes(req.Key), scanLimit(req.Limit))
+		entries := h.scan(key, scanLimit(req.Limit))
 		return AppendResponse(out, OpScan, Response{Status: StatusOK, Entries: trimToFrame(entries, len(out))})
 	}
 	return AppendResponse(out, req.Op, Response{Status: StatusError, Msg: ErrBadOp.Error()})

@@ -432,6 +432,16 @@ func (b *batchOps) at(i int) (op byte, key lookupKey, value []byte) {
 	return r.Op, keyOf(r.Key), r.Value
 }
 
+// hash returns point sub-request i's key hash: a view's own, computed
+// at most once whichever layer asks first (RequestView.Hash), or a
+// request's, computed here.
+func (b *batchOps) hash(i int) uint64 {
+	if b.views != nil {
+		return b.views[i].Hash()
+	}
+	return hashKey(b.reqs[i].Key)
+}
+
 // scan returns scan sub-request i's prefix and limit; the prefix aliases
 // the frame when the batch is views.
 func (b *batchOps) scan(i int) (prefix lookupKey, limit int) {
@@ -503,13 +513,6 @@ func (h *Handle) PutBytes(key, value []byte) bool {
 	k := keyBytes(key)
 	hash := k.hash()
 	return h.acc.put(h.s.shardOf(hash), hash, k, value)
-}
-
-// DeleteBytes is Delete for a frame-aliasing key.
-func (h *Handle) DeleteBytes(key []byte) bool {
-	k := keyBytes(key)
-	hash := k.hash()
-	return h.acc.del(h.s.shardOf(hash), hash, k)
 }
 
 func (h *Handle) getKey(k lookupKey, dst []byte) ([]byte, bool) {
@@ -620,9 +623,9 @@ func (h *Handle) execOps(idxs []int, subset bool, resps []Response, arena *[]byt
 		if subset {
 			i = idxs[j]
 		}
-		switch op, key, _ := ops.at(i); op {
+		switch op, _, _ := ops.at(i); op {
 		case OpGet, OpPut, OpDelete:
-			ops.hashes[i] = key.hash()
+			ops.hashes[i] = ops.hash(i)
 			sh := h.s.shardOf(ops.hashes[i])
 			groups[sh] = append(groups[sh], i)
 		case OpScan:

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"ssync/internal/hashkit"
 )
 
 // The wire protocol is length-prefixed binary frames over any byte
@@ -194,6 +196,23 @@ type RequestView struct {
 	Key   []byte // aliases the frame; the scan prefix for OpScan
 	Value []byte // aliases the frame; OpPut only
 	Limit uint32 // OpScan only; 0 = unlimited
+	// hash is Key's FNV-1a hash once hashed is set (see Hash). A parse
+	// writes whole views, so a reused views slice never carries one
+	// frame's hash onto the next frame's key.
+	hashed bool
+	hash   uint64
+}
+
+// Hash returns FNV-1a of v.Key, computed on the first call and kept on
+// v: a router's ownership check, its dirty tracking and the engine's
+// shard and bucket placement all read this one value, so a served
+// point op's key is hashed at most once. Key must not be reassigned
+// after the first call.
+func (v *RequestView) Hash() uint64 {
+	if !v.hashed {
+		v.hash, v.hashed = hashkit.FNV1aBytes(v.Key), true
+	}
+	return v.hash
 }
 
 // Owned returns the owning copy of v — the one copy-out a view is
