@@ -12,6 +12,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"ssync/internal/harness"
 )
 
 // tool is one dispatchable subcommand.
@@ -76,6 +78,20 @@ func parseArgs(fs *flag.FlagSet, argv []string) (code int, ok bool) {
 	default:
 		return 2, false
 	}
+}
+
+// emitterFor resolves the -json and -csv flags to an emitter.
+func emitterFor(jsonOut, csvOut bool) (harness.Emitter, error) {
+	format := "table"
+	switch {
+	case jsonOut && csvOut:
+		return nil, errors.New("-json and -csv are mutually exclusive")
+	case jsonOut:
+		format = "json"
+	case csvOut:
+		format = "csv"
+	}
+	return harness.EmitterFor(format)
 }
 
 // parseInterleaved parses argv with fs, allowing flags and positional

@@ -115,22 +115,8 @@ func TestClusterResize(t *testing.T) {
 }
 
 func TestClusterErrors(t *testing.T) {
-	if _, _, code := runMain(t, "cluster", "-engine", "bogus"); code != 2 {
-		t.Error("unknown engine must exit 2")
-	}
-	if _, _, code := runMain(t, "cluster", "-alg", "bogus"); code != 2 {
-		t.Error("unknown algorithm must exit 2")
-	}
+	checkScenarioErrors(t, "cluster")
 	if _, _, code := runMain(t, "cluster", "-nodes", "0"); code != 2 {
 		t.Error("-nodes 0 must exit 2")
-	}
-	if _, _, code := runMain(t, "cluster", "-dist", "pareto"); code != 2 {
-		t.Error("unknown distribution must exit 2")
-	}
-	if _, _, code := runMain(t, "cluster", "-json", "-csv"); code != 2 {
-		t.Error("-json -csv must exit 2")
-	}
-	if _, _, code := runMain(t, "cluster", "-h"); code != 0 {
-		t.Error("cluster -h must exit 0")
 	}
 }

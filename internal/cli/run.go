@@ -55,17 +55,11 @@ func RunMain(argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	format := "table"
-	switch {
-	case *jsonOut && *csvOut:
-		fmt.Fprintln(stderr, "ssync run: -json and -csv are mutually exclusive")
+	emitter, err := emitterFor(*jsonOut, *csvOut)
+	if err != nil {
+		fmt.Fprintln(stderr, "ssync run:", err)
 		return 2
-	case *jsonOut:
-		format = "json"
-	case *csvOut:
-		format = "csv"
 	}
-	emitter, _ := harness.EmitterFor(format)
 
 	results, err := harness.Run(exps, opt)
 	if err != nil {

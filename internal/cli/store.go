@@ -1,11 +1,11 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"ssync/internal/harness"
 	"ssync/internal/locks"
@@ -20,115 +20,41 @@ import (
 // one comparison run) with the requested lock algorithm, serves it over
 // the length-prefixed wire protocol on in-process pipe connections (or
 // --local in-process handles), drives it with the scenario engine's
-// ramp/steady phases, and emits the per-shard and total throughput
-// through the harness emitters.
+// ramp/steady phases through harness.RunStore, and emits the per-shard
+// and total throughput through the harness emitters.
 func StoreMain(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ssync store", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	alg := fs.String("alg", "ticket", "shard-lock algorithm (tas, ttas, ticket, array, mutex, mcs, clh, hclh, hticket)")
-	engineSpec := fs.String("engine", "locked", "shard engine (locked, actor, optimistic), or all to compare every engine in one run")
-	shards := fs.Int("shards", 16, "independently synchronized shards")
+	sf := addScenarioFlags(fs, 16, 1, 1,
+		"shard engine (locked, actor, optimistic), or all to compare every engine in one run",
+		"shard placement over the host topology (none, compact, scatter, auto)")
 	buckets := fs.Int("buckets", 64, "buckets per shard")
-	distSpec := fs.String("dist", "zipfian", "key distribution: uniform, zipfian, zipfian:<theta>")
-	mixSpec := fs.String("mix", "95:5", "op mix get:put or get:put:scan percentages")
-	clients := fs.Int("clients", 8, "steady-phase client connections")
-	keys := fs.Uint64("keys", 16384, "key-space size")
-	ops := fs.Int("ops", 20000, "steady-phase operations per client")
-	valueSize := fs.Int("value", 64, "value size in bytes")
-	scanLimit := fs.Int("scanlimit", 16, "entries per scan")
-	preload := fs.Int("preload", -1, "keys preloaded before the run (-1 = half the key space)")
-	seed := fs.Uint64("seed", 0, "workload RNG seed (0 = fixed default)")
 	local := fs.Bool("local", false, "drive in-process handles instead of the wire protocol")
-	placeSpec := fs.String("place", "none", "shard placement over the host topology (none, compact, scatter, auto)")
-	batch := fs.Int("batch", 1, "ops per multi-op request (1 = scalar ops)")
-	pipeline := fs.Int("pipeline", 1, "op groups each client keeps in flight (1 = lock-step)")
-	jsonOut := fs.Bool("json", false, "emit JSON")
-	csvOut := fs.Bool("csv", false, "emit CSV")
 	if code, ok := parseArgs(fs, argv); !ok {
 		return code
 	}
+	set, err := sf.resolve(true)
+	if err != nil {
+		fmt.Fprintln(stderr, "ssync store:", err)
+		return 2
+	}
 
-	algorithm, err := lockAlgorithm(*alg)
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync store:", err)
-		return 2
+	rig := harness.StoreRig{Store: set.store, Local: *local}
+	rig.Store.Buckets = *buckets
+	if set.policy.Pins() {
+		rig.Store.Placement = topo.NewPlacement(set.policy, nil) // nil: discover the host
+		fmt.Fprintf(stderr, "placement: %s over %s\n", set.policy, rig.Store.Placement.Topo)
 	}
-	allEngines := *engineSpec == "all"
-	engines := store.Engines
-	if !allEngines {
-		eng, err := store.ParseEngine(*engineSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "ssync store:", err)
-			return 2
-		}
-		engines = []store.Engine{eng}
-	}
-	dist, err := workload.ParseDist(*distSpec, *keys)
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync store:", err)
-		return 2
-	}
-	mix, err := workload.ParseMix(*mixSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync store:", err)
-		return 2
-	}
-	format := "table"
+	sc := set.scenario
+	transport := "wire"
 	switch {
-	case *jsonOut && *csvOut:
-		fmt.Fprintln(stderr, "ssync store: -json and -csv are mutually exclusive")
-		return 2
-	case *jsonOut:
-		format = "json"
-	case *csvOut:
-		format = "csv"
+	case *local:
+		transport = "local"
+	case sc.Batch > 1 || sc.Pipeline > 1:
+		rig.Window = sc.Pipeline
+		transport = fmt.Sprintf("pipelined wire (depth %d × batch %d)", sc.Pipeline, sc.Batch)
 	}
-	emitter, _ := harness.EmitterFor(format)
-	if *preload < 0 {
-		*preload = int(*keys / 2)
-	}
-	if *batch < 1 {
-		*batch = 1
-	}
-	if *batch > store.MaxBatchOps {
-		fmt.Fprintf(stderr, "ssync store: -batch %d exceeds the wire limit of %d ops per frame\n",
-			*batch, store.MaxBatchOps)
-		return 2
-	}
-	if *pipeline < 1 {
-		*pipeline = 1
-	}
-	pipelined := !*local && (*batch > 1 || *pipeline > 1)
-
-	policy, err := topo.ParsePolicy(*placeSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync store:", err)
-		return 2
-	}
-	var placement *topo.Placement
-	if policy.Pins() {
-		placement = topo.NewPlacement(policy, nil) // nil: discover the host
-		fmt.Fprintf(stderr, "placement: %s over %s\n", policy, placement.Topo)
-	}
-
-	opt := store.Options{
-		Shards:     *shards,
-		Buckets:    *buckets,
-		Lock:       algorithm,
-		MaxThreads: *clients + 2,
-		Placement:  placement,
-	}
-	scenario := workload.Scenario{
-		Dist:      dist,
-		Keys:      *keys,
-		Mix:       mix,
-		ValueSize: *valueSize,
-		ScanLimit: *scanLimit,
-		Phases:    workload.RampSteady(*clients, *ops),
-		Seed:      *seed,
-		Batch:     *batch,
-		Pipeline:  *pipeline,
-	}
+	allEngines := len(set.engines) > 1
 
 	// experimentFor names a row set by the harness id of the same run:
 	// store-engine/<engine>/<alg>, with the lock-free actor engine
@@ -137,68 +63,7 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 		if eng == store.EngineActor {
 			return "store-engine/actor"
 		}
-		return fmt.Sprintf("store-engine/%s/%s", eng, strings.ToLower(string(algorithm)))
-	}
-
-	// runOne builds a fresh store on eng, preloads it, runs the scenario
-	// and shapes the result rows (per-shard rows only when a single
-	// engine is shown — an all-engine table keeps to the totals).
-	runOne := func(eng store.Engine) ([]harness.Result, bool) {
-		o := opt
-		o.Engine = eng
-		st := store.New(o)
-		defer st.Close()
-		srv := store.NewServer(st, 2)
-		dial := func(c int) (workload.PipeConn, error) {
-			switch {
-			case *local:
-				return store.Driver{C: st.NewLocalConn(c % 2)}, nil
-			case pipelined:
-				return store.Driver{C: srv.PipeAsyncClient(*pipeline)}, nil
-			default:
-				return store.Driver{C: srv.PipeClient()}, nil
-			}
-		}
-		// Preload before the counter snapshot, so per-shard throughput
-		// reflects only the measured phases.
-		if *preload > 0 {
-			c, err := dial(0)
-			if err == nil {
-				err = workload.Preload(c, *preload, *valueSize)
-				c.Close()
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "ssync store: %s preload: %v\n", eng, err)
-				return nil, false
-			}
-		}
-		mon := st.NewHandle(0)
-		before := mon.ShardStats()
-		phases, err := workload.Run(scenario, dial)
-		after := mon.ShardStats()
-		if err != nil {
-			fmt.Fprintf(stderr, "ssync store: %s: %v\n", eng, err)
-			return nil, false
-		}
-
-		transport := "wire"
-		switch {
-		case *local:
-			transport = "local"
-		case pipelined:
-			transport = fmt.Sprintf("pipelined wire (depth %d × batch %d)", *pipeline, *batch)
-		}
-		fmt.Fprintf(stderr, "%s over %s, %s keys, mix %s:\n", st, transport, dist.Name(), mix)
-		var total time.Duration
-		for _, ph := range phases {
-			fmt.Fprintln(stderr, " ", ph)
-			total += ph.Duration
-		}
-		experiment := experimentFor(eng)
-		if allEngines {
-			return summaryResults(experiment, *clients, phases), true
-		}
-		return shardResults(experiment, *clients, phases, before, after, total), true
+		return fmt.Sprintf("store-engine/%s/%s", eng, strings.ToLower(string(set.store.Lock)))
 	}
 
 	var results []harness.Result
@@ -207,41 +72,153 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 	// the same scenario over one-in-flight wire clients against a fresh
 	// store, so the emitted table shows what depth×batch bought on this
 	// exact engine/alg/shard config. (All-mode compares engines instead.)
-	if pipelined && !allEngines {
-		o := opt
-		o.Engine = engines[0]
-		base := store.New(o)
-		baseSrv := store.NewServer(base, 2)
-		baseDial := func(c int) (workload.PipeConn, error) {
-			return store.Driver{C: baseSrv.PipeClient()}, nil
-		}
-		baseScenario := scenario
-		baseScenario.Batch, baseScenario.Pipeline = 1, 1
-		baseScenario.Preload = *preload
-		basePhases, err := workload.Run(baseScenario, baseDial)
-		base.Close()
+	if rig.Window > 0 && !allEngines {
+		base, baseSc := rig, sc
+		base.Store.Engine, base.Window = set.engines[0], 0
+		baseSc.Batch, baseSc.Pipeline = 1, 1
+		run, err := harness.RunStore(base, baseSc)
 		if err != nil {
 			fmt.Fprintln(stderr, "ssync store: lock-step baseline:", err)
 			return 1
 		}
-		baseSteady := basePhases[len(basePhases)-1]
-		fmt.Fprintf(stderr, "%s over wire (lock-step baseline):\n", base)
-		for _, ph := range basePhases {
-			fmt.Fprintln(stderr, " ", ph)
-		}
-		results = append(results,
-			oneResult(experimentFor(engines[0]), *clients, "lockstep wire Kops/s", baseSteady.Kops()))
+		report(stderr, run, "wire (lock-step baseline)")
+		results = append(results, oneResult(experimentFor(set.engines[0]), set.clients,
+			"lockstep wire Kops/s", run.Steady().Kops()))
 	}
 
-	for _, eng := range engines {
-		rows, ok := runOne(eng)
-		if !ok {
+	// Per-shard rows only when a single engine is shown — an all-engine
+	// table keeps to the totals.
+	for _, eng := range set.engines {
+		rig.Store.Engine = eng
+		run, err := harness.RunStore(rig, sc)
+		if err != nil {
+			fmt.Fprintf(stderr, "ssync store: %s: %v\n", eng, err)
 			return 1
 		}
-		results = append(results, rows...)
+		report(stderr, run, fmt.Sprintf("%s, %s keys, mix %s", transport, sc.Dist.Name(), sc.Mix))
+		results = append(results, summaryResults(experimentFor(eng), set.clients, run.Phases)...)
+		if !allEngines {
+			results = append(results, opsResults(experimentFor(eng), set.clients, "shard", run)...)
+		}
 	}
-	if err := emitter.Emit(stdout, results); err != nil {
-		fmt.Fprintln(stderr, "ssync store:", err)
+	return emit(stdout, stderr, "ssync store", set.emitter, results)
+}
+
+// scenarioFlags are the flags `ssync store` and `ssync cluster` share:
+// the store (each node's store), the scenario and the output format.
+type scenarioFlags struct {
+	alg, engine, dist, mix, place                                    *string
+	shards, clients, ops, value, scanLimit, preload, batch, pipeline *int
+	keys, seed                                                       *uint64
+	jsonOut, csvOut                                                  *bool
+}
+
+// addScenarioFlags defines the shared flags on fs. The two commands
+// differ only in the shard, batch and pipeline defaults and in what
+// -engine and -place take.
+func addScenarioFlags(fs *flag.FlagSet, shards, batch, pipeline int, engineUsage, placeUsage string) *scenarioFlags {
+	return &scenarioFlags{
+		alg:       fs.String("alg", "ticket", "shard-lock algorithm (tas, ttas, ticket, array, mutex, mcs, clh, hclh, hticket)"),
+		engine:    fs.String("engine", "locked", engineUsage),
+		shards:    fs.Int("shards", shards, "shards per store (cluster: per node)"),
+		dist:      fs.String("dist", "zipfian", "key distribution: uniform, zipfian, zipfian:<theta>"),
+		mix:       fs.String("mix", "95:5", "op mix get:put or get:put:scan percentages"),
+		clients:   fs.Int("clients", 8, "steady-phase client connections"),
+		keys:      fs.Uint64("keys", 16384, "key-space size"),
+		ops:       fs.Int("ops", 20000, "steady-phase operations per client"),
+		value:     fs.Int("value", 64, "value size in bytes"),
+		scanLimit: fs.Int("scanlimit", 16, "entries per scan"),
+		preload:   fs.Int("preload", -1, "keys preloaded before the run (-1 = half the key space)"),
+		seed:      fs.Uint64("seed", 0, "workload RNG seed (0 = fixed default)"),
+		batch:     fs.Int("batch", batch, "ops per op group (1 = scalar ops)"),
+		pipeline:  fs.Int("pipeline", pipeline, "op groups each client keeps in flight (1 = lock-step)"),
+		place:     fs.String("place", "none", placeUsage),
+		jsonOut:   fs.Bool("json", false, "emit JSON"),
+		csvOut:    fs.Bool("csv", false, "emit CSV"),
+	}
+}
+
+// scenarioSetup is what the shared flags resolve to.
+type scenarioSetup struct {
+	engines  []store.Engine    // one, or every engine for -engine all
+	store    store.Options     // shards, lock and MaxThreads; no engine
+	policy   topo.Policy       // -place
+	scenario workload.Scenario // preload resolved
+	clients  int
+	emitter  harness.Emitter
+}
+
+// resolve validates the shared flags; every error is a usage error
+// (exit 2). allowAll admits -engine all.
+func (f *scenarioFlags) resolve(allowAll bool) (scenarioSetup, error) {
+	set := scenarioSetup{engines: store.Engines, clients: *f.clients}
+	lock, err := lockAlgorithm(*f.alg)
+	if err != nil {
+		return set, err
+	}
+	if !allowAll || *f.engine != "all" {
+		eng, err := store.ParseEngine(*f.engine)
+		if err != nil {
+			return set, err
+		}
+		set.engines = []store.Engine{eng}
+	}
+	switch {
+	case *f.keys < 1:
+		return set, errors.New("-keys must be at least 1")
+	case *f.clients < 1:
+		return set, errors.New("-clients must be at least 1")
+	case *f.ops < 1:
+		return set, errors.New("-ops must be at least 1")
+	case *f.batch > store.MaxBatchOps:
+		return set, fmt.Errorf("-batch %d exceeds the wire limit of %d ops per frame", *f.batch, store.MaxBatchOps)
+	}
+	dist, err := workload.ParseDist(*f.dist, *f.keys)
+	if err != nil {
+		return set, err
+	}
+	mix, err := workload.ParseMix(*f.mix)
+	if err != nil {
+		return set, err
+	}
+	if set.policy, err = topo.ParsePolicy(*f.place); err != nil {
+		return set, err
+	}
+	if set.emitter, err = emitterFor(*f.jsonOut, *f.csvOut); err != nil {
+		return set, err
+	}
+	preload := *f.preload
+	if preload < 0 {
+		preload = int(*f.keys / 2)
+	}
+	set.store = store.Options{Shards: *f.shards, Lock: lock, MaxThreads: *f.clients + 2}
+	set.scenario = workload.Scenario{
+		Dist:      dist,
+		Keys:      *f.keys,
+		Mix:       mix,
+		ValueSize: *f.value,
+		ScanLimit: *f.scanLimit,
+		Preload:   preload,
+		Phases:    workload.RampSteady(*f.clients, *f.ops),
+		Seed:      *f.seed,
+		Batch:     max(*f.batch, 1),
+		Pipeline:  max(*f.pipeline, 1),
+	}
+	return set, nil
+}
+
+// report prints a run's system, how it was driven and its phases.
+func report(w io.Writer, run harness.StoreRun, over string) {
+	fmt.Fprintf(w, "%s over %s:\n", run.System, over)
+	for _, ph := range run.Phases {
+		fmt.Fprintln(w, " ", ph)
+	}
+}
+
+// emit writes results in the chosen format; a write error exits 1.
+func emit(stdout, stderr io.Writer, cmd string, e harness.Emitter, results []harness.Result) int {
+	if err := e.Emit(stdout, results); err != nil {
+		fmt.Fprintln(stderr, cmd+":", err)
 		return 1
 	}
 	return 0
@@ -271,19 +248,12 @@ func summaryResults(experiment string, clients int, phases []workload.PhaseResul
 	return results
 }
 
-// shardResults shapes the run into harness results: steady-phase totals
-// plus per-shard throughput over the whole run, one metric per shard.
-func shardResults(experiment string, clients int, phases []workload.PhaseResult,
-	before, after []store.Counters, total time.Duration) []harness.Result {
-	results := summaryResults(experiment, clients, phases)
-	secs := total.Seconds()
-	for i := range after {
-		delta := after[i].Sub(before[i])
-		kops := 0.0
-		if secs > 0 {
-			kops = float64(delta.Total()) / secs / 1e3
-		}
-		results = append(results, oneResult(experiment, clients, fmt.Sprintf("shard%02d Kops/s", i), kops))
+// opsResults shapes each shard's or node's throughput over the whole
+// run into one <unit>NN Kops/s row each.
+func opsResults(experiment string, clients int, unit string, run harness.StoreRun) []harness.Result {
+	var results []harness.Result
+	for i, kops := range run.OpsKops() {
+		results = append(results, oneResult(experiment, clients, fmt.Sprintf("%s%02d Kops/s", unit, i), kops))
 	}
 	return results
 }

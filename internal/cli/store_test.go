@@ -113,28 +113,40 @@ func TestStoreEngineSingle(t *testing.T) {
 	}
 }
 
+// badScenarioFlags are the usage errors of the flags `ssync store` and
+// `ssync cluster` share: each must exit 2 from both, before any store
+// is built.
+var badScenarioFlags = []struct {
+	name string
+	args []string
+}{
+	{"unknown algorithm", []string{"-alg", "bogus"}},
+	{"unknown engine", []string{"-engine", "bogus"}},
+	{"unknown distribution", []string{"-dist", "pareto"}},
+	{"mix not summing to 100", []string{"-mix", "60:60"}},
+	{"-json with -csv", []string{"-json", "-csv"}},
+	{"-batch above the wire limit", []string{"-batch", "5000"}},
+	{"an empty key space", []string{"-keys", "0"}},
+	{"no clients", []string{"-clients", "0"}},
+	{"no ops", []string{"-ops", "0"}},
+}
+
+// checkScenarioErrors runs every badScenarioFlags row against cmd, and
+// checks that cmd -h exits 0.
+func checkScenarioErrors(t *testing.T, cmd string) {
+	t.Helper()
+	for _, row := range badScenarioFlags {
+		if _, _, code := runMain(t, append([]string{cmd}, row.args...)...); code != 2 {
+			t.Errorf("%s %v (%s): exit %d, want 2", cmd, row.args, row.name, code)
+		}
+	}
+	if _, _, code := runMain(t, cmd, "-h"); code != 0 {
+		t.Errorf("%s -h must exit 0", cmd)
+	}
+}
+
 func TestStoreErrors(t *testing.T) {
-	if _, _, code := runMain(t, "store", "-alg", "bogus"); code != 2 {
-		t.Error("unknown algorithm must exit 2")
-	}
-	if _, _, code := runMain(t, "store", "-engine", "bogus"); code != 2 {
-		t.Error("unknown engine must exit 2")
-	}
-	if _, _, code := runMain(t, "store", "-dist", "pareto"); code != 2 {
-		t.Error("unknown distribution must exit 2")
-	}
-	if _, _, code := runMain(t, "store", "-mix", "60:60"); code != 2 {
-		t.Error("mix not summing to 100 must exit 2")
-	}
-	if _, _, code := runMain(t, "store", "-json", "-csv"); code != 2 {
-		t.Error("-json -csv must exit 2")
-	}
-	if _, _, code := runMain(t, "store", "-batch", "5000"); code != 2 {
-		t.Error("-batch above the wire limit must exit 2")
-	}
-	if _, _, code := runMain(t, "store", "-h"); code != 0 {
-		t.Error("store -h must exit 0")
-	}
+	checkScenarioErrors(t, "store")
 }
 
 // TestStorePipelineBeatsLockstep: `ssync store -pipeline 16 -batch 8`

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"ssync/internal/cluster"
 	"ssync/internal/locks"
 	"ssync/internal/store"
 	"ssync/internal/workload"
@@ -29,42 +28,28 @@ var clusterSkews = []string{"uniform", "zipfian"}
 // skew sweep: a fresh cluster per distribution, batched pipelined
 // routed clients, steady-phase Kops/s per skew.
 func runClusterScenario(s Shard, nodes int, eng store.Engine) ([]Sample, error) {
-	ops := nativeOps(s.Config) / 4
-	if ops < 200 {
-		ops = 200
-	}
 	var out []Sample
 	for _, skew := range clusterSkews {
 		dist, err := workload.ParseDist(skew, 4096)
 		if err != nil {
 			return nil, err
 		}
-		c := cluster.New(cluster.Options{
-			Nodes: nodes,
+		sc := hostScenario(s, dist)
+		sc.Batch, sc.Pipeline = 4, 8
+		kops, err := steadyKops(StoreRig{
 			Store: store.Options{
 				Shards:     8,
 				Engine:     eng,
 				Lock:       locks.TICKET,
 				MaxThreads: s.Threads + 2,
 			},
-		})
-		scenario := workload.Scenario{
-			Dist:     dist,
-			Mix:      workload.Mix{Get: 95, Put: 5},
-			Preload:  2048,
-			Phases:   workload.RampSteady(s.Threads, ops),
-			Batch:    4,
-			Pipeline: 8,
-		}
-		results, err := workload.Run(scenario, func(int) (workload.PipeConn, error) {
-			return store.Driver{C: c.Dial(8)}, nil
-		})
-		c.Close()
+			Nodes:  nodes,
+			Window: 8,
+		}, sc)
 		if err != nil {
 			return nil, err
 		}
-		steady := results[len(results)-1]
-		out = append(out, Sample{Metric: skew + " Kops/s", Value: steady.Kops()})
+		out = append(out, Sample{Metric: skew + " Kops/s", Value: kops})
 	}
 	return out, nil
 }

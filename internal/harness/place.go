@@ -28,32 +28,17 @@ var placePolicies = []topo.Policy{topo.PolicyNone, topo.PolicyCompact, topo.Poli
 // runPlacedScenario measures one engine under one policy × distribution
 // over the wire (the wire path is where conn-goroutine pinning lives).
 func runPlacedScenario(s Shard, eng store.Engine, pl *topo.Placement, dist workload.Dist) (float64, error) {
-	ops := nativeOps(s.Config) / 4
-	if ops < 200 {
-		ops = 200
-	}
-	st := store.New(store.Options{
-		Shards:     placeShards,
-		Engine:     eng,
-		MaxThreads: s.Threads + 2,
-		Placement:  pl,
-	})
-	defer st.Close()
-	srv := store.NewServer(st, 2)
-	scenario := workload.Scenario{
-		Dist:    dist,
-		Mix:     workload.Mix{Get: 95, Put: 5},
-		Preload: 2048,
-		Phases:  workload.RampSteady(s.Threads, ops),
-		Batch:   4,
-	}
-	results, err := workload.Run(scenario, func(int) (workload.PipeConn, error) {
-		return store.Driver{C: srv.PipeAsyncClient(4)}, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return results[len(results)-1].Kops(), nil
+	sc := hostScenario(s, dist)
+	sc.Batch = 4
+	return steadyKops(StoreRig{
+		Store: store.Options{
+			Shards:     placeShards,
+			Engine:     eng,
+			MaxThreads: s.Threads + 2,
+			Placement:  pl,
+		},
+		Window: 4,
+	}, sc)
 }
 
 func init() {
