@@ -11,6 +11,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"ssync/internal/cluster"
@@ -20,12 +22,19 @@ import (
 
 const (
 	nodes   = 3
-	nKeys   = 9000
 	clients = 4
-	opsEach = 20000
 )
 
-func main() {
+func main() { run(os.Stdout, false) }
+
+// run prints the walkthrough to w and panics on any lost key; small
+// shrinks the key space, the traffic and the sentinel set tenfold or
+// more.
+func run(w io.Writer, small bool) {
+	nKeys, opsEach, sentinels := uint64(9000), 20000, 1000
+	if small {
+		nKeys, opsEach, sentinels = 900, 500, 100
+	}
 	c := cluster.New(cluster.Options{Nodes: nodes, Store: store.Options{Shards: 8}})
 	defer c.Close()
 
@@ -34,9 +43,9 @@ func main() {
 	for i := uint64(0); i < nKeys; i++ {
 		counts[c.Ring().Owner(workload.Key(i))]++
 	}
-	fmt.Printf("%d keys over %d nodes (%d virtual points each):\n", nKeys, nodes, c.Ring().Vnodes())
+	fmt.Fprintf(w, "%d keys over %d nodes (%d virtual points each):\n", nKeys, nodes, c.Ring().Vnodes())
 	for n, cnt := range counts {
-		fmt.Printf("  node %d owns %5d keys (%4.1f%%)\n", n, cnt, 100*float64(cnt)/nKeys)
+		fmt.Fprintf(w, "  node %d owns %5d keys (%4.1f%%)\n", n, cnt, 100*float64(cnt)/float64(nKeys))
 	}
 
 	// Traffic: routed clients split each op group per owner node and
@@ -44,7 +53,7 @@ func main() {
 	scenario := workload.Scenario{
 		Keys:     nKeys,
 		Mix:      workload.Mix{Get: 90, Put: 10},
-		Preload:  nKeys / 2,
+		Preload:  int(nKeys / 2),
 		Phases:   []workload.Phase{{Name: "steady", Clients: clients, Ops: opsEach}},
 		Batch:    8,
 		Pipeline: 8,
@@ -57,7 +66,7 @@ func main() {
 		panic(err)
 	}
 	steady := results[len(results)-1]
-	fmt.Printf("\n%d routed clients, batch 8 × depth 8: %d ops in %v (%.1f Kops/s)\n",
+	fmt.Fprintf(w, "\n%d routed clients, batch 8 × depth 8: %d ops in %v (%.1f Kops/s)\n",
 		clients, steady.Ops, time.Since(start).Round(time.Millisecond), steady.Kops())
 
 	// Elastic membership: resize the loaded cluster live. AddNode streams
@@ -67,7 +76,6 @@ func main() {
 	// share of the workload keys) proves the migrations lose nothing.
 	cl := c.Dial(8)
 	defer cl.Close()
-	const sentinels = 1000
 	sentinel := func(i int) string { return fmt.Sprintf("resize-demo-%04d", i) }
 	for i := 0; i < sentinels; i++ {
 		if _, err := cl.Put(sentinel(i), []byte(sentinel(i))); err != nil {
@@ -96,16 +104,16 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("\nAddNode → node %d in %v: %d of %d keys migrated (≈1/%d, the\n",
+	fmt.Fprintf(w, "\nAddNode → node %d in %v: %d of %d keys migrated (≈1/%d, the\n",
 		id, time.Since(start).Round(time.Millisecond), countMoved(before), nKeys, nodes+1)
-	fmt.Println("consistent-hashing promise — only the new node's arcs moved).")
+	fmt.Fprintln(w, "consistent-hashing promise — only the new node's arcs moved).")
 
 	before = c.Ring()
 	start = time.Now()
 	if err := c.RemoveNode(0); err != nil {
 		panic(err)
 	}
-	fmt.Printf("RemoveNode(0) in %v: %d keys migrated off; members now %v.\n",
+	fmt.Fprintf(w, "RemoveNode(0) in %v: %d keys migrated off; members now %v.\n",
 		time.Since(start).Round(time.Millisecond), countMoved(before), c.Members())
 
 	// Every sentinel survived both migrations, readable through the
@@ -113,11 +121,11 @@ func main() {
 	for i := 0; i < sentinels; i++ {
 		mustGet(sentinel(i))
 	}
-	fmt.Printf("All %d sentinel keys intact after grow + shrink.\n", sentinels)
+	fmt.Fprintf(w, "All %d sentinel keys intact after grow + shrink.\n", sentinels)
 
-	fmt.Println("\nEvery key lives on one node and there in one shard — at every")
-	fmt.Println("instant, across resizes — so per-key linearizability survives the")
-	fmt.Println("cluster layer by construction (TestClusterLinearizableAcrossMigration).")
-	fmt.Println("Run `ssync cluster -nodes 4` for the single-node-baseline comparison,")
-	fmt.Println("and `ssync cluster -resize` to measure a live resize under load.")
+	fmt.Fprintln(w, "\nEvery key lives on one node and there in one shard — at every")
+	fmt.Fprintln(w, "instant, across resizes — so per-key linearizability survives the")
+	fmt.Fprintln(w, "cluster layer by construction (TestClusterLinearizableAcrossMigration).")
+	fmt.Fprintln(w, "Run `ssync cluster -nodes 4` for the single-node-baseline comparison,")
+	fmt.Fprintln(w, "and `ssync cluster -resize` to measure a live resize under load.")
 }

@@ -9,6 +9,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,29 +23,37 @@ import (
 
 const (
 	goroutines = 8
-	opsPerG    = 40000
 	nKeys      = 4096
 	getPct     = 95
 )
 
-func main() {
-	fmt.Printf("shard engines — %d CPUs, %d goroutines, %d%% gets over %d keys\n\n",
+func main() { run(os.Stdout, false) }
+
+// run prints the comparison to w; small runs a few hundred ops per
+// goroutine instead of 40000.
+func run(w io.Writer, small bool) {
+	opsPerG := 40000
+	if small {
+		opsPerG = 500
+	}
+	fmt.Fprintf(w, "shard engines — %d CPUs, %d goroutines, %d%% gets over %d keys\n\n",
 		runtime.NumCPU(), goroutines, getPct, nKeys)
-	fmt.Printf("%-12s %12s %12s\n", "engine", "total ops", "Kops/s")
+	fmt.Fprintf(w, "%-12s %12s %12s\n", "engine", "total ops", "Kops/s")
 	for _, eng := range store.Engines {
-		ops, elapsed := drive(eng)
-		fmt.Printf("%-12s %12d %12.1f\n", eng,
+		ops, elapsed := drive(eng, opsPerG)
+		fmt.Fprintf(w, "%-12s %12d %12.1f\n", eng,
 			ops, float64(ops)/elapsed.Seconds()/1e3)
 	}
-	fmt.Println("\nSame API, same data, three synchronization paradigms. Read-heavy")
-	fmt.Println("mixes favor the optimistic engine (gets never lock); workloads that")
-	fmt.Println("batch well amortize the actor engine's messages; the locked engine")
-	fmt.Println("is the baseline every lock algorithm in internal/locks can tune.")
-	fmt.Println("Run `ssync store -engine all` for the wire-protocol comparison.")
+	fmt.Fprintln(w, "\nSame API, same data, three synchronization paradigms. Read-heavy")
+	fmt.Fprintln(w, "mixes favor the optimistic engine (gets never lock); workloads that")
+	fmt.Fprintln(w, "batch well amortize the actor engine's messages; the locked engine")
+	fmt.Fprintln(w, "is the baseline every lock algorithm in internal/locks can tune.")
+	fmt.Fprintln(w, "Run `ssync store -engine all` for the wire-protocol comparison.")
 }
 
-// drive runs the mixed workload against a fresh store on one engine.
-func drive(eng store.Engine) (int64, time.Duration) {
+// drive runs opsPerG mixed ops per goroutine against a fresh store on
+// one engine.
+func drive(eng store.Engine, opsPerG int) (int64, time.Duration) {
 	s := store.New(store.Options{Shards: 8, Engine: eng, MaxThreads: goroutines + 2})
 	defer s.Close()
 	pre := s.NewHandle(0)
@@ -69,7 +79,7 @@ func drive(eng store.Engine) (int64, time.Duration) {
 					h.Put(k, val)
 				}
 			}
-			total.Add(opsPerG)
+			total.Add(int64(opsPerG))
 		}()
 	}
 	wg.Wait()

@@ -1,13 +1,12 @@
 // Package lockorder flags nested shard-lock acquisitions. The store's
 // documented discipline is that shard locks are held one at a time: the
 // engines' point ops lock exactly one shard, and ExecBatch's group loop
-// acquires each touched shard's lock once, sequentially, in the
-// store's domain-major visit order — never holding two. A second
-// acquire while one is held is how lock-ordering deadlocks enter a
-// sharded system, so any intentional multi-hold (the hierarchical
-// cohort locks' fixed local-then-global order, a future two-phase
-// transaction path) must be blessed with //ssync:ignore lockorder and a
-// justification naming its total order.
+// acquires each touched shard's lock once, sequentially, in shard order
+// — never holding two. A second acquire while one is held is how
+// lock-ordering deadlocks enter a sharded system, so any intentional
+// multi-hold (the hierarchical cohort locks' fixed local-then-global
+// order, a future two-phase transaction path) must be blessed with
+// //ssync:ignore lockorder and a justification naming its total order.
 package lockorder
 
 import (

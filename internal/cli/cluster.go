@@ -8,7 +8,6 @@ import (
 
 	"ssync/internal/cluster"
 	"ssync/internal/harness"
-	"ssync/internal/topo"
 )
 
 // ClusterMain implements `ssync cluster`: it spins up an N-node store
@@ -22,9 +21,7 @@ import (
 func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ssync cluster", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	sf := addScenarioFlags(fs, 8, 4, 8,
-		"shard engine per node (locked, actor, optimistic)",
-		"shard placement per node over the host topology (none, compact, scatter, auto); nodes stripe across the host's memory nodes")
+	sf := addScenarioFlags(fs, 8, 4, 8, "shard engine per node (locked, actor, optimistic)")
 	nodes := fs.Int("nodes", 4, "cluster node count")
 	vnodes := fs.Int("vnodes", cluster.DefaultVnodes, "ring virtual points per node")
 	resize := fs.Bool("resize", false, "measure a live resize (grow then shrink) under load instead of the throughput scenario")
@@ -42,9 +39,6 @@ func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	eng, sc := set.engines[0], set.scenario
-	if set.policy.Pins() {
-		fmt.Fprintf(stderr, "placement: %s, nodes striped over %s\n", set.policy, topo.Discover())
-	}
 
 	// -resize: instead of the throughput scenario, measure a live
 	// membership change — grow by one node, then retire an original
@@ -90,7 +84,7 @@ func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	experiment := fmt.Sprintf("cluster/%dx%s", *nodes, eng)
-	rig := harness.StoreRig{Store: set.store, Nodes: *nodes, Vnodes: *vnodes, Place: set.policy, Window: sc.Pipeline}
+	rig := harness.StoreRig{Store: set.store, Nodes: *nodes, Vnodes: *vnodes, Window: sc.Pipeline}
 	rig.Store.Engine = eng
 	over := fmt.Sprintf("routed wire (depth %d × batch %d), %s keys, mix %s",
 		sc.Pipeline, sc.Batch, sc.Dist.Name(), sc.Mix)

@@ -11,7 +11,6 @@ import (
 	"ssync/internal/locks"
 	"ssync/internal/stats"
 	"ssync/internal/store"
-	"ssync/internal/topo"
 	"ssync/internal/workload"
 )
 
@@ -26,8 +25,7 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ssync store", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sf := addScenarioFlags(fs, 16, 1, 1,
-		"shard engine (locked, actor, optimistic), or all to compare every engine in one run",
-		"shard placement over the host topology (none, compact, scatter, auto)")
+		"shard engine (locked, actor, optimistic), or all to compare every engine in one run")
 	buckets := fs.Int("buckets", 64, "buckets per shard")
 	local := fs.Bool("local", false, "drive in-process handles instead of the wire protocol")
 	if code, ok := parseArgs(fs, argv); !ok {
@@ -41,10 +39,6 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 
 	rig := harness.StoreRig{Store: set.store, Local: *local}
 	rig.Store.Buckets = *buckets
-	if set.policy.Pins() {
-		rig.Store.Placement = topo.NewPlacement(set.policy, nil) // nil: discover the host
-		fmt.Fprintf(stderr, "placement: %s over %s\n", set.policy, rig.Store.Placement.Topo)
-	}
 	sc := set.scenario
 	transport := "wire"
 	switch {
@@ -107,7 +101,7 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 // scenarioFlags are the flags `ssync store` and `ssync cluster` share:
 // the store (each node's store), the scenario and the output format.
 type scenarioFlags struct {
-	alg, engine, dist, mix, place                                    *string
+	alg, engine, dist, mix                                           *string
 	shards, clients, ops, value, scanLimit, preload, batch, pipeline *int
 	keys, seed                                                       *uint64
 	jsonOut, csvOut                                                  *bool
@@ -115,8 +109,8 @@ type scenarioFlags struct {
 
 // addScenarioFlags defines the shared flags on fs. The two commands
 // differ only in the shard, batch and pipeline defaults and in what
-// -engine and -place take.
-func addScenarioFlags(fs *flag.FlagSet, shards, batch, pipeline int, engineUsage, placeUsage string) *scenarioFlags {
+// -engine takes.
+func addScenarioFlags(fs *flag.FlagSet, shards, batch, pipeline int, engineUsage string) *scenarioFlags {
 	return &scenarioFlags{
 		alg:       fs.String("alg", "ticket", "shard-lock algorithm (tas, ttas, ticket, array, mutex, mcs, clh, hclh, hticket)"),
 		engine:    fs.String("engine", "locked", engineUsage),
@@ -132,7 +126,6 @@ func addScenarioFlags(fs *flag.FlagSet, shards, batch, pipeline int, engineUsage
 		seed:      fs.Uint64("seed", 0, "workload RNG seed (0 = fixed default)"),
 		batch:     fs.Int("batch", batch, "ops per op group (1 = scalar ops)"),
 		pipeline:  fs.Int("pipeline", pipeline, "op groups each client keeps in flight (1 = lock-step)"),
-		place:     fs.String("place", "none", placeUsage),
 		jsonOut:   fs.Bool("json", false, "emit JSON"),
 		csvOut:    fs.Bool("csv", false, "emit CSV"),
 	}
@@ -142,7 +135,6 @@ func addScenarioFlags(fs *flag.FlagSet, shards, batch, pipeline int, engineUsage
 type scenarioSetup struct {
 	engines  []store.Engine    // one, or every engine for -engine all
 	store    store.Options     // shards, lock and MaxThreads; no engine
-	policy   topo.Policy       // -place
 	scenario workload.Scenario // preload resolved
 	clients  int
 	emitter  harness.Emitter
@@ -179,9 +171,6 @@ func (f *scenarioFlags) resolve(allowAll bool) (scenarioSetup, error) {
 	}
 	mix, err := workload.ParseMix(*f.mix)
 	if err != nil {
-		return set, err
-	}
-	if set.policy, err = topo.ParsePolicy(*f.place); err != nil {
 		return set, err
 	}
 	if set.emitter, err = emitterFor(*f.jsonOut, *f.csvOut); err != nil {

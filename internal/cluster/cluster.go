@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"ssync/internal/store"
-	"ssync/internal/topo"
 )
 
 // Options configures a Cluster.
@@ -19,15 +18,6 @@ type Options struct {
 	// Store configures every node's store (engine, lock algorithm,
 	// shards); each node gets an independent store built from it.
 	Store store.Options
-	// Place is the shard-placement policy applied inside every member's
-	// store. With a multi-node Topo, members stripe across the machine's
-	// memory nodes: node i's store places its shards only over memory
-	// node i mod Topo.Nodes — so co-located cluster members partition
-	// the machine instead of piling onto its first domain. Default none.
-	Place topo.Policy
-	// Topo is the machine to place over; nil with a pinning Place means
-	// discover the host at startup.
-	Topo *topo.Topology
 }
 
 func (o Options) withDefaults() Options {
@@ -78,19 +68,12 @@ type Cluster struct {
 
 	mu      sync.Mutex // serializes membership changes; guards clients
 	clients map[*Client]struct{}
-
-	// place is the cluster-wide base placement (nil when Options.Place
-	// is none); every member's store gets its ForNode slice of it.
-	place *topo.Placement
 }
 
 // New builds and starts a cluster.
 func New(opt Options) *Cluster {
 	opt = opt.withDefaults()
 	c := &Cluster{opt: opt, clients: map[*Client]struct{}{}}
-	if opt.Place.Pins() {
-		c.place = topo.NewPlacement(opt.Place, opt.Topo)
-	}
 	list := make([]*node, opt.Nodes)
 	for i := range list {
 		list[i] = c.newNode(i)
@@ -100,17 +83,10 @@ func New(opt Options) *Cluster {
 	return c
 }
 
-// newNode builds one member: store, server, and routing filter. Under
-// a cluster placement the member's store places over its memory-node
-// stripe — new members from AddNode stripe by the same rule, so an
-// elastic resize keeps partitioning the machine.
+// newNode builds one member: store, server, and routing filter.
 func (c *Cluster) newNode(id int) *node {
-	sopt := c.opt.Store
-	if c.place != nil {
-		sopt.Placement = c.place.ForNode(id)
-	}
-	st := store.New(sopt)
-	n := &node{id: id, store: st, server: store.NewServer(st, sopt.Nodes)}
+	st := store.New(c.opt.Store)
+	n := &node{id: id, store: st, server: store.NewServer(st, c.opt.Store.Nodes)}
 	n.filter = newNodeFilter(c, n)
 	n.server.SetRouter(n.filter)
 	return n

@@ -5,11 +5,9 @@ import (
 	"sync"
 	"testing"
 
-	"ssync/internal/arch"
 	"ssync/internal/locks"
 	"ssync/internal/store"
 	"ssync/internal/store/linearize"
-	"ssync/internal/topo"
 	"ssync/internal/workload"
 	"ssync/internal/xrand"
 )
@@ -307,22 +305,16 @@ func linOps() int {
 // throughput one.
 func TestClusterLinearizable(t *testing.T) {
 	t.Parallel()
-	linearMatrix(t, transports, linOptions)
-}
-
-// linearMatrix runs every engine × driver × row cell of table, the
-// cell's store built by opts.
-func linearMatrix(t *testing.T, table []transport, opts func(store.Engine) store.Options) {
 	for _, eng := range store.Engines {
 		for _, drv := range drivers {
 			eng, drv := eng, drv
 			t.Run(string(eng)+"/"+drv.name, func(t *testing.T) {
 				t.Parallel()
-				for _, tr := range drv.rows(table) {
+				for _, tr := range drv.rows(transports) {
 					tr := tr
 					t.Run(tr.name, func(t *testing.T) {
 						t.Parallel()
-						linearizable(t, tr.open(t, opts(eng)).dial, drv, 4, linOps(), nil)
+						linearizable(t, tr.open(t, linOptions(eng)).dial, drv, 4, linOps(), nil)
 					})
 				}
 			})
@@ -359,21 +351,4 @@ func TestPipelineLinearizable(t *testing.T) {
 	drv := drivers[1]
 	drv.depth = 8
 	linearizable(t, only("windowed")[0].open(t, opts).dial, drv, 4, linOps()*3/2, nil)
-}
-
-// TestLinearizablePlaced is the placement axis: every single-store cell
-// must stay linearizable when shards are compact-placed over a
-// multi-domain machine model — the reordered batch visits, pinned actor
-// owners and pinned server connections must be invisible to the checker.
-// The Opteron2 model has 2 domains, so the domain-major machinery
-// genuinely engages, and its low simulated core ids intersect any real
-// host's allowance, so the sched_setaffinity path runs for real.
-func TestLinearizablePlaced(t *testing.T) {
-	t.Parallel()
-	place := topo.NewPlacement(topo.PolicyCompact, topo.FromPlatform(arch.Opteron2()))
-	linearMatrix(t, only("in-process", "lock-step", "windowed"), func(eng store.Engine) store.Options {
-		opts := linOptions(eng)
-		opts.Placement = place
-		return opts
-	})
 }

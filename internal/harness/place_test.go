@@ -5,38 +5,6 @@ import (
 	"testing"
 )
 
-// TestPlaceEngineExperiments runs each place/<engine> experiment at
-// tiny scale: the full policy × distribution grid must produce rows
-// with positive throughput under every policy (placement must never
-// break an engine, even when pinning no-ops on this host).
-func TestPlaceEngineExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the policy grid on every engine")
-	}
-	for _, name := range []string{"place/locked", "place/actor", "place/optimistic"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			e, err := Default.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			samples, err := e.Run(Shard{Platform: Native, Threads: 2, Config: tiny})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// 3 policies × 2 distributions.
-			if len(samples) != 6 {
-				t.Fatalf("%d samples, want 6: %+v", len(samples), samples)
-			}
-			for _, s := range samples {
-				if s.Value <= 0 {
-					t.Errorf("%s: %v Kops/s, want > 0", s.Metric, s.Value)
-				}
-			}
-		})
-	}
-}
-
 // TestPlaceModelExperiment: the modeled sweep costs must order the
 // policies on every machine model — compact at or below scatter. This
 // is the assertion that carries the locality claim on single-domain

@@ -7,7 +7,6 @@ import (
 	"ssync/internal/cluster"
 	"ssync/internal/locks"
 	"ssync/internal/store"
-	"ssync/internal/topo"
 	"ssync/internal/workload"
 )
 
@@ -16,9 +15,9 @@ import (
 // (internal/cluster), dials one transport, preloads, and runs a
 // workload.Scenario while counting each shard's or node's ops. Every
 // store-side family — store-engine/<engine>/<alg>, store-pipe/<alg>
-// (below), cluster/<n>x<engine> (cluster.go) and place/<engine>
-// (place.go) — and `ssync store` and `ssync cluster` measure through
-// it; a baseline is the same call on a different rig.
+// (below) and cluster/<n>x<engine> (cluster.go) — and `ssync store` and
+// `ssync cluster` measure through it; a baseline is the same call on a
+// different rig.
 //
 // store-engine runs a zipfian 95:5 get/put mix against the same store
 // twice — once through LocalConns, no wire ("direct"), and once through
@@ -31,12 +30,10 @@ import (
 type StoreRig struct {
 	// Store configures the store, or every node's store.
 	Store store.Options
-	// Nodes > 0 builds an n-node cluster, Vnodes ring points per node
-	// and each node's shards placed by Place, and dials routed clients.
-	// Nodes 0 builds one store.
+	// Nodes > 0 builds an n-node cluster, Vnodes ring points per node,
+	// and dials routed clients. Nodes 0 builds one store.
 	Nodes  int
 	Vnodes int
-	Place  topo.Policy
 	// Local dials in-process LocalConns instead of the wire (one store).
 	Local bool
 	// Window is each client's in-flight window. Over one store's wire,
@@ -85,7 +82,7 @@ func RunStore(rig StoreRig, sc workload.Scenario) (StoreRun, error) {
 		dial   func(c int) store.BatchConn
 	)
 	if rig.Nodes > 0 {
-		c := cluster.New(cluster.Options{Nodes: rig.Nodes, Vnodes: rig.Vnodes, Store: rig.Store, Place: rig.Place})
+		c := cluster.New(cluster.Options{Nodes: rig.Nodes, Vnodes: rig.Vnodes, Store: rig.Store})
 		defer c.Close()
 		for i := 0; i < rig.Nodes; i++ {
 			stores = append(stores, c.Store(i))

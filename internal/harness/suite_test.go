@@ -23,7 +23,7 @@ func TestSuiteRegistered(t *testing.T) {
 		"store-engine/optimistic/ticket", "store-engine/actor",
 		"store-pipe/tas", "store-pipe/ttas", "store-pipe/ticket", "store-pipe/array",
 		"store-pipe/mutex", "store-pipe/mcs", "store-pipe/clh", "store-pipe/hclh",
-		"store-pipe/hticket",
+		"store-pipe/hticket", "place/model",
 	}
 	for _, name := range want {
 		if _, err := Default.ByName(name); err != nil {

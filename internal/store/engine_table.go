@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"ssync/internal/locks"
-	"ssync/internal/topo"
 )
 
 // tableEngine runs the store's shards as plain shardTables and varies
@@ -36,7 +35,6 @@ type tableEngine struct {
 	tables []shardTable
 	guards []locks.Lock
 	mboxes []chan tableOp
-	order  []int // the store's shard visit order, for scans
 	// actor: stop is closed by close(): the owners drain and exit.
 	// stopped is closed once every owner has exited, and therefore
 	// finished its final drain; visitors wait on stopped, not stop, so a
@@ -130,12 +128,10 @@ func apply(tbl *shardTable, op *tableOp) {
 }
 
 // newTableEngine builds the store's tables under opt.Engine's
-// discipline; order is the store's visit order and domains its
-// shard→domain assignment (nil without a placement).
-func newTableEngine(opt Options, order, domains []int) *tableEngine {
+// discipline.
+func newTableEngine(opt Options) *tableEngine {
 	e := &tableEngine{
 		tables:  make([]shardTable, opt.Shards),
-		order:   order,
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
@@ -150,21 +146,11 @@ func newTableEngine(opt Options, order, domains []int) *tableEngine {
 		}
 		return e
 	}
-	// Shard owners are the one place in the store where "shard X lives
-	// in domain Y" can be made literally true: each owner goroutine pins
-	// itself to its shard's LLC domain, so the shard's table is only
-	// ever touched from CPUs that share that LLC. Without a placement
-	// (or on a single-domain machine) pin is a no-op and the owners
-	// float.
 	e.mboxes = make([]chan tableOp, opt.Shards)
 	for i := range e.mboxes {
 		e.mboxes[i] = make(chan tableOp, actorMailbox)
-		domain := -1
-		if domains != nil {
-			domain = domains[i]
-		}
 		e.wg.Add(1)
-		go e.own(&e.tables[i], e.mboxes[i], opt.Placement, domain)
+		go e.own(&e.tables[i], e.mboxes[i])
 	}
 	return e
 }
@@ -175,10 +161,8 @@ func newTableEngine(opt Options, order, domains []int) *tableEngine {
 // that poll still gets its reply; an op that loses the race is left to
 // the visitor's side of the protocol (visit waits on stopped and then
 // gives up), so no goroutine is ever stranded either way.
-func (e *tableEngine) own(tbl *shardTable, mbox chan tableOp, pl *topo.Placement, domain int) {
+func (e *tableEngine) own(tbl *shardTable, mbox chan tableOp) {
 	defer e.wg.Done()
-	undo := pl.Pin(domain)
-	defer undo()
 	for {
 		var op tableOp
 		select {
@@ -296,16 +280,16 @@ func (a *tableAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []Re
 	a.visit(shard, &op)
 }
 
-// scan takes one run per shard, in the store's visit order, each in one
-// visit: the table walks its buckets, sorts what matched, trims it to
-// limit and copies the survivors' values onto the accessor's arena —
-// inside the visit, since the table overwrites values in place.
-// MergeRuns then merges the runs until limit, so the visit order never
-// changes the result, which is a union of per-shard snapshots.
+// scan takes one run per shard, in shard order, each in one visit: the
+// table walks its buckets, sorts what matched, trims it to limit and
+// copies the survivors' values onto the accessor's arena — inside the
+// visit, since the table overwrites values in place. MergeRuns then
+// merges the runs until limit, so the result is a union of per-shard
+// snapshots.
 func (a *tableAccess) scan(prefix lookupKey, limit int, out []Entry) []Entry {
 	runs, heads := recycle(a.runs), a.heads[:0]
 	a.arena = recycle(a.arena)
-	for _, shard := range a.e.order {
+	for shard := range a.e.tables {
 		var op tableOp
 		op.kind, op.key, op.limit, op.out, op.arena = visitScan, prefix, limit, runs, &a.arena
 		a.visit(shard, &op)

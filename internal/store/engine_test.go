@@ -59,6 +59,45 @@ func TestEngineConcurrentMixed(t *testing.T) {
 	}
 }
 
+// TestBatchResponsesByRequestIndex: ExecBatch's group loop visits the
+// touched shards in shard order, not request order, so this pins down
+// that every response still lands at its request's index, engine by
+// engine (TestEngineBatchEquivalence only compares engines with each
+// other).
+func TestBatchResponsesByRequestIndex(t *testing.T) {
+	const n = 40
+	for _, eng := range Engines {
+		s := New(Options{Shards: 8, Buckets: 4, Engine: eng})
+		h := s.NewHandle(0)
+		var reqs []Request
+		inversions := 0
+		for i := 0; i < n; i++ {
+			key := "bk" + string(rune('a'+i%26)) + string(rune('a'+i/26))
+			reqs = append(reqs, Request{Op: OpPut, Key: key, Value: []byte{byte(i)}})
+			if i > 0 && s.shardOf(hashKey(key)) < s.shardOf(hashKey(reqs[i-1].Key)) {
+				inversions++
+			}
+		}
+		if inversions == 0 {
+			t.Fatal("every request is on a shard at or above its predecessor's: shard order is request order and the test proves nothing")
+		}
+		for i := 0; i < n; i++ {
+			reqs = append(reqs, Request{Op: OpGet, Key: reqs[i].Key})
+		}
+		resps := h.ExecBatch(reqs)
+		for i := 0; i < n; i++ {
+			if resps[i].Status != StatusOK || !resps[i].Created {
+				t.Fatalf("%s: put %d: %+v", eng, i, resps[i])
+			}
+			got := resps[n+i]
+			if got.Status != StatusOK || len(got.Value) != 1 || got.Value[0] != byte(i) {
+				t.Fatalf("%s: get %d answered %+v, want value [%d]", eng, i, got, i)
+			}
+		}
+		s.Close()
+	}
+}
+
 // TestEngineBatchEquivalence drives the same deterministic batch
 // sequence through every engine and requires byte-identical responses —
 // the pluggable layer must not change what the batch path computes.

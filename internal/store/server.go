@@ -122,21 +122,7 @@ func (sv *Server) Serve(ln net.Listener) error {
 // stays in the write buffer, so a pipelined burst is answered with a
 // coalesced burst.
 func (sv *Server) ServeConn(conn io.ReadWriter) error {
-	seq := int(sv.next.Add(1) - 1)
-	node := seq % sv.nodes
-	if pl := sv.store.Placement(); pl != nil {
-		// Under a placement, connections stripe over the LLC domains
-		// instead of abstract node indices: the goroutine pins itself to
-		// its domain for the connection's lifetime, and the hierarchical
-		// locks get that domain's actual memory node as their NUMA hint —
-		// so a connection's lock spinning, frame buffers and shard visits
-		// all agree on where "local" is.
-		if domain, memNode := pl.ConnDomain(seq); domain >= 0 {
-			undo := pl.Pin(domain)
-			defer undo()
-			node = memNode % sv.nodes
-		}
-	}
+	node := int(sv.next.Add(1)-1) % sv.nodes
 	h := sv.store.NewHandle(node)
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)

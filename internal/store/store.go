@@ -27,7 +27,6 @@ import (
 
 	"ssync/internal/hashkit"
 	"ssync/internal/locks"
-	"ssync/internal/topo"
 )
 
 // lookupKey is the engines' dual-representation key: exactly one of s
@@ -295,16 +294,6 @@ type Options struct {
 	MaxThreads int
 	// Nodes is the NUMA-node count forwarded to hierarchical locks.
 	Nodes int
-	// Placement binds shards to LLC domains (internal/topo). nil means no
-	// placement: identity visit order, no pinning. With a placement, the
-	// shard→domain assignment drives three things: the actor engine pins
-	// each shard-owner goroutine to its shard's domain, the server pins
-	// connection goroutines round-robin over the domains (and takes the
-	// domain's memory node as the NUMA hint), and the full shard sweeps
-	// (ExecBatch's group loop, the per-shard runs of a locked or actor
-	// store's Scan) walk shards domain-major so adjacent visits share an
-	// LLC.
-	Placement *topo.Placement
 }
 
 func (o Options) withDefaults() Options {
@@ -328,12 +317,6 @@ func (o Options) withDefaults() Options {
 type Store struct {
 	opt Options
 	eng shardEngine
-	// visit is the shard visit order for full sweeps: domain-major under
-	// a placement (all of one LLC domain's shards, then the next's),
-	// identity without one. domains is the shard→domain assignment the
-	// order was derived from (nil without a placement).
-	visit   []int
-	domains []int
 }
 
 // New creates a store. A store built with EngineActor owns goroutines;
@@ -341,19 +324,10 @@ type Store struct {
 func New(opt Options) *Store {
 	opt = opt.withDefaults()
 	s := &Store{opt: opt}
-	if opt.Placement != nil {
-		s.visit = opt.Placement.VisitOrder(opt.Shards)
-		s.domains = opt.Placement.ShardDomains(opt.Shards)
-	} else {
-		s.visit = make([]int, opt.Shards)
-		for i := range s.visit {
-			s.visit[i] = i
-		}
-	}
 	if opt.Engine == EngineOptimistic {
 		s.eng = newOptimisticEngine(opt)
 	} else {
-		s.eng = newTableEngine(opt, s.visit, s.domains)
+		s.eng = newTableEngine(opt)
 	}
 	return s
 }
@@ -372,23 +346,6 @@ func (s *Store) Lock() locks.Algorithm { return s.opt.Lock }
 
 // Engine returns the shard-engine paradigm the store runs on.
 func (s *Store) Engine() Engine { return s.opt.Engine }
-
-// Placement returns the store's placement (nil when none is configured).
-func (s *Store) Placement() *topo.Placement { return s.opt.Placement }
-
-// ShardDomain returns the LLC domain assigned to shard sh, or -1 when
-// the store has no placement.
-func (s *Store) ShardDomain(sh int) int {
-	if s.domains == nil {
-		return -1
-	}
-	return s.domains[sh]
-}
-
-// VisitOrder returns the shard order full sweeps use (a copy).
-func (s *Store) VisitOrder() []int {
-	return append([]int(nil), s.visit...)
-}
 
 // String describes the store configuration.
 func (s *Store) String() string {
@@ -634,13 +591,10 @@ func (h *Handle) execOps(idxs []int, subset bool, resps []Response, arena *[]byt
 			resps[i] = Response{Status: StatusError, Msg: ErrBadOp.Error()}
 		}
 	}
-	// Touched shards execute in the store's visit order — domain-major
-	// under a placement, so consecutive engine visits stay inside one
-	// LLC domain instead of ping-ponging the handling thread's cache
-	// lines across domains. Responses land by request index, so the
-	// visit order never changes results, only locality.
-	for _, sh := range h.s.visit {
-		if idxs := groups[sh]; len(idxs) > 0 {
+	// Touched shards execute in shard order, not request order; each
+	// response lands at its request's index.
+	for sh, idxs := range groups {
+		if len(idxs) > 0 {
 			h.acc.execGroup(sh, ops, idxs, resps, arena)
 		}
 	}

@@ -39,19 +39,6 @@ const (
 // Policies lists every policy, in comparison order.
 var Policies = []Policy{PolicyNone, PolicyCompact, PolicyScatter, PolicyAuto}
 
-// ParsePolicy resolves a policy name ("" means none).
-func ParsePolicy(name string) (Policy, error) {
-	if name == "" {
-		return PolicyNone, nil
-	}
-	for _, p := range Policies {
-		if string(p) == name {
-			return p, nil
-		}
-	}
-	return "", fmt.Errorf("unknown placement policy %q (have %v)", name, Policies)
-}
-
 // Pins reports whether the policy actually binds execution to domains
 // (none keeps its nominal assignment on paper only).
 func (p Policy) Pins() bool { return p != PolicyNone && p != "" }
@@ -94,14 +81,11 @@ func (p Policy) assign(n, d int) []int {
 	return out
 }
 
-// Placement binds a policy to a machine (and optionally to a subset of
-// its domains — the cluster stripes its in-process nodes across memory
-// nodes by handing each node's store a restricted Placement). It is
-// immutable and safe to share.
+// Placement binds a policy to a machine. It is immutable and safe to
+// share.
 type Placement struct {
-	Policy  Policy
-	Topo    *Topology
-	domains []int // domain ids to place over; nil means all
+	Policy Policy
+	Topo   *Topology
 }
 
 // NewPlacement binds policy to t (nil t discovers the host).
@@ -117,62 +101,26 @@ func (pl *Placement) String() string {
 	if pl == nil {
 		return "place(none)"
 	}
-	return fmt.Sprintf("place(%s over %s, %d domains)", pl.Policy, pl.Topo.Source, len(pl.domainIDs()))
+	return fmt.Sprintf("place(%s over %s, %d domains)", pl.Policy, pl.Topo.Source, pl.Topo.NumDomains())
 }
 
-// domainIDs returns the domain ids this placement spans.
-func (pl *Placement) domainIDs() []int {
-	if pl.domains != nil {
-		return pl.domains
-	}
-	ids := make([]int, len(pl.Topo.Domains))
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
-// ForNode restricts the placement to the domains of one memory node —
-// cluster node i lands on memory node i mod Nodes, so in-process
-// cluster members stripe across the machine's memory nodes instead of
-// piling onto the first one. A node whose stripe would be empty keeps
-// the full domain set (placement narrows, never strands).
-func (pl *Placement) ForNode(i int) *Placement {
-	if pl == nil || pl.Topo.Nodes <= 1 {
-		return pl
-	}
-	node := i % pl.Topo.Nodes
-	doms := pl.Topo.NodeDomains(node)
-	if len(doms) == 0 {
-		return pl
-	}
-	return &Placement{Policy: pl.Policy, Topo: pl.Topo, domains: doms}
-}
-
-// ShardDomains assigns n shards to domains and returns the actual
-// domain id per shard. The assignment is total and balanced over the
-// placement's domain span for every policy, including none (whose
-// assignment is nominal — Pin ignores it).
+// ShardDomains assigns n shards to domains and returns the domain id
+// per shard. The assignment is total and balanced over the machine's
+// domains for every policy, including none (whose assignment is
+// nominal — Pin ignores it).
 func (pl *Placement) ShardDomains(n int) []int {
 	if pl == nil {
 		return nil
 	}
-	doms := pl.domainIDs()
-	idx := pl.Policy.assign(n, len(doms))
-	out := make([]int, n)
-	for s, d := range idx {
-		out[s] = doms[d]
-	}
-	return out
+	return pl.Policy.assign(n, pl.Topo.NumDomains())
 }
 
 // VisitOrder returns a shard visit order that walks the assignment
 // domain-major: all of one domain's shards (index-ascending), then the
-// next domain's. Iterating shards in this order — ExecBatch's group
-// loop, Scan's shard loop — crosses a domain boundary the minimum
-// number of times the assignment allows, instead of ping-ponging the
-// executing thread's cache lines between domains on every step. For a
-// compact assignment the order is the identity.
+// next domain's. A sweep over shards in this order crosses a domain
+// boundary the minimum number of times the assignment allows, instead
+// of ping-ponging the executing thread's cache lines between domains on
+// every step. For a compact assignment the order is the identity.
 func (pl *Placement) VisitOrder(n int) []int {
 	order := make([]int, n)
 	for i := range order {
@@ -188,30 +136,14 @@ func (pl *Placement) VisitOrder(n int) []int {
 	return order
 }
 
-// ConnDomain assigns the i-th connection (round-robin) a domain and
-// that domain's memory node — the server uses it to pin connection
-// goroutines alongside the shards they serve and to seed hierarchical
-// locks with the right NUMA hint. Returns (-1, -1) for a nil
-// placement.
-func (pl *Placement) ConnDomain(i int) (domain, node int) {
-	if pl == nil {
-		return -1, -1
-	}
-	doms := pl.domainIDs()
-	if len(doms) == 0 {
-		return -1, -1
-	}
-	d := doms[i%len(doms)]
-	return d, pl.Topo.Domains[d].Node
-}
-
 // Pin binds the calling goroutine to the domain's CPUs and returns the
 // undo. Pinning only happens when it can mean something: a pinning
 // policy, a real multi-domain topology, and a domain whose CPUs exist
 // on this host (arch-model topologies fail that test and no-op). The
 // undo restores the thread's previous mask; callers must run it on the
 // same goroutine. Every failure path is a silent no-op — placement is
-// an optimization, never an outage.
+// an optimization, never an outage. Pin is the package's one pinning
+// entry point; nothing in the store or cluster calls it (DESIGN §5.7).
 func (pl *Placement) Pin(domain int) (undo func()) {
 	noop := func() {}
 	if pl == nil || !pl.Policy.Pins() || pl.Topo.NumDomains() < 2 {
@@ -248,7 +180,7 @@ func (pl *Placement) Pin(domain int) (undo func()) {
 // as parity, this estimate is what still orders the policies: compact
 // minimizes domain crossings per sweep, so for every arch platform
 // EstimateCost(compact) ≤ EstimateCost(scatter) — asserted by the
-// property tests and reported by the place/ harness experiments.
+// property tests and reported by the place/model experiment.
 func EstimateCost(t *Topology, assign []int, order []int) uint64 {
 	if len(assign) == 0 {
 		return 0

@@ -7,21 +7,6 @@ import (
 	"ssync/internal/arch"
 )
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range Policies {
-		got, err := ParsePolicy(string(p))
-		if err != nil || got != p {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", p, got, err)
-		}
-	}
-	if got, err := ParsePolicy(""); err != nil || got != PolicyNone {
-		t.Fatalf("ParsePolicy(\"\") = %v, %v", got, err)
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("ParsePolicy(bogus) accepted")
-	}
-}
-
 // testTopologies covers every paper machine model plus the discovered
 // degradation cases.
 func testTopologies() map[string]*Topology {
@@ -155,47 +140,6 @@ func TestAutoResolution(t *testing.T) {
 	}
 }
 
-// TestForNode: restricting to one memory node keeps only that node's
-// domains; striping two cluster nodes over a 2-node machine gives them
-// disjoint domains; on a 1-node machine ForNode is the identity.
-func TestForNode(t *testing.T) {
-	tp := FromPlatform(arch.Opteron()) // 8 domains, 8 nodes
-	base := NewPlacement(PolicyCompact, tp)
-	for i := 0; i < 16; i++ {
-		pl := base.ForNode(i)
-		doms := pl.domainIDs()
-		if len(doms) != 1 || tp.Domains[doms[0]].Node != i%tp.Nodes {
-			t.Fatalf("ForNode(%d) domains = %v", i, doms)
-		}
-	}
-	a, b := base.ForNode(0).domainIDs(), base.ForNode(1).domainIDs()
-	if a[0] == b[0] {
-		t.Fatal("adjacent cluster nodes share a domain stripe")
-	}
-	flat := NewPlacement(PolicyCompact, Flat(4))
-	if flat.ForNode(3) != flat {
-		t.Fatal("ForNode on single-node topology must be identity")
-	}
-}
-
-func TestConnDomain(t *testing.T) {
-	tp := FromPlatform(arch.Xeon2()) // 2 domains, 2 nodes
-	pl := NewPlacement(PolicyCompact, tp)
-	d0, n0 := pl.ConnDomain(0)
-	d1, n1 := pl.ConnDomain(1)
-	d2, n2 := pl.ConnDomain(2)
-	if d0 != 0 || n0 != 0 || d1 != 1 || n1 != 1 {
-		t.Fatalf("ConnDomain round-robin: (%d,%d) (%d,%d)", d0, n0, d1, n1)
-	}
-	if d2 != d0 || n2 != n0 {
-		t.Fatalf("ConnDomain wrap: (%d,%d)", d2, n2)
-	}
-	var nilPl *Placement
-	if d, n := nilPl.ConnDomain(0); d != -1 || n != -1 {
-		t.Fatalf("nil ConnDomain = (%d,%d)", d, n)
-	}
-}
-
 // TestPinNoops: every path that cannot pin must return a working no-op
 // undo, never panic — nil placement, non-pinning policy, single-domain
 // topology, out-of-range domain, and arch-model domains whose CPUs
@@ -222,8 +166,5 @@ func TestNilPlacementAccessors(t *testing.T) {
 	}
 	if pl.String() != "place(none)" {
 		t.Fatalf("nil String = %q", pl.String())
-	}
-	if pl.ForNode(1) != nil {
-		t.Fatal("nil ForNode")
 	}
 }

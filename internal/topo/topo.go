@@ -1,5 +1,5 @@
 // Package topo discovers the cache-coherence topology of the machine
-// the store is actually running on and expresses it in the same
+// a process runs on and expresses it in the same
 // vocabulary as the paper's simulated platforms (internal/arch): cores,
 // LLC domains (dies/sockets — the unit inside which the paper's
 // locality result says synchronization is cheap), memory nodes, and a
@@ -7,13 +7,17 @@
 // placement policy (policy.go) takes either kind of machine as input:
 // the host, parsed from Linux sysfs at runtime, or any of the paper's
 // four platform models, converted through FromPlatform — so a policy
-// can be unit-tested against the Opteron's 8 dies and then applied,
-// unchanged, to whatever CI or production hardware looks like.
+// can be unit-tested against the Opteron's 8 dies and scored, unchanged,
+// on whatever CI or production hardware looks like.
 //
 // On non-Linux hosts (and Linux hosts whose sysfs is unreadable)
 // discovery degrades to a single flat domain covering every CPU, under
 // which every policy is a no-op — placement never breaks a build, it
 // just stops helping.
+//
+// The package is a library: the place/model experiment is its one
+// caller outside its tests. No store, server or cluster path places or
+// pins anything; DESIGN §5.7 says why, and what would bring that back.
 package topo
 
 import (
@@ -86,18 +90,6 @@ func (t *Topology) DomainOfCPU(cpu int) int {
 		}
 	}
 	return -1
-}
-
-// NodeDomains returns the indices of the domains on memory node node,
-// ascending.
-func (t *Topology) NodeDomains(node int) []int {
-	var out []int
-	for _, d := range t.Domains {
-		if d.Node == node {
-			out = append(out, d.ID)
-		}
-	}
-	return out
 }
 
 // String summarises the machine.
