@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -58,10 +59,12 @@ func (m model) exec(reqs []store.Request) []store.Response {
 
 // step is one row of the conformance script: the method to call and the
 // requests it carries. The scalar methods take reqs[0]; mget and mput
-// take the keys and entries of reqs; issue takes reqs as an op group.
+// take the keys and entries of reqs; issue takes reqs as an op group. A
+// step with refused set must fail with that error and change nothing.
 type step struct {
 	name, via string
 	reqs      []store.Request
+	refused   error
 	long      bool // moves several MB; skipped under -short
 }
 
@@ -84,6 +87,11 @@ func span(lo, hi uint64, mk func(key string) store.Request) []store.Request {
 }
 
 func putSelf(key string) store.Request { return put(key, key) }
+
+// badOp is a sub-request no transport carries: its opcode is none of
+// get, put, delete and scan, and Issue turns it into an op of a kind the
+// workload does not have.
+func badOp(key string) store.Request { return store.Request{Op: 0x7f, Key: key} }
 
 var (
 	bigValue  = string(bytes.Repeat([]byte{0xCD}, store.MaxValueLen))
@@ -146,6 +154,15 @@ var conformanceScript = []step{
 		put(workload.Key(5), "back"), get("empty"),
 	}},
 	{name: "issue group of gets", via: "issue", reqs: span(0, 16, get)},
+	// A batch one transport refuses, every transport refuses, whole and
+	// before anything runs: the put beside the bad op never lands, as the
+	// get after the refusals checks.
+	{name: "execbatch with a bad sub-op refused whole", via: "execbatch",
+		reqs: []store.Request{put("refused", "x"), badOp("refused")}, refused: store.ErrBatchOp},
+	{name: "issue unknown kind refused", via: "issue", reqs: []store.Request{badOp("refused")}, refused: store.ErrBadOp},
+	{name: "issue group with an unknown kind refused whole", via: "issue",
+		reqs: []store.Request{put("refused", "x"), badOp("refused")}, refused: store.ErrBatchOp},
+	{name: "refused ops changed nothing", via: "get", reqs: []store.Request{get("refused")}},
 	{name: "mput past MaxBatchOps chunks", via: "mput", reqs: span(1000, 1000+store.MaxBatchOps+10, putSelf)},
 	{name: "mget past MaxBatchOps chunks", via: "mget", reqs: span(995, 1000+store.MaxBatchOps+15, get)},
 	{name: "mput past one frame chunks", via: "mput", reqs: span(0, 6, putBig), long: true},
@@ -187,9 +204,13 @@ func TestConnConformance(t *testing.T) {
 	}
 }
 
-// run plays the step on c and on the model and compares the answers.
+// run plays the step on c and on the model and compares the answers. A
+// refused step is not played on the model.
 func (st step) run(c store.BatchConn, m model) error {
-	want := m.exec(st.reqs)
+	var want []store.Response
+	if st.refused == nil {
+		want = m.exec(st.reqs)
+	}
 	got := make([]store.Response, len(st.reqs))
 	var err error
 	var ok bool // found or existed
@@ -236,31 +257,21 @@ func (st step) run(c store.BatchConn, m model) error {
 		return nil
 	case "issue":
 		ops := make([]workload.Op, len(st.reqs))
-		wantOut := workload.Outcome{Ops: uint64(len(st.reqs))}
 		for i, r := range st.reqs {
-			switch r.Op {
-			case store.OpGet:
-				ops[i] = workload.Op{Kind: workload.KindGet, Key: r.Key}
-				if want[i].Status == store.StatusOK {
-					wantOut.Hits++
-				} else {
-					wantOut.Misses++
-				}
-			case store.OpPut:
-				ops[i] = workload.Op{Kind: workload.KindPut, Key: r.Key, Value: r.Value}
-				if want[i].Created {
-					wantOut.Created++
-				}
-			case store.OpDelete:
-				ops[i] = workload.Op{Kind: workload.KindDelete, Key: r.Key}
-			case store.OpScan:
-				ops[i] = workload.Op{Kind: workload.KindScan, Key: r.Key, Limit: int(r.Limit)}
-				wantOut.Scanned += uint64(len(want[i].Entries))
-			}
+			ops[i] = workloadOp(r)
 		}
-		out, err := store.Driver{C: c}.Issue(ops).Wait()
-		if err != nil || out != wantOut {
-			return fmt.Errorf("Issue = %+v, %v; want %+v", out, err, wantOut)
+		var out workload.Outcome
+		if out, err = (store.Driver{C: c}).Issue(ops).Wait(); err != nil || st.refused != nil {
+			break
+		}
+		if wantOut := outcome(st.reqs, want); out != wantOut {
+			return fmt.Errorf("Issue = %+v; want %+v", out, wantOut)
+		}
+		return nil
+	}
+	if st.refused != nil {
+		if !errors.Is(err, st.refused) {
+			return fmt.Errorf("err = %v, want %v", err, st.refused)
 		}
 		return nil
 	}
@@ -276,6 +287,45 @@ func (st step) run(c store.BatchConn, m model) error {
 		}
 	}
 	return nil
+}
+
+// workloadOp is the workload op Issue lowers to r: an opcode outside the
+// four scalar ones becomes a kind the workload does not have.
+func workloadOp(r store.Request) workload.Op {
+	switch r.Op {
+	case store.OpGet:
+		return workload.Op{Kind: workload.KindGet, Key: r.Key}
+	case store.OpPut:
+		return workload.Op{Kind: workload.KindPut, Key: r.Key, Value: r.Value}
+	case store.OpDelete:
+		return workload.Op{Kind: workload.KindDelete, Key: r.Key}
+	case store.OpScan:
+		return workload.Op{Kind: workload.KindScan, Key: r.Key, Limit: int(r.Limit)}
+	}
+	return workload.Op{Kind: 99, Key: r.Key}
+}
+
+// outcome is the tally Issue must report for reqs, given the model's
+// answers.
+func outcome(reqs []store.Request, want []store.Response) workload.Outcome {
+	out := workload.Outcome{Ops: uint64(len(reqs))}
+	for i, r := range reqs {
+		switch r.Op {
+		case store.OpGet:
+			if want[i].Status == store.StatusOK {
+				out.Hits++
+			} else {
+				out.Misses++
+			}
+		case store.OpPut:
+			if want[i].Created {
+				out.Created++
+			}
+		case store.OpScan:
+			out.Scanned += uint64(len(want[i].Entries))
+		}
+	}
+	return out
 }
 
 func status(ok bool) byte {

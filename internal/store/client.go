@@ -131,19 +131,28 @@ func (s *Store) NewLocalConn(node int) *LocalConn {
 // direct connections amortize shard locking like the wire path and
 // allocate as little; a single scan on the handle's scan result. The
 // views — scan entries included — alias that storage: valid until the
-// next Start (TestLocalConnNoBufferAliasing). The group is resolved, so
-// fl goes unused.
+// next Start (TestLocalConnNoBufferAliasing). A batch the wire would
+// refuse is refused here too, before any of it runs. Each view is
+// written field by field over the reused slice (Raw stays nil), and an
+// error message is converted only for an error. The group is resolved,
+// so fl goes unused.
 func (c *LocalConn) Start(_ *Flight, req Request, b Batch) Reply {
 	if b.Op != 0 {
+		if err := b.check(); err != nil {
+			return Reply{Err: err}
+		}
 		resps := c.h.execReqs(b.Reqs)
 		if cap(c.views) < len(resps) {
 			c.views = make([]ResponseView, len(resps))
 		}
 		c.views = c.views[:len(resps)]
 		for i := range resps {
-			r := &resps[i]
-			c.views[i] = ResponseView{Status: r.Status, Created: r.Created, Value: r.Value,
-				Msg: []byte(r.Msg), Scanned: len(r.Entries), Entries: r.Entries}
+			r, v := &resps[i], &c.views[i]
+			v.Status, v.Created, v.Value, v.Msg = r.Status, r.Created, r.Value, nil
+			v.Scanned, v.Entries = len(r.Entries), r.Entries
+			if r.Status == StatusError {
+				v.Msg = []byte(r.Msg)
+			}
 		}
 		return Reply{Views: c.views}
 	}

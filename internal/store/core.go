@@ -479,7 +479,10 @@ func (c *Core) Issue(ops []workload.Op) workload.Pending {
 
 // from sets r to the wire request for one workload op. It fills r in
 // place: Issue runs it once per op on the engine-hot path, where building
-// the request and then copying it into the group's slice showed.
+// the request and then copying it into the group's slice showed. An
+// unknown kind becomes a request with the zero opcode, which every
+// transport refuses (ErrBadOp alone, ErrBatchOp in a group), so its
+// group's Wait fails instead of running something else.
 func (r *Request) from(op *workload.Op) {
 	switch op.Kind {
 	case workload.KindGet:
@@ -488,8 +491,10 @@ func (r *Request) from(op *workload.Op) {
 		*r = Request{Op: OpPut, Key: op.Key, Value: op.Value}
 	case workload.KindDelete:
 		*r = Request{Op: OpDelete, Key: op.Key}
-	default:
+	case workload.KindScan:
 		*r = scanRequest(op.Key, op.Limit)
+	default:
+		*r = Request{Key: op.Key}
 	}
 }
 

@@ -74,7 +74,7 @@ type shardAccess interface {
 	// execGroup executes the point ops ops.at(i) for i in idxs — all
 	// mapping to shard — in one engine visit, writing resps[i]. Keys and
 	// put payloads may alias a frame like any lookupKey; hit values go
-	// where execPointOps puts them (*arena, or an allocation each when
+	// where answerGet puts them (*arena, or an allocation each when
 	// arena is nil).
 	execGroup(shard int, ops *batchOps, idxs []int, resps []Response, arena *[]byte)
 	// scan appends to out the store's entries whose keys start with

@@ -507,7 +507,8 @@ func (o *oOrder) scan(prefix lookupKey, limit int, out []Entry) []Entry {
 // execGroup keeps the paradigm's promise at the batch layer: a group
 // with no writes (an MGet) runs entirely lock-free on versioned reads;
 // a group with writes takes the shard write lock once and executes the
-// whole group under it.
+// whole group under it. The lock-free get needs nothing from the lock,
+// so the same get serves under it too (no write can race it there).
 func (a *optAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []Response, arena *[]byte) {
 	hasWrite := false
 	for _, i := range idxs {
@@ -516,19 +517,31 @@ func (a *optAccess) execGroup(shard int, ops *batchOps, idxs []int, resps []Resp
 			break
 		}
 	}
-	// The lock-free get needs nothing from the lock, so the same get
-	// serves under it too (no write can race it there).
-	get := func(hash uint64, key lookupKey, dst []byte) ([]byte, bool) { return a.get(shard, hash, key, dst) }
-	if !hasWrite {
-		execPointOps(ops, idxs, resps, arena, get, nil, nil)
-		return
-	}
 	sh := &a.e.shards[shard]
-	a.lock(shard)
-	defer a.unlock(shard)
-	execPointOps(ops, idxs, resps, arena, get,
-		func(hash uint64, key lookupKey, value []byte) bool { return a.putLocked(sh, hash, key, value) },
-		func(hash uint64, key lookupKey) bool { return a.delLocked(sh, hash, key) })
+	if hasWrite {
+		a.lock(shard)
+		defer a.unlock(shard)
+	}
+	var buf []byte
+	if arena != nil {
+		buf = *arena
+	}
+	for _, i := range idxs {
+		op, key, value := ops.at(i)
+		hash := ops.hashes[i]
+		switch op {
+		case OpGet:
+			ext, ok := a.get(shard, hash, key, buf)
+			buf = answerGet(&resps[i], buf, ext, ok, arena != nil)
+		case OpPut:
+			answerPut(&resps[i], a.putLocked(sh, hash, key, value))
+		case OpDelete:
+			answerDel(&resps[i], a.delLocked(sh, hash, key))
+		}
+	}
+	if arena != nil {
+		*arena = buf
+	}
 }
 
 // scan reads the store at one instant: it counts a scan on every shard,

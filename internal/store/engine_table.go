@@ -92,7 +92,7 @@ type tableOp struct {
 	ops   *batchOps // group: the point ops idxs names, answered in resps
 	idxs  []int
 	resps []Response
-	arena *[]byte // group: hit values (see execPointOps); scan: value copies
+	arena *[]byte // group: hit values (see answerGet); scan: value copies
 	out   []Entry // scan, export: the entries appended
 	// export: pred runs inside the visit, which is safe because it only
 	// reads the hashes it is handed.
@@ -115,7 +115,7 @@ func apply(tbl *shardTable, op *tableOp) {
 	case visitDel:
 		op.ok = tbl.del(op.hash, op.key)
 	case visitGroup:
-		execPointOps(op.ops, op.idxs, op.resps, op.arena, tbl.get, tbl.put, tbl.del)
+		tbl.execGroup(op.ops, op.idxs, op.resps, op.arena)
 	case visitScan:
 		op.out = tbl.scan(op.key, op.limit, op.out, op.arena)
 	case visitExport:
@@ -124,6 +124,32 @@ func apply(tbl *shardTable, op *tableOp) {
 		op.n = tbl.entries
 	case visitStats:
 		op.stats = tbl.ops
+	}
+}
+
+// execGroup runs a group's point ops on the table, each answered at its
+// request's index. It is the whole of a group visit's critical section:
+// the table calls, called directly, and the response writes.
+func (tbl *shardTable) execGroup(ops *batchOps, idxs []int, resps []Response, arena *[]byte) {
+	var buf []byte
+	if arena != nil {
+		buf = *arena
+	}
+	for _, i := range idxs {
+		op, key, value := ops.at(i)
+		hash := ops.hashes[i]
+		switch op {
+		case OpGet:
+			ext, ok := tbl.get(hash, key, buf)
+			buf = answerGet(&resps[i], buf, ext, ok, arena != nil)
+		case OpPut:
+			answerPut(&resps[i], tbl.put(hash, key, value))
+		case OpDelete:
+			answerDel(&resps[i], tbl.del(hash, key))
+		}
+	}
+	if arena != nil {
+		*arena = buf
 	}
 }
 

@@ -24,73 +24,58 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"ssync/internal/hashkit"
 	"ssync/internal/locks"
 )
 
-// lookupKey is the engines' dual-representation key: exactly one of s
-// and b is set. The direct API hands engines string keys; the wire
-// server hands them byte slices that alias the request frame — the
-// zero-copy seam that keeps the point-op path allocation-free. Both
-// representations compare against stored string keys without
-// converting (the compiler lowers string(b) == s to a length check
-// plus memequal), and str() makes the single copy an insert is allowed
-// to take: copy-on-insert is the only place a frame-aliasing key may
-// outlive its frame.
+// lookupKey is the engines' key: a string, or the bytes of a request
+// frame read as one without a copy (frame set). The direct API hands
+// engines string keys; the wire server hands them byte slices that alias
+// the request frame — the zero-copy seam that keeps the point-op path
+// allocation-free. Either compares against stored string keys as a
+// string, and str() makes the single copy an insert is allowed to take:
+// copy-on-insert is the only place a frame-aliasing key may outlive its
+// frame. It is three words so that the compiler passes it in
+// registers: a string plus a slice (five words) is kept in memory and
+// copied through the stack at every table call, inside the shard's
+// critical section.
 type lookupKey struct {
-	s string
-	b []byte
+	s     string
+	frame bool
 }
 
 // keyOf wraps a string key.
 func keyOf(s string) lookupKey { return lookupKey{s: s} }
 
 // keyBytes wraps a byte-slice key that may alias a transient buffer.
-// The engines promise not to retain k.b past the call.
-func keyBytes(b []byte) lookupKey { return lookupKey{b: b} }
+// The key's string is b's bytes, so b must not change while the key is
+// in use; the engines promise not to retain it past the call.
+func keyBytes(b []byte) lookupKey {
+	return lookupKey{s: unsafe.String(unsafe.SliceData(b), len(b)), frame: true}
+}
 
 // eq compares against a stored key without allocating.
-func (k lookupKey) eq(s string) bool {
-	if k.b != nil {
-		return string(k.b) == s
-	}
-	return k.s == s
-}
+func (k lookupKey) eq(s string) bool { return k.s == s }
 
 // str returns an owning string — the copy-on-insert point for
 // frame-aliasing keys, free for string keys.
 func (k lookupKey) str() string {
-	if k.b != nil {
-		return string(k.b)
+	if k.frame {
+		return strings.Clone(k.s)
 	}
 	return k.s
 }
 
 // prefixOf reports whether s starts with k, k read as a scan prefix.
-func (k lookupKey) prefixOf(s string) bool {
-	if k.b != nil {
-		return len(s) >= len(k.b) && s[:len(k.b)] == string(k.b)
-	}
-	return len(s) >= len(k.s) && s[:len(k.s)] == k.s
-}
+func (k lookupKey) prefixOf(s string) bool { return strings.HasPrefix(s, k.s) }
 
-// after reports whether k sorts after the stored key s. Like eq, it
-// compares without converting a frame-aliasing key.
-func (k lookupKey) after(s string) bool {
-	if k.b != nil {
-		return s < string(k.b)
-	}
-	return s < k.s
-}
+// after reports whether k sorts after the stored key s.
+func (k lookupKey) after(s string) bool { return s < k.s }
 
-// hash is FNV-1a over the key bytes, identical for both representations.
-func (k lookupKey) hash() uint64 {
-	if k.b != nil {
-		return hashkit.FNV1aBytes(k.b)
-	}
-	return hashkit.FNV1a(k.s)
-}
+// hash is FNV-1a over the key bytes.
+func (k lookupKey) hash() uint64 { return hashkit.FNV1a(k.s) }
 
 // scanLimit converts a wire scan Limit (uint32, 0 = unlimited) to the
 // int Scan takes. On 32-bit platforms int(limit) wraps negative for
@@ -618,48 +603,36 @@ func (h *Handle) execOps(idxs []int, subset bool, resps []Response, arena *[]byt
 	ops.reqs, ops.views = nil, nil // the caller's slices are not ours to keep alive
 }
 
-// execPointOps runs a point-op group through the given accessors and
-// fills in the responses — the response-shaping shared by every engine.
-// A hit's value is appended to *arena and the response aliases it: the
-// caller owns the arena and decides when those values die. With a nil
-// arena every hit gets an allocation of its own, which is what makes a
-// Response owning.
-func execPointOps(ops *batchOps, idxs []int, resps []Response, arena *[]byte,
-	get func(hash uint64, key lookupKey, dst []byte) ([]byte, bool),
-	put func(hash uint64, key lookupKey, value []byte) bool,
-	del func(hash uint64, key lookupKey) bool) {
-	var buf []byte
-	if arena != nil {
-		buf = *arena
+// The response shaping every engine's group loop shares: each writes
+// one point op's answer at its request's index, and nothing else.
+//
+// answerGet answers a get: NotFound on a miss; on a hit, the value the
+// engine appended to buf as ext, capacity-clipped so nothing appended
+// later can grow into it. It returns what the next hit appends to: ext
+// when the group's hits share the caller's arena (the caller owns it and
+// decides when the values die), else buf, still nil, so that every hit
+// gets an allocation of its own — which is what makes a Response owning.
+func answerGet(r *Response, buf, ext []byte, hit, arena bool) []byte {
+	if !hit {
+		*r = Response{Status: StatusNotFound}
+		return buf
 	}
-	for _, i := range idxs {
-		op, key, value := ops.at(i)
-		hash := ops.hashes[i]
-		switch op {
-		case OpGet:
-			ext, ok := get(hash, key, buf)
-			if !ok {
-				resps[i] = Response{Status: StatusNotFound}
-				continue
-			}
-			// Capacity-clipped, so nothing appended later can grow into
-			// the next hit's bytes.
-			resps[i] = Response{Status: StatusOK, Value: ext[len(buf):len(ext):len(ext)]}
-			if arena != nil {
-				buf = ext
-			}
-		case OpPut:
-			resps[i] = Response{Status: StatusOK, Created: put(hash, key, value)}
-		case OpDelete:
-			if del(hash, key) {
-				resps[i] = Response{Status: StatusOK}
-			} else {
-				resps[i] = Response{Status: StatusNotFound}
-			}
-		}
+	*r = Response{Status: StatusOK, Value: ext[len(buf):len(ext):len(ext)]}
+	if arena {
+		return ext
 	}
-	if arena != nil {
-		*arena = buf
+	return buf
+}
+
+// answerPut answers a put.
+func answerPut(r *Response, created bool) { *r = Response{Status: StatusOK, Created: created} }
+
+// answerDel answers a delete: OK if the key was there, else NotFound.
+func answerDel(r *Response, removed bool) {
+	if removed {
+		*r = Response{Status: StatusOK}
+	} else {
+		*r = Response{Status: StatusNotFound}
 	}
 }
 

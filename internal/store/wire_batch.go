@@ -106,15 +106,39 @@ func MPutBatch(entries []Entry) Batch {
 	return Batch{Op: OpMPut, Reqs: reqs}
 }
 
+// check reports why no transport may carry b: its opcode is not one of
+// the three batch encodings (ErrBadOp), or a sub-request is not one that
+// encoding holds — an op other than get, put, delete or scan in OpBatch,
+// a non-get in OpMGet, a non-put in OpMPut (ErrBatchOp). The wire
+// encoder and the in-process LocalConn both run it before anything is
+// sent or executed, so every transport refuses the same batches, and
+// refuses them whole.
+func (b Batch) check() error {
+	var want byte // the one sub-opcode a multi-op holds; 0 for OpBatch
+	switch b.Op {
+	case OpBatch:
+	case OpMGet:
+		want = OpGet
+	case OpMPut:
+		want = OpPut
+	default:
+		return ErrBadOp
+	}
+	for i := range b.Reqs {
+		if op := b.Reqs[i].Op; want != 0 && op != want || op < OpGet || op > OpScan {
+			return ErrBatchOp
+		}
+	}
+	return nil
+}
+
 // AppendBatchRequest encodes b onto dst and returns the extended slice.
 func AppendBatchRequest(dst []byte, b Batch) ([]byte, error) {
 	if len(b.Reqs) > MaxBatchOps {
 		return dst, ErrBatchTooLarge
 	}
-	switch b.Op {
-	case OpBatch, OpMGet, OpMPut:
-	default:
-		return dst, ErrBadOp
+	if err := b.check(); err != nil {
+		return dst, err
 	}
 	dst = append(dst, b.Op)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(b.Reqs)))
@@ -122,21 +146,10 @@ func AppendBatchRequest(dst []byte, b Batch) ([]byte, error) {
 		var err error
 		switch b.Op {
 		case OpBatch:
-			switch r.Op {
-			case OpGet, OpPut, OpDelete, OpScan:
-			default:
-				return dst, ErrBatchOp
-			}
 			dst, err = AppendRequest(dst, r)
 		case OpMGet:
-			if r.Op != OpGet {
-				return dst, ErrBatchOp
-			}
 			dst, err = appendKey(dst, r.Key)
 		case OpMPut:
-			if r.Op != OpPut {
-				return dst, ErrBatchOp
-			}
 			if dst, err = appendKey(dst, r.Key); err != nil {
 				return dst, err
 			}

@@ -99,6 +99,30 @@ func TestBatchRejects(t *testing.T) {
 	if _, err := AppendBatchRequest(nil, Batch{Op: OpBatch, Reqs: make([]Request, MaxBatchOps+1)}); !errors.Is(err, ErrBatchTooLarge) {
 		t.Errorf("oversized batch: err = %v, want ErrBatchTooLarge", err)
 	}
+	// The in-process transport refuses what the encoder refuses, before
+	// running any of it: the put in each batch never lands.
+	s := New(Options{Shards: 2})
+	lc := s.NewLocalConn(0)
+	for _, tc := range []struct {
+		name string
+		b    Batch
+		want error
+	}{
+		{"mget with put sub", Batch{Op: OpMGet, Reqs: []Request{{Op: OpGet, Key: "k"}, {Op: OpPut, Key: "k"}}}, ErrBatchOp},
+		{"mput with get sub", Batch{Op: OpMPut, Reqs: []Request{{Op: OpPut, Key: "k"}, {Op: OpGet, Key: "k"}}}, ErrBatchOp},
+		{"unknown sub-op", Batch{Op: OpBatch, Reqs: []Request{{Op: OpPut, Key: "k"}, {Op: 0x7f, Key: "k"}}}, ErrBatchOp},
+		{"unknown batch op", Batch{Op: 0x7f, Reqs: []Request{{Op: OpPut, Key: "k"}}}, ErrBadOp},
+	} {
+		if _, err := AppendBatchRequest(nil, tc.b); !errors.Is(err, tc.want) {
+			t.Errorf("%s: encoder err = %v, want %v", tc.name, err, tc.want)
+		}
+		if rep := lc.Start(nil, Request{}, tc.b); !errors.Is(rep.Err, tc.want) {
+			t.Errorf("%s: LocalConn err = %v, want %v", tc.name, rep.Err, tc.want)
+		}
+	}
+	if n := s.NewHandle(0).Len(); n != 0 {
+		t.Errorf("refused batches stored %d keys, want 0", n)
+	}
 	// Response count must match the request's sub-ops.
 	body, err := AppendBatchResponse(nil, []byte{OpGet}, []Response{{Status: StatusNotFound}})
 	if err != nil {
