@@ -9,6 +9,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"ssync/internal/arch"
 	"ssync/internal/memsim"
@@ -16,16 +18,24 @@ import (
 	"ssync/internal/xrand"
 )
 
-func main() {
+func main() { run(os.Stdout, false) }
+
+// run prints the study to w; small simulates 20k cycles per placement
+// instead of 400k.
+func run(w io.Writer, small bool) {
+	deadline := uint64(400_000)
+	if small {
+		deadline = 20_000
+	}
 	p := arch.Opteron()
-	fmt.Printf("placement study on the %s model: 12 threads, one %s lock\n\n",
+	fmt.Fprintf(w, "placement study on the %s model: 12 threads, one %s lock\n\n",
 		p.Name, simlocks.TICKET)
-	fmt.Printf("%-28s %10s\n", "placement", "Mops/s")
-	fmt.Printf("%-28s %10.2f\n", "packed (2 dies, paper)", run(p, packed(p, 12)))
-	fmt.Printf("%-28s %10.2f\n", "striped across all 8 dies", run(p, striped(p, 12)))
-	fmt.Printf("%-28s %10.2f\n", "scattered (OS-style random)", run(p, scattered(p, 12)))
-	fmt.Println("\nPacked placement keeps lock hand-overs inside a die;")
-	fmt.Println("anything else pays cross-socket coherence on every hand-over.")
+	fmt.Fprintf(w, "%-28s %10s\n", "placement", "Mops/s")
+	fmt.Fprintf(w, "%-28s %10.2f\n", "packed (2 dies, paper)", measure(p, packed(p, 12), deadline))
+	fmt.Fprintf(w, "%-28s %10.2f\n", "striped across all 8 dies", measure(p, striped(p, 12), deadline))
+	fmt.Fprintf(w, "%-28s %10.2f\n", "scattered (OS-style random)", measure(p, scattered(p, 12), deadline))
+	fmt.Fprintln(w, "\nPacked placement keeps lock hand-overs inside a die;")
+	fmt.Fprintln(w, "anything else pays cross-socket coherence on every hand-over.")
 }
 
 // packed fills dies in order — the paper's pinning policy.
@@ -49,13 +59,13 @@ func scattered(p *arch.Platform, n int) []int {
 	return perm[:n]
 }
 
-// run measures total acquisition throughput for a placement.
-func run(p *arch.Platform, cores []int) float64 {
+// measure simulates deadline cycles of a placement and returns its total
+// acquisition throughput.
+func measure(p *arch.Platform, cores []int, deadline uint64) float64 {
 	m := memsim.New(p)
 	m.Opt.CostJitter = 0.15
 	lock := simlocks.New(m, simlocks.TICKET, p.NodeOf(cores[0]), simlocks.DefaultOptions(p))
 	data := m.AllocLine(p.NodeOf(cores[0]))
-	const deadline = 400_000
 	m.SetDeadline(deadline)
 	for ti, c := range cores {
 		rng := xrand.New(uint64(ti) + 9)

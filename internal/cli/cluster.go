@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,11 +30,16 @@ func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 	if code, ok := parseArgs(fs, argv); !ok {
 		return code
 	}
-	if *nodes < 1 {
-		fmt.Fprintln(stderr, "ssync cluster: -nodes must be at least 1")
-		return 2
-	}
 	set, err := sf.resolve(false)
+	switch {
+	case err != nil:
+	case *nodes < 1:
+		err = errors.New("-nodes must be at least 1")
+	case *vnodes < 1:
+		err = errors.New("-vnodes must be at least 1")
+	case *window <= 0:
+		err = errors.New("-window must be positive")
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "ssync cluster:", err)
 		return 2

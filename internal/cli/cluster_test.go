@@ -116,7 +116,13 @@ func TestClusterResize(t *testing.T) {
 
 func TestClusterErrors(t *testing.T) {
 	checkScenarioErrors(t, "cluster")
-	if _, _, code := runMain(t, "cluster", "-nodes", "0"); code != 2 {
-		t.Error("-nodes 0 must exit 2")
+	for _, args := range [][]string{
+		{"-nodes", "0"},
+		{"-vnodes", "0"},
+		{"-resize", "-window", "-1s"},
+	} {
+		if _, _, code := runMain(t, append([]string{"cluster"}, args...)...); code != 2 {
+			t.Errorf("cluster %v: exit %d, want 2", args, code)
+		}
 	}
 }

@@ -32,6 +32,9 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 		return code
 	}
 	set, err := sf.resolve(true)
+	if err == nil && *buckets < 1 {
+		err = errors.New("-buckets must be at least 1")
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "ssync store:", err)
 		return 2
@@ -61,25 +64,6 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	var results []harness.Result
-
-	// A single-engine pipelined run carries its own lock-step baseline:
-	// the same scenario over one-in-flight wire clients against a fresh
-	// store, so the emitted table shows what depth×batch bought on this
-	// exact engine/alg/shard config. (All-mode compares engines instead.)
-	if rig.Window > 0 && !allEngines {
-		base, baseSc := rig, sc
-		base.Store.Engine, base.Window = set.engines[0], 0
-		baseSc.Batch, baseSc.Pipeline = 1, 1
-		run, err := harness.RunStore(base, baseSc)
-		if err != nil {
-			fmt.Fprintln(stderr, "ssync store: lock-step baseline:", err)
-			return 1
-		}
-		report(stderr, run, "wire (lock-step baseline)")
-		results = append(results, oneResult(experimentFor(set.engines[0]), set.clients,
-			"lockstep wire Kops/s", run.Steady().Kops()))
-	}
-
 	// Per-shard rows only when a single engine is shown — an all-engine
 	// table keeps to the totals.
 	for _, eng := range set.engines {
@@ -162,6 +146,18 @@ func (f *scenarioFlags) resolve(allowAll bool) (scenarioSetup, error) {
 		return set, errors.New("-clients must be at least 1")
 	case *f.ops < 1:
 		return set, errors.New("-ops must be at least 1")
+	case *f.shards < 1:
+		return set, errors.New("-shards must be at least 1")
+	case *f.value < 1:
+		return set, errors.New("-value must be at least 1")
+	case *f.scanLimit < 1:
+		return set, errors.New("-scanlimit must be at least 1")
+	case *f.preload < -1:
+		return set, errors.New("-preload must be at least -1 (half the key space)")
+	case *f.batch < 1:
+		return set, errors.New("-batch must be at least 1")
+	case *f.pipeline < 1:
+		return set, errors.New("-pipeline must be at least 1")
 	case *f.batch > store.MaxBatchOps:
 		return set, fmt.Errorf("-batch %d exceeds the wire limit of %d ops per frame", *f.batch, store.MaxBatchOps)
 	}
@@ -190,8 +186,8 @@ func (f *scenarioFlags) resolve(allowAll bool) (scenarioSetup, error) {
 		Preload:   preload,
 		Phases:    workload.RampSteady(*f.clients, *f.ops),
 		Seed:      *f.seed,
-		Batch:     max(*f.batch, 1),
-		Pipeline:  max(*f.pipeline, 1),
+		Batch:     *f.batch,
+		Pipeline:  *f.pipeline,
 	}
 	return set, nil
 }

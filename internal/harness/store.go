@@ -14,9 +14,9 @@ import (
 // sharded store (internal/store) or an n-node cluster of them
 // (internal/cluster), dials one transport, preloads, and runs a
 // workload.Scenario while counting each shard's or node's ops. Every
-// store-side family — store-engine/<engine>/<alg>, store-pipe/<alg>
-// (below) and cluster/<n>x<engine> (cluster.go) — and `ssync store` and
-// `ssync cluster` measure through it; a baseline is the same call on a
+// store-side family — store-engine/<engine>/<alg> (below) and
+// cluster/<n>x<engine> (cluster.go) — and `ssync store` and `ssync
+// cluster` measure through it; a baseline is the same call on a
 // different rig.
 //
 // store-engine runs a zipfian 95:5 get/put mix against the same store
@@ -180,13 +180,6 @@ func steadyKops(rig StoreRig, sc workload.Scenario) (float64, error) {
 // enough that zipfian traffic meaningfully contends the hot shards.
 const storeShards = 16
 
-// storePipeGrid is the depth×batch sweep of the store-pipe experiments:
-// the lock-step scalar baseline, pipelining alone, batching alone, and
-// both together — the four corners that show which lever pays where.
-var storePipeGrid = []struct{ depth, batch int }{
-	{1, 1}, {16, 1}, {1, 8}, {16, 8},
-}
-
 // runEngineScenario runs the shared zipfian 95:5 scenario against a
 // fresh store built from opt, once direct and once over the wire — the
 // measurement body every store-engine experiment shares.
@@ -242,38 +235,4 @@ func init() {
 			})
 		},
 	})
-
-	// store-pipe/<alg>: the same store behind the multiplexed async
-	// client, sweeping pipeline depth × batch size. The d1×b1 corner is
-	// the lock-step wire baseline in async clothing; the far corner shows
-	// what amortizing messages (batch frames) and overlapping round trips
-	// (the in-flight window) buy on top of the shard-lock choice.
-	for _, alg := range locks.All {
-		alg := alg
-		Register(Def{
-			ID: "store-pipe/" + strings.ToLower(string(alg)),
-			Doc: "host: sharded KVS with " + string(alg) +
-				" shard locks behind the pipelined wire client, depth×batch sweep Kops/s",
-			On: []string{Native},
-			Runner: func(s Shard) ([]Sample, error) {
-				var out []Sample
-				for _, cell := range storePipeGrid {
-					sc := hostScenario(s, workload.NewZipfian(4096, 0))
-					sc.Batch, sc.Pipeline = cell.batch, cell.depth
-					kops, err := steadyKops(StoreRig{
-						Store:  store.Options{Shards: storeShards, Lock: alg, MaxThreads: s.Threads + 2},
-						Window: cell.depth,
-					}, sc)
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, Sample{
-						Metric: fmt.Sprintf("d%02d×b%02d Kops/s", cell.depth, cell.batch),
-						Value:  kops,
-					})
-				}
-				return out, nil
-			},
-		})
-	}
 }

@@ -20,10 +20,7 @@ func TestSuiteRegistered(t *testing.T) {
 		"store-engine/locked/tas", "store-engine/locked/ttas", "store-engine/locked/ticket",
 		"store-engine/locked/array", "store-engine/locked/mutex", "store-engine/locked/mcs",
 		"store-engine/locked/clh", "store-engine/locked/hclh", "store-engine/locked/hticket",
-		"store-engine/optimistic/ticket", "store-engine/actor",
-		"store-pipe/tas", "store-pipe/ttas", "store-pipe/ticket", "store-pipe/array",
-		"store-pipe/mutex", "store-pipe/mcs", "store-pipe/clh", "store-pipe/hclh",
-		"store-pipe/hticket", "place/model",
+		"store-engine/optimistic/ticket", "store-engine/actor", "place/model",
 	}
 	for _, name := range want {
 		if _, err := Default.ByName(name); err != nil {

@@ -78,33 +78,33 @@ func TestPointOpAllocs(t *testing.T) {
 				t.Errorf("GetAppend: %.2f allocs/op, want 0", get)
 			}
 
-			// Byte-keyed path: build the key in a reused buffer (the wire
-			// path's shape) so only the store's own allocations count.
-			kbuf := make([]byte, 0, 32)
-			getBytes := testing.AllocsPerRun(runs, func() {
+			// The frame-key path: ExecView with a RequestView whose key
+			// sits in a reused frame buffer, its response encoded onto a
+			// reused buffer, so only the store's own allocations count.
+			kbuf, out := make([]byte, 0, 32), make([]byte, 0, 128)
+			var err error
+			view := func(op byte, v []byte) {
 				kb := append(kbuf[:0], keys[i%len(keys)]...)
-				dst, _ = h.GetBytes(kb, dst[:0])
+				if out, err = h.ExecView(RequestView{Op: op, Key: kb, Value: v}, out[:0]); err != nil || out[0] != StatusOK {
+					t.Fatalf("ExecView op %d: status %v, %v", op, out, err)
+				}
 				i++
-			})
-			if getBytes != 0 {
-				t.Errorf("GetBytes: %.2f allocs/op, want 0", getBytes)
+			}
+			if viewGet := testing.AllocsPerRun(runs, func() { view(OpGet, nil) }); viewGet != 0 {
+				t.Errorf("ExecView get: %.2f allocs/op, want 0", viewGet)
 			}
 
 			put := testing.AllocsPerRun(runs, func() {
 				h.Put(keys[i%len(keys)], val)
 				i++
 			})
-			putBytes := testing.AllocsPerRun(runs, func() {
-				kb := append(kbuf[:0], keys[i%len(keys)]...)
-				h.PutBytes(kb, val)
-				i++
-			})
+			viewPut := testing.AllocsPerRun(runs, func() { view(OpPut, val) })
 			want := 0.0
 			if eng == EngineOptimistic {
 				want = optOverwriteAllocs
 			}
-			if put != want || putBytes != want {
-				t.Errorf("overwrite: Put %.2f, PutBytes %.2f allocs/op, want %.0f", put, putBytes, want)
+			if put != want || viewPut != want {
+				t.Errorf("overwrite: Put %.2f, ExecView %.2f allocs/op, want %.0f", put, viewPut, want)
 			}
 			if eng != EngineOptimistic {
 				return

@@ -367,11 +367,6 @@ func (c *AsyncClient) DeleteAsync(key string) *Future {
 	return c.Submit(new(Future), Request{Op: OpDelete, Key: key}, Batch{})
 }
 
-// ScanAsync submits a prefix scan.
-func (c *AsyncClient) ScanAsync(prefix string, limit int) *Future {
-	return c.Submit(new(Future), scanRequest(prefix, limit), Batch{})
-}
-
 // ForwardAsync submits a point op wrapped in an OpForward frame: the
 // receiving node's Router executes it as an op that has already taken
 // hops forwarding hops. The future resolves with the inner op's plain

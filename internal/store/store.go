@@ -443,20 +443,6 @@ func (h *Handle) GetAppend(key string, dst []byte) ([]byte, bool) {
 	return h.getKey(keyOf(key), dst)
 }
 
-// GetBytes is GetAppend for a byte-slice key that may alias a transient
-// buffer (a wire frame); the engines do not retain it.
-func (h *Handle) GetBytes(key, dst []byte) ([]byte, bool) {
-	return h.getKey(keyBytes(key), dst)
-}
-
-// PutBytes is Put for a frame-aliasing key: the key is copied only if
-// the insert actually needs to store it, the value is always copied.
-func (h *Handle) PutBytes(key, value []byte) bool {
-	k := keyBytes(key)
-	hash := k.hash()
-	return h.acc.put(h.s.shardOf(hash), hash, k, value)
-}
-
 func (h *Handle) getKey(k lookupKey, dst []byte) ([]byte, bool) {
 	hash := k.hash()
 	return h.acc.get(h.s.shardOf(hash), hash, k, dst)
