@@ -158,6 +158,46 @@ func TestStoreErrors(t *testing.T) {
 	}
 }
 
+// TestStorePipelineBeatsLockstep: `ssync store -pipeline 16 -batch 8`
+// and the same command with -pipeline 1 -batch 1 emit the pipelined and
+// the lock-step wire Kops/s of the same alg/shard config, each over its
+// own transport. The two speeds are not compared here — wall-clock does
+// not repeat inside go test; what pipelining buys is asserted as a frame
+// count by internal/store's TestPipelineSendsFewerFrames.
+func TestStorePipelineBeatsLockstep(t *testing.T) {
+	for _, tc := range []struct {
+		depth, batch string
+		transport    string
+	}{
+		{"16", "8", "over pipelined wire (depth 16 × batch 8),"},
+		{"1", "1", "over wire,"},
+	} {
+		out, errOut, code := runMain(t,
+			"store", "-alg", "mcs", "-shards", "16", "-pipeline", tc.depth, "-batch", tc.batch,
+			"-clients", "4", "-ops", "4000", "-keys", "4096", "-json")
+		if code != 0 {
+			t.Fatalf("-pipeline %s -batch %s: exit %d, stderr: %s", tc.depth, tc.batch, code, errOut)
+		}
+		var results []result
+		if err := json.Unmarshal([]byte(out), &results); err != nil {
+			t.Fatalf("output is not JSON: %v\n%s", err, out)
+		}
+		var total float64
+		for _, r := range results {
+			if r.Metric == "total Kops/s" {
+				total = r.Stats.Mean
+			}
+		}
+		if total <= 0 {
+			t.Errorf("-pipeline %s -batch %s: missing or non-positive total row in %s", tc.depth, tc.batch, out)
+		}
+		if !strings.Contains(errOut, tc.transport) {
+			t.Errorf("-pipeline %s -batch %s: transport summary %q missing from stderr: %s",
+				tc.depth, tc.batch, tc.transport, errOut)
+		}
+	}
+}
+
 // TestStorePipelineTable: `ssync store -pipeline 16 -batch 8` runs the
 // scenario over the windowed wire client and emits its totals and
 // per-shard rows, as JSON and as the default table, with no lock-step
