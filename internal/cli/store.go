@@ -158,6 +158,8 @@ func (f *scenarioFlags) resolve(allowAll bool) (scenarioSetup, error) {
 		return set, errors.New("-batch must be at least 1")
 	case *f.pipeline < 1:
 		return set, errors.New("-pipeline must be at least 1")
+	case *f.value > store.MaxValueLen:
+		return set, fmt.Errorf("-value %d exceeds the wire limit of %d bytes", *f.value, store.MaxValueLen)
 	case *f.batch > store.MaxBatchOps:
 		return set, fmt.Errorf("-batch %d exceeds the wire limit of %d ops per frame", *f.batch, store.MaxBatchOps)
 	}

@@ -131,6 +131,8 @@ var badScenarioFlags = []struct {
 	{"no ops", []string{"-ops", "0"}},
 	{"no shards", []string{"-shards", "0"}},
 	{"a negative value size", []string{"-value", "-5"}},
+	// Small otherwise, so that a build without the check runs quickly.
+	{"a value above MaxValueLen", []string{"-value", "17000000", "-keys", "2", "-ops", "1", "-clients", "1"}},
 	{"a negative scan limit", []string{"-scanlimit", "-1"}},
 	{"a preload below -1", []string{"-preload", "-2"}},
 	{"an empty op group", []string{"-batch", "0"}},

@@ -97,53 +97,74 @@ func TestRoutedServeAllocs(t *testing.T) {
 // back. So a group costs nothing whatever its size, its split over
 // nodes, its hit count and its scans, a lone scan fanned out to every
 // member included; the tally counts a scan's shares without merging.
+// Both table engines run every shape: a delete and a put of the same
+// key costs nothing either, since the table keeps a deleted key's blob
+// for its return.
 func TestIssueAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	// One op; 4, 8 and 16 with every fourth a put; 8 whose gets all miss;
-	// 4 with a scan; a lone scan.
-	shapes := []struct {
-		n            int
-		absent, scan bool
-	}{{1, false, false}, {4, false, false}, {8, false, false}, {16, false, false}, {8, true, false}, {4, false, true}, {1, false, true}}
+	// 4 with a scan; a lone scan; 8 that delete and put back 4 keys.
+	shapes := []issueShape{{1, false, false, false}, {4, false, false, false}, {8, false, false, false}, {16, false, false, false},
+		{8, true, false, false}, {4, false, true, false}, {1, false, true, false}, {8, false, false, true}}
 	for _, tr := range transports {
 		tr := tr
 		t.Run(tr.name, func(t *testing.T) {
-			c := tr.open(t, store.Options{}).dial(0, 8)
-			defer c.Close()
-			keys := make([]string, 16)
-			for i := range keys {
-				keys[i] = workload.Key(uint64(i))
-				if _, err := c.Put(keys[i], make([]byte, 64)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, shape := range shapes {
-				ops := make([]workload.Op, shape.n)
-				for j := range ops {
-					key := keys[j]
-					if shape.absent {
-						key = "absent-" + key
-					}
-					ops[j] = workload.Op{Kind: workload.KindGet, Key: key}
-					if j%4 == 3 {
-						ops[j] = workload.Op{Kind: workload.KindPut, Key: keys[j], Value: make([]byte, 64)}
-					}
-				}
-				if shape.scan {
-					ops[min(1, shape.n-1)] = workload.Op{Kind: workload.KindScan, Key: keys[0][:len(keys[0])-1], Limit: 4}
-				}
-				issue := func() {
-					if _, err := (store.Driver{C: c}).Issue(ops).Wait(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				issue() // one warm-up group so steady-state buffers exist
-				if got := testing.AllocsPerRun(100, issue); got != 0 {
-					t.Errorf("group %+v: %.2f allocs per Issue+Wait, want 0 whatever the size, the split, the hits and the scans", shape, got)
-				}
+			for _, eng := range []store.Engine{store.EngineLocked, store.EngineActor} {
+				t.Run(string(eng), func(t *testing.T) { issueAllocs(t, tr, eng, shapes) })
 			}
 		})
+	}
+}
+
+// issueShape is one group shape of TestIssueAllocs: n ops, gets with
+// every fourth a put unless a flag says otherwise.
+type issueShape struct {
+	n                   int
+	absent, scan, churn bool
+}
+
+// issueAllocs times every shape on one row over stores of one engine.
+func issueAllocs(t *testing.T, tr transport, eng store.Engine, shapes []issueShape) {
+	c := tr.open(t, store.Options{Engine: eng}).dial(0, 8)
+	defer c.Close()
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = workload.Key(uint64(i))
+		if _, err := c.Put(keys[i], make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, shape := range shapes {
+		ops := make([]workload.Op, shape.n)
+		for j := range ops {
+			key := keys[j]
+			if shape.absent {
+				key = "absent-" + key
+			}
+			ops[j] = workload.Op{Kind: workload.KindGet, Key: key}
+			if j%4 == 3 {
+				ops[j] = workload.Op{Kind: workload.KindPut, Key: keys[j], Value: make([]byte, 64)}
+			}
+		}
+		if shape.churn {
+			for j := 0; j < len(ops); j += 2 {
+				ops[j] = workload.Op{Kind: workload.KindDelete, Key: keys[j]}
+				ops[j+1] = workload.Op{Kind: workload.KindPut, Key: keys[j], Value: make([]byte, 64)}
+			}
+		}
+		if shape.scan {
+			ops[min(1, shape.n-1)] = workload.Op{Kind: workload.KindScan, Key: keys[0][:len(keys[0])-1], Limit: 4}
+		}
+		issue := func() {
+			if _, err := (store.Driver{C: c}).Issue(ops).Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		issue() // one warm-up group so steady-state buffers exist
+		if got := testing.AllocsPerRun(100, issue); got != 0 {
+			t.Errorf("group %+v: %.2f allocs per Issue+Wait, want 0 whatever the size, the split, the hits and the scans", shape, got)
+		}
 	}
 }

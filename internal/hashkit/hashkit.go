@@ -8,11 +8,13 @@
 // Only the *hashing* is shared. The segment layouts deliberately stay
 // separate: internal/ssht stores 8-byte keys with fixed 40-byte values
 // at 6 entries per segment (one operation fits a libssmp cache-line
-// message), while internal/store stores string keys and variable byte
-// values at 7 entries per segment (hash words packed first so a bucket
-// miss scans only hashes). Same cache-conscious idea, different entry
-// shapes — unifying the layouts would force the generic store layout on
-// the paper-faithful microbenchmark.
+// message), while internal/store keeps 7 slots per segment, each a
+// hash word, a key length, a live bit and one allocation holding the
+// key's bytes followed by its variable-length value (hash words and
+// live bits packed first so a bucket miss reads only them). Same
+// cache-conscious idea, different entry shapes — unifying the layouts
+// would force the generic store layout on the paper-faithful
+// microbenchmark.
 package hashkit
 
 // FibMix is 2^64 / φ, the multiplicative constant of Fibonacci hashing.

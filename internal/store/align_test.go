@@ -99,3 +99,17 @@ func TestShardTableIsOneLine(t *testing.T) {
 			s, pad.CacheLineSize)
 	}
 }
+
+// TestSegmentSize: a bucket segment is seven slots of hash word, key
+// length, live bit and one blob header, plus the chain pointer — 264
+// bytes, so the per-key share of the table stays what DESIGN §5.3
+// prices. The live bits sit on the hash words' line, so a lookup that
+// misses on every hash reads nothing else.
+func TestSegmentSize(t *testing.T) {
+	if s := unsafe.Sizeof(segment{}); s != 264 {
+		t.Errorf("segment is %d bytes, want 264", s)
+	}
+	if o := unsafe.Offsetof(segment{}.live); o >= pad.CacheLineSize {
+		t.Errorf("live bits at offset %d, off the hash words' line", o)
+	}
+}

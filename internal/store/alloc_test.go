@@ -83,28 +83,51 @@ func TestPointOpAllocs(t *testing.T) {
 			// reused buffer, so only the store's own allocations count.
 			kbuf, out := make([]byte, 0, 32), make([]byte, 0, 128)
 			var err error
-			view := func(op byte, v []byte) {
-				kb := append(kbuf[:0], keys[i%len(keys)]...)
+			view := func(op byte, key string, v []byte) {
+				kb := append(kbuf[:0], key...)
 				if out, err = h.ExecView(RequestView{Op: op, Key: kb, Value: v}, out[:0]); err != nil || out[0] != StatusOK {
 					t.Fatalf("ExecView op %d: status %v, %v", op, out, err)
 				}
-				i++
 			}
-			if viewGet := testing.AllocsPerRun(runs, func() { view(OpGet, nil) }); viewGet != 0 {
+			next := func() string {
+				k := keys[i%len(keys)]
+				i++
+				return k
+			}
+			if viewGet := testing.AllocsPerRun(runs, func() { view(OpGet, next(), nil) }); viewGet != 0 {
 				t.Errorf("ExecView get: %.2f allocs/op, want 0", viewGet)
 			}
 
-			put := testing.AllocsPerRun(runs, func() {
-				h.Put(keys[i%len(keys)], val)
-				i++
-			})
-			viewPut := testing.AllocsPerRun(runs, func() { view(OpPut, val) })
+			put := testing.AllocsPerRun(runs, func() { h.Put(next(), val) })
+			viewPut := testing.AllocsPerRun(runs, func() { view(OpPut, next(), val) })
 			want := 0.0
 			if eng == EngineOptimistic {
 				want = optOverwriteAllocs
 			}
 			if put != want || viewPut != want {
 				t.Errorf("overwrite: Put %.2f, ExecView %.2f allocs/op, want %.0f", put, viewPut, want)
+			}
+
+			// Churn: a delete, then a put of the same key. The table
+			// engines keep the deleted key's blob in its slot and rewrite
+			// its value on the key's return, so the pair allocates
+			// nothing; the optimistic engine pays a delete and a create.
+			churn := testing.AllocsPerRun(runs, func() {
+				k := next()
+				h.Delete(k)
+				h.Put(k, val)
+			})
+			viewChurn := testing.AllocsPerRun(runs, func() {
+				k := next()
+				view(OpDelete, k, nil)
+				view(OpPut, k, val)
+			})
+			churnBound := 0.0
+			if eng == EngineOptimistic {
+				churnBound = optDeleteAllocBound + optCreateAllocBound
+			}
+			if churn > churnBound || viewChurn > churnBound {
+				t.Errorf("delete then put: Put %.2f, ExecView %.2f allocs/pair, want <= %.0f", churn, viewChurn, churnBound)
 			}
 			if eng != EngineOptimistic {
 				return

@@ -35,12 +35,13 @@ import (
 // engines string keys; the wire server hands them byte slices that alias
 // the request frame — the zero-copy seam that keeps the point-op path
 // allocation-free. Either compares against stored string keys as a
-// string, and str() makes the single copy an insert is allowed to take:
-// copy-on-insert is the only place a frame-aliasing key may outlive its
-// frame. It is three words so that the compiler passes it in
-// registers: a string plus a slice (five words) is kept in memory and
-// copied through the stack at every table call, inside the shard's
-// critical section.
+// string, and an insert makes the single copy it is allowed to take —
+// into the entry's blob (shardTable.put) or through str() (the
+// optimistic engine's cell): copy-on-insert is the only place a
+// frame-aliasing key may outlive its frame. It is three words so that
+// the compiler passes it in registers: a string plus a slice (five
+// words) is kept in memory and copied through the stack at every table
+// call, inside the shard's critical section.
 type lookupKey struct {
 	s     string
 	frame bool
@@ -89,19 +90,46 @@ func scanLimit(limit uint32) int {
 }
 
 // segCap is the number of entries per bucket segment; segments chain when
-// a bucket overflows. Hashes are packed together, separate from keys and
-// values, so a bucket miss scans only hash words (the ssht layout; see
+// a bucket overflows. Hashes are packed together, separate from the
+// entries, so a bucket miss scans only hash words (the ssht layout; see
 // internal/hashkit for why the two layouts intentionally diverge).
 const segCap = 7
 
-// segment is one chunk of a bucket.
+// segment is one chunk of a bucket. A slot is a hash word, a key length,
+// a live bit and one blob: the entry's key bytes followed by its value
+// bytes, one allocation. The live bits share the hash words' line, so a
+// walk that stops at a hash mismatch touches nothing else.
+//
+// A slot with a blob but no live bit holds a deleted key that was kept
+// (see keepBlob): the blob waits in the slot for its key's return, so
+// delete-then-put churn rewrites a value region instead of allocating.
+// A slot with no blob is empty. Whether live or kept, a key's bytes in
+// its blob are never rewritten — scans and exports hand them out as
+// strings — so a slot another key takes gets a fresh blob.
 type segment struct {
 	hashes [segCap]uint64
-	used   [segCap]bool
-	keys   [segCap]string
-	vals   [segCap][]byte
+	live   uint8 // bit j: slot j holds a present key
+	klens  [segCap]uint32
+	blobs  [segCap][]byte
 	next   *segment
 }
+
+// keepBlob is the largest blob capacity a delete leaves in its slot. A
+// kept blob costs memory only while its slot is not live, and every
+// slot holds at most one, so the table's kept bytes never exceed
+// keepBlob per dead slot.
+const keepBlob = 256
+
+// key returns slot j's key, aliasing its blob's key bytes.
+func (s *segment) key(j int) string {
+	return unsafe.String(unsafe.SliceData(s.blobs[j]), s.klens[j])
+}
+
+// value returns slot j's value, aliasing its blob.
+func (s *segment) value(j int) []byte { return s.blobs[j][s.klens[j]:] }
+
+// isLive reports whether slot j holds a present key.
+func (s *segment) isLive(j int) bool { return s.live&(1<<j) != 0 }
 
 // Counters tallies the operations a shard has executed. How a snapshot
 // stays race-free is the engine's business: the locked and actor
@@ -154,8 +182,8 @@ func (sh *shardTable) get(hash uint64, key lookupKey, dst []byte) ([]byte, bool)
 	sh.ops.Gets++
 	for seg := sh.bucketOf(hash); seg != nil; seg = seg.next {
 		for j := 0; j < segCap; j++ {
-			if seg.used[j] && seg.hashes[j] == hash && key.eq(seg.keys[j]) {
-				return append(dst, seg.vals[j]...), true
+			if seg.hashes[j] == hash && seg.isLive(j) && key.eq(seg.key(j)) {
+				return append(dst, seg.value(j)...), true
 			}
 		}
 	}
@@ -163,48 +191,68 @@ func (sh *shardTable) get(hash uint64, key lookupKey, dst []byte) ([]byte, bool)
 }
 
 // put inserts or replaces; it reports whether the key was newly inserted.
-// The value is copied; a replace reuses the stored value's backing array
-// when it is large enough, so steady-state overwrites allocate nothing.
+// The value is copied. A slot that already holds the key — live, or kept
+// by a delete — has its value region rewritten, in place when the blob
+// has room, so steady-state overwrites and delete-then-put churn
+// allocate nothing; a blob that is too small is replaced by a larger
+// copy, key included. A key new to the bucket takes an empty slot if it
+// finds one, else a kept one (dropping its blob), else a new segment,
+// and one fresh blob.
 func (sh *shardTable) put(hash uint64, key lookupKey, value []byte) bool {
 	sh.ops.Puts++
-	var freeSeg *segment
-	freeIdx := -1
+	var free *segment
+	freeIdx, freeEmpty := -1, false
 	last := (*segment)(nil)
 	for seg := sh.bucketOf(hash); seg != nil; seg = seg.next {
 		for j := 0; j < segCap; j++ {
-			if seg.used[j] {
-				if seg.hashes[j] == hash && key.eq(seg.keys[j]) {
-					seg.vals[j] = append(seg.vals[j][:0], value...)
+			// Only the hash words and live bits are read until a hash
+			// matches or a free slot is wanted.
+			switch {
+			case seg.hashes[j] == hash && seg.blobs[j] != nil && key.eq(seg.key(j)):
+				seg.blobs[j] = append(seg.blobs[j][:seg.klens[j]], value...)
+				if seg.isLive(j) {
 					return false
 				}
-			} else if freeIdx < 0 {
-				freeSeg, freeIdx = seg, j
+				seg.live |= 1 << j
+				sh.entries++
+				return true
+			case freeEmpty || seg.isLive(j):
+			case seg.blobs[j] == nil:
+				free, freeIdx, freeEmpty = seg, j, true
+			case freeIdx < 0:
+				free, freeIdx = seg, j
 			}
 		}
 		last = seg
 	}
 	if freeIdx < 0 {
-		seg := &segment{}
-		last.next = seg
-		freeSeg, freeIdx = seg, 0
+		free = &segment{}
+		last.next = free
+		freeIdx = 0
 	}
-	freeSeg.hashes[freeIdx] = hash
-	freeSeg.keys[freeIdx] = key.str()
-	freeSeg.vals[freeIdx] = append([]byte(nil), value...)
-	freeSeg.used[freeIdx] = true
+	if uint64(len(key.s)) > math.MaxUint32 {
+		panic("store: key of 4 GiB or more")
+	}
+	blob := make([]byte, 0, len(key.s)+len(value))
+	free.hashes[freeIdx] = hash
+	free.klens[freeIdx] = uint32(len(key.s))
+	free.blobs[freeIdx] = append(append(blob, key.s...), value...)
+	free.live |= 1 << freeIdx
 	sh.entries++
 	return true
 }
 
-// del removes key; it reports whether the key was present.
+// del removes key; it reports whether the key was present. The slot's
+// blob stays for the key's return if it is at most keepBlob bytes.
 func (sh *shardTable) del(hash uint64, key lookupKey) bool {
 	sh.ops.Deletes++
 	for seg := sh.bucketOf(hash); seg != nil; seg = seg.next {
 		for j := 0; j < segCap; j++ {
-			if seg.used[j] && seg.hashes[j] == hash && key.eq(seg.keys[j]) {
-				seg.used[j] = false
-				seg.keys[j] = ""
-				seg.vals[j] = nil
+			if seg.hashes[j] == hash && seg.isLive(j) && key.eq(seg.key(j)) {
+				seg.live &^= 1 << j
+				if cap(seg.blobs[j]) > keepBlob {
+					seg.blobs[j], seg.klens[j] = nil, 0
+				}
 				sh.entries--
 				return true
 			}
@@ -217,15 +265,16 @@ func (sh *shardTable) del(hash uint64, key lookupKey) bool {
 // run sorted by key and trimmed to limit (limit <= 0: all). The table
 // has no order, so it walks every bucket and sorts what matched; the
 // values of the run's survivors are then copied onto *arena — the table
-// overwrites values in place, so nothing returned may alias it.
+// overwrites values in place, so no value returned may alias it. Keys
+// alias their blobs, whose key bytes never change.
 func (sh *shardTable) scan(prefix lookupKey, limit int, out []Entry, arena *[]byte) []Entry {
 	sh.ops.Scans++
 	base := len(out)
 	for b := range sh.buckets {
 		for s := &sh.buckets[b]; s != nil; s = s.next {
 			for j := 0; j < segCap; j++ {
-				if s.used[j] && prefix.prefixOf(s.keys[j]) {
-					out = append(out, Entry{Key: s.keys[j], Value: s.vals[j]})
+				if s.isLive(j) && prefix.prefixOf(s.key(j)) {
+					out = append(out, Entry{Key: s.key(j), Value: s.value(j)})
 				}
 			}
 		}
@@ -244,6 +293,7 @@ func (sh *shardTable) scan(prefix lookupKey, limit int, out []Entry, arena *[]by
 // satisfies pred; it stops at a bucket boundary once maxEntries entries
 // or maxBytes of wire payload are appended, returning the next bucket
 // index (len(buckets) when the walk is complete). Counted as a scan.
+// Values are copies; keys alias their blobs, as scan's do.
 func (sh *shardTable) export(from int, pred func(uint64) bool, maxEntries, maxBytes int, out []Entry) (int, []Entry) {
 	sh.ops.Scans++
 	base, bytes := len(out), 0
@@ -253,9 +303,9 @@ func (sh *shardTable) export(from int, pred func(uint64) bool, maxEntries, maxBy
 		}
 		for s := &sh.buckets[b]; s != nil; s = s.next {
 			for j := 0; j < segCap; j++ {
-				if s.used[j] && pred(s.hashes[j]) {
-					out = append(out, Entry{Key: s.keys[j], Value: append([]byte(nil), s.vals[j]...)})
-					bytes += entryWireSize(s.keys[j], s.vals[j])
+				if s.isLive(j) && pred(s.hashes[j]) {
+					out = append(out, Entry{Key: s.key(j), Value: append([]byte(nil), s.value(j)...)})
+					bytes += entryWireSize(s.key(j), s.value(j))
 				}
 			}
 		}
@@ -449,7 +499,8 @@ func (h *Handle) getKey(k lookupKey, dst []byte) ([]byte, bool) {
 }
 
 // Put inserts or replaces the value under key; it reports whether the key
-// was newly inserted. The value is copied.
+// was newly inserted. The value is copied. The locked and actor engines
+// hold keys shorter than 4 GiB; the wire bounds them at MaxKeyLen.
 func (h *Handle) Put(key string, value []byte) bool {
 	hash := hashKey(key)
 	return h.acc.put(h.s.shardOf(hash), hash, keyOf(key), value)
